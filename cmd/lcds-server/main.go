@@ -1,28 +1,32 @@
 // Command lcds-server serves a dynamic low-contention dictionary over a
 // small HTTP membership API: GET /contains, POST /batch, POST /insert,
-// POST /delete. The observability surface — /metrics, /debug/telemetry,
-// /debug/timeline, /debug/pprof — is byte-compatible with lcds-monitor
-// because both render through internal/serve; on top of it the server adds
-// per-endpoint HTTP request counters and latency summaries so an open-loop
-// load generator (cmd/lcds-loadgen) can be cross-checked against the
-// server's own view of the traffic.
+// POST /delete. Its observability surface is /metrics (Prometheus text,
+// with per-endpoint HTTP request counters and latency summaries so an
+// open-loop load generator such as cmd/lcds-loadgen can be cross-checked
+// against the server's own view of the traffic), /debug/telemetry,
+// /debug/timeline and /debug/pprof. Built with -tags otlp, -otlp also
+// pushes metrics and flight-recorder spans to an OTLP/HTTP collector.
+// SIGINT or SIGTERM drains in-flight requests before exiting.
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"os/signal"
 	"strconv"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	lcds "repro"
 
-	"repro/internal/serve"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -33,6 +37,13 @@ import (
 const (
 	batchLimit     = 4096
 	batchBodyLimit = 32 * batchLimit
+)
+
+// shutdownGrace bounds how long a shutdown waits for in-flight requests;
+// otlpEvery is the OTLP export interval while -otlp is set.
+const (
+	shutdownGrace = 2 * time.Second
+	otlpEvery     = 10 * time.Second
 )
 
 // endpointStats is one handler's request ledger: total requests, requests
@@ -188,7 +199,7 @@ func (s *server) handleWrite(w http.ResponseWriter, r *http.Request, del bool) i
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	serve.WriteMetrics(w, s.dd.Telemetry().Snapshot(), nil, s.dd.Telemetry().Sample())
+	writeMetrics(w, s.dd.Telemetry())
 	s.writeHTTPMetrics(w)
 }
 
@@ -207,19 +218,12 @@ func (s *server) writeHTTPMetrics(w http.ResponseWriter) {
 	}
 	fmt.Fprint(w, "# HELP lcds_http_request_ns Request latency in nanoseconds, by handler (log2 buckets; quantiles are bucket upper bounds).\n# TYPE lcds_http_request_ns summary\n")
 	snaps := make([]telemetry.HistogramSnapshot, 0, len(s.stats))
-	emit := func(name string, h telemetry.HistogramSnapshot) {
-		fmt.Fprintf(w, "lcds_http_request_ns{handler=%q,quantile=\"0.5\"} %d\n", name, h.P50)
-		fmt.Fprintf(w, "lcds_http_request_ns{handler=%q,quantile=\"0.99\"} %d\n", name, h.P99)
-		fmt.Fprintf(w, "lcds_http_request_ns{handler=%q,quantile=\"0.999\"} %d\n", name, h.P999)
-		fmt.Fprintf(w, "lcds_http_request_ns_sum{handler=%q} %d\n", name, h.Sum)
-		fmt.Fprintf(w, "lcds_http_request_ns_count{handler=%q} %d\n", name, h.Count)
-	}
 	for _, st := range s.stats {
 		snap := st.lat.Snapshot()
 		snaps = append(snaps, snap)
-		emit(st.name, snap)
+		summarySamples(w, "lcds_http_request_ns", fmt.Sprintf("handler=%q", st.name), snap)
 	}
-	emit("all", telemetry.MergeHistogramSnapshots(snaps...))
+	summarySamples(w, "lcds_http_request_ns", `handler="all"`, telemetry.MergeHistogramSnapshots(snaps...))
 }
 
 func (s *server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
@@ -259,11 +263,11 @@ func (s *server) handleIndex(w http.ResponseWriter, r *http.Request) {
 
 // newServer builds the dictionary and the handler mux; split from main so
 // tests and fuzz targets drive the exact production wiring.
-func newServer(n int, seed uint64, shards int, epsilon float64, absorb bool, sample int) (*server, *http.ServeMux, error) {
+func newServer(n int, seed uint64, shards int, epsilon float64, absorb bool, tel lcds.TelemetryConfig) (*server, *http.ServeMux, error) {
 	keys := workload.MemberKeys(n, seed)
 	opts := []lcds.Option{
 		lcds.WithSeed(seed),
-		lcds.WithTelemetry(lcds.TelemetryConfig{Sample: sample, TopK: 10}),
+		lcds.WithTelemetry(tel),
 	}
 	if shards > 1 {
 		opts = append(opts, lcds.WithShards(shards))
@@ -299,13 +303,34 @@ func newServer(n int, seed uint64, shards int, epsilon float64, absorb bool, sam
 	})
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/debug/telemetry", s.handleTelemetry)
-	mux.HandleFunc("/debug/timeline", serve.TimelineHandler(s.dd))
+	mux.HandleFunc("/debug/timeline", timelineHandler(s.dd))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return s, mux, nil
+}
+
+// run serves h on ln until ctx is cancelled, then shuts down gracefully:
+// the listener closes at once, and requests already in flight get up to
+// shutdownGrace to finish.
+func run(ctx context.Context, ln net.Listener, h http.Handler) error {
+	hs := &http.Server{Handler: h}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	shctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	err := hs.Shutdown(shctx)
+	if serr := <-served; !errors.Is(serr, http.ErrServerClosed) {
+		return serr
+	}
+	return err
 }
 
 func main() {
@@ -316,22 +341,37 @@ func main() {
 	epsilon := flag.Float64("epsilon", 0.1, "dynamic buffer fraction")
 	absorb := flag.Bool("absorb", false, "enable two-phase write absorption (hot keys soak into split-phase overlays)")
 	sample := flag.Int("sample", 1, "probe sampling rate: count 1 in k probes (rounded to a power of two)")
+	otlpEndpoint := flag.String("otlp", "", "export metrics and flight-recorder spans to this OTLP/HTTP endpoint, e.g. http://localhost:4318 (needs a binary built with -tags otlp)")
 	flag.Parse()
 
-	_, mux, err := newServer(*n, *seed, *shards, *epsilon, *absorb, *sample)
+	tel := lcds.TelemetryConfig{Sample: *sample, TopK: 10}
+	exp, err := newOTLPExport(*otlpEndpoint, &tel)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lcds-server:", err)
-		os.Exit(1)
+		fatal(err)
+	}
+	s, mux, err := newServer(*n, *seed, *shards, *epsilon, *absorb, tel)
+	if err != nil {
+		fatal(err)
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lcds-server:", err)
-		os.Exit(1)
+		fatal(err)
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if exp != nil {
+		go exp.run(ctx, s.dd, otlpEvery)
+	}
+	// The first stdout line is the listen banner: harnesses parse the
+	// address out of it.
 	fmt.Printf("lcds-server: n=%d seed=%d shards=%d absorb=%v, serving http://%s/\n",
 		*n, *seed, *shards, *absorb, ln.Addr())
-	if err := http.Serve(ln, mux); err != nil {
-		fmt.Fprintln(os.Stderr, "lcds-server:", err)
-		os.Exit(1)
+	if err := run(ctx, ln, mux); err != nil {
+		fatal(err)
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "lcds-server:", err)
+	os.Exit(1)
 }

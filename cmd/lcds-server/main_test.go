@@ -2,20 +2,29 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
-	"repro/internal/serve"
+	lcds "repro"
+
 	"repro/internal/workload"
 )
 
+// defaultTelemetry is the telemetry configuration main builds at the
+// default -sample without -otlp.
+var defaultTelemetry = lcds.TelemetryConfig{Sample: 1, TopK: 10}
+
 func newTestMux(t *testing.T, n int, seed uint64) (*server, *http.ServeMux) {
 	t.Helper()
-	s, mux, err := newServer(n, seed, 1, 0.1, false, 1)
+	s, mux, err := newServer(n, seed, 1, 0.1, false, defaultTelemetry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +206,37 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestMetricsContract: the shared RequiredMetrics names and the server's own
-// HTTP series all appear, and the request/error ledgers reflect the traffic
-// this test drove.
+// scrape fetches /metrics, checks that every requiredMetrics name appears
+// and that every sample line parses as `name[{labels}] value` with a
+// numeric value, and returns the values by series.
+func scrape(t *testing.T, mux *http.ServeMux) map[string]float64 {
+	t.Helper()
+	body := get(mux, "/metrics").Body.String()
+	for _, name := range requiredMetrics {
+		if !strings.Contains(body, name) {
+			t.Errorf("missing metric %s", name)
+		}
+	}
+	samples := map[string]float64{}
+	for _, line := range strings.Split(body, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) != 2 {
+			t.Fatalf("malformed sample line %q", line)
+		}
+		v, err := strconv.ParseFloat(fields[1], 64)
+		if err != nil {
+			t.Fatalf("non-numeric value in %q: %v", line, err)
+		}
+		samples[fields[0]] = v
+	}
+	return samples
+}
+
+// TestMetricsContract: the server's own HTTP series appear and the
+// request/error ledgers reflect the traffic this test drove.
 func TestMetricsContract(t *testing.T) {
 	_, mux := newTestMux(t, 128, 19)
 	keys := workload.MemberKeys(128, 19)
@@ -207,23 +244,260 @@ func TestMetricsContract(t *testing.T) {
 		get(mux, fmt.Sprintf("/contains?key=%d", k))
 	}
 	get(mux, "/contains?key=x") // one contains error
-	body := get(mux, "/metrics").Body.String()
-	for _, name := range serve.RequiredMetrics {
-		if !strings.Contains(body, name) {
-			t.Errorf("missing metric %s", name)
+	m := scrape(t, mux)
+	for series, want := range map[string]float64{
+		`lcds_http_requests_total{handler="contains"}`: 17,
+		`lcds_http_errors_total{handler="contains"}`:   1,
+		`lcds_http_requests_total{handler="batch"}`:    0,
+		`lcds_http_request_ns_count{handler="all"}`:    17,
+	} {
+		if got, ok := m[series]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", series, got, ok, want)
 		}
 	}
-	for _, want := range []string{
-		`lcds_http_requests_total{handler="contains"} 17`,
-		`lcds_http_errors_total{handler="contains"} 1`,
-		`lcds_http_requests_total{handler="batch"} 0`,
+	requireSeries(t, m,
 		`lcds_http_request_ns{handler="contains",quantile="0.99"}`,
-		`lcds_http_request_ns{handler="all",quantile="0.999"}`,
-		`lcds_http_request_ns_count{handler="all"} 17`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("missing sample %q", want)
+		`lcds_http_request_ns{handler="all",quantile="0.999"}`)
+}
+
+// TestMetricsExposition: a server that has served nothing already exposes
+// the whole contract — every requiredMetrics name, every handler's ledger
+// at zero and the per-shard dynamic series — and every line parses.
+func TestMetricsExposition(t *testing.T) {
+	_, mux := newTestMux(t, 64, 29)
+	m := scrape(t, mux)
+	for _, h := range []string{"contains", "batch", "insert", "delete"} {
+		for _, series := range []string{
+			fmt.Sprintf("lcds_http_requests_total{handler=%q}", h),
+			fmt.Sprintf("lcds_http_errors_total{handler=%q}", h),
+		} {
+			if got, ok := m[series]; !ok || got != 0 {
+				t.Errorf("%s = %v (present %v), want 0", series, got, ok)
+			}
 		}
+	}
+	if got := m["lcds_sampling_k"]; got != 1 {
+		t.Errorf("lcds_sampling_k = %v, want 1", got)
+	}
+	requireSeries(t, m,
+		`lcds_rebuilds_total{shard="0"}`,
+		`lcds_absorbed_writes_total{shard="0"}`,
+		`lcds_phase_split{shard="0"}`,
+		`lcds_http_request_ns_count{handler="all"}`)
+}
+
+// TestTelemetryEndpoint: /debug/telemetry serves the dictionary's snapshot
+// as JSON, and the snapshot counts the queries this test drove.
+func TestTelemetryEndpoint(t *testing.T) {
+	_, mux := newTestMux(t, 128, 19)
+	for _, k := range workload.MemberKeys(128, 19)[:16] {
+		get(mux, fmt.Sprintf("/contains?key=%d", k))
+	}
+	rec := get(mux, "/debug/telemetry")
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("/debug/telemetry Content-Type %q", ct)
+	}
+	var snap lcds.TelemetrySnapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+		t.Fatalf("/debug/telemetry: invalid JSON: %v", err)
+	}
+	if snap.Queries != 16 || snap.Probes == 0 || snap.Latency.Count != 16 {
+		t.Fatalf("/debug/telemetry after 16 queries: %+v", snap)
+	}
+}
+
+// insertFresh POSTs /insert for the count keys that follow the server's
+// n members in the workload.MemberKeys sequence, so each one is new, then
+// waits for the rebuilds they trigger.
+func insertFresh(t *testing.T, s *server, mux *http.ServeMux, n int, seed uint64, count int) {
+	t.Helper()
+	for _, k := range workload.MemberKeys(n+count, seed)[n:] {
+		if rec := post(mux, fmt.Sprintf("/insert?key=%d", k), ""); rec.Code != 200 {
+			t.Fatalf("insert: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	s.dd.Quiesce()
+}
+
+// TestDynamicExposition: inserts through /insert that overflow the update
+// buffer move the per-shard rebuild series.
+func TestDynamicExposition(t *testing.T) {
+	s, mux, err := newServer(1000, 9, 1, 0.05, false, defaultTelemetry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertFresh(t, s, mux, 1000, 9, 200)
+	m := scrape(t, mux)
+	if got := m[`lcds_http_requests_total{handler="insert"}`]; got != 200 {
+		t.Errorf("insert requests = %v, want 200", got)
+	}
+	for _, series := range []string{
+		`lcds_rebuilds_total{shard="0"}`,
+		`lcds_rebuild_ns{shard="0",quantile="0.5"}`,
+		`lcds_delta_high_water{shard="0"}`,
+	} {
+		if m[series] == 0 {
+			t.Errorf("%s is zero or missing after forced rebuilds", series)
+		}
+	}
+}
+
+// TestAbsorbedExposition: on an -absorb server, hot /delete+/insert churn
+// on 4 keys must move the rebuild, absorption and flight-recorder series.
+func TestAbsorbedExposition(t *testing.T) {
+	s, mux, err := newServer(2048, 13, 1, 0.1, true, defaultTelemetry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := workload.MemberKeys(2048, 13)[:4]
+	for i := 0; i < 4096; i++ {
+		op := "insert"
+		if (i/len(hot))%2 == 0 {
+			op = "delete"
+		}
+		if rec := post(mux, fmt.Sprintf("/%s?key=%d", op, hot[i%len(hot)]), ""); rec.Code != 200 {
+			t.Fatalf("%s: status %d: %s", op, rec.Code, rec.Body)
+		}
+	}
+	s.dd.Quiesce()
+	m := scrape(t, mux)
+	for _, series := range []string{
+		`lcds_rebuilds_total{shard="0"}`,
+		`lcds_absorbed_writes_total{shard="0"}`,
+		`lcds_phase_seals_total{shard="0"}`,
+		`lcds_events_total{type="rebuild_end"}`,
+		`lcds_rebuild_ns{shard="0",quantile="0.999"}`,
+		`lcds_http_requests_total{handler="delete"}`,
+	} {
+		if m[series] == 0 {
+			t.Errorf("%s is zero or missing after hot churn", series)
+		}
+	}
+	requireSeries(t, m,
+		`lcds_writer_pause_ns{shard="0",quantile="0.5"}`,
+		`lcds_delta_high_water{shard="0"}`,
+		`lcds_phase_hot_keys{shard="0"}`,
+		`lcds_phase_split{shard="0"}`,
+		`lcds_events_dropped_total`)
+}
+
+// TestTimelineEndpoint: after inserts that force rebuilds, the server's
+// /debug/timeline pages through the flight recorder by cursor, rejects bad
+// queries with 400, and /metrics counts the recorded events exactly.
+func TestTimelineEndpoint(t *testing.T) {
+	s, mux, err := newServer(1000, 17, 1, 0.05, false, defaultTelemetry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertFresh(t, s, mux, 1000, 17, 300)
+
+	var page1, page2 timelineReport
+	if err := json.Unmarshal(get(mux, "/debug/timeline?max=4").Body.Bytes(), &page1); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	if len(page1.Events) != 4 {
+		t.Fatalf("page 1 has %d events, want 4", len(page1.Events))
+	}
+	rec := get(mux, "/debug/timeline?since="+strconv.FormatUint(page1.NextCursor, 10))
+	if err := json.Unmarshal(rec.Body.Bytes(), &page2); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	if len(page2.Events) == 0 {
+		t.Fatal("page 2 empty: cursor did not advance through the timeline")
+	}
+	if first := page2.Events[0].Seq; first != page1.NextCursor+1 {
+		t.Fatalf("page 2 starts at seq %d, want %d", first, page1.NextCursor+1)
+	}
+	for _, bad := range []string{"?since=x", "?max=0", "?max=x"} {
+		if rec := get(mux, "/debug/timeline"+bad); rec.Code != 400 {
+			t.Errorf("query %q got status %d, want 400", bad, rec.Code)
+		}
+	}
+
+	m := scrape(t, mux)
+	if m[`lcds_events_total{type="rebuild_end"}`] == 0 {
+		t.Error("rebuild_end counter zero or missing after forced rebuilds")
+	}
+	if got, ok := m["lcds_events_dropped_total"]; !ok || got != 0 {
+		t.Errorf("lcds_events_dropped_total = %v (present %v), want 0", got, ok)
+	}
+	requireSeries(t, m,
+		`lcds_latency_ns{quantile="0.999"}`,
+		`lcds_rebuild_ns{shard="0",quantile="0.999"}`,
+		`lcds_writer_pause_ns{shard="0",quantile="0.5"}`)
+}
+
+func requireSeries(t *testing.T, m map[string]float64, series ...string) {
+	t.Helper()
+	for _, s := range series {
+		if _, ok := m[s]; !ok {
+			t.Errorf("missing series %s", s)
+		}
+	}
+}
+
+// TestRunGracefulShutdown: cancelling run's context stops new connections
+// at once, still answers a request already in flight with its 200, and
+// returns nil within shutdownGrace.
+func TestRunGracefulShutdown(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	started, release := make(chan struct{}), make(chan struct{})
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(started)
+		<-release
+		fmt.Fprintln(w, "ok")
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, ln, h) }()
+	status := make(chan string, 1)
+	go func() {
+		resp, err := http.Get("http://" + addr + "/")
+		if err != nil {
+			status <- err.Error()
+			return
+		}
+		resp.Body.Close()
+		status <- resp.Status
+	}()
+
+	<-started
+	cancel()
+	// Shutdown closes the listener first; wait for that before letting the
+	// in-flight handler finish.
+	deadline := time.Now().Add(shutdownGrace)
+	for {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			break
+		}
+		c.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("listener still accepting after cancel")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("run returned %v with a request in flight", err)
+	default:
+	}
+	close(release)
+	if got := <-status; got != "200 OK" {
+		t.Fatalf("in-flight request got %q, want 200 OK", got)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v, want nil", err)
+		}
+	case <-time.After(shutdownGrace):
+		t.Fatal("run did not return within shutdownGrace")
 	}
 }
 

@@ -2,6 +2,8 @@ package lcds
 
 import (
 	"encoding/json"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -130,28 +132,55 @@ func checkTimelineCoherence(t *testing.T, evs []Event, log *EventLog) map[EventT
 	return counts
 }
 
-// TestEventLogDynamicTimeline churns a dynamic dictionary (unsharded and
-// sharded) and checks the recorded timeline is coherent: sealed epochs,
-// balanced rebuilds, shard labels within range.
+// TestEventLogDynamicTimeline churns a dynamic dictionary (unsharded,
+// sharded, and with write absorption under GOMAXPROCS concurrent writers)
+// and checks the recorded timeline is coherent: sealed epochs, balanced
+// rebuilds, shard labels within range.
 func TestEventLogDynamicTimeline(t *testing.T) {
-	for _, shards := range []int{1, 4} {
+	for _, tc := range []struct {
+		shards int
+		// absorb turns on write absorption and replaces the serial churn
+		// with hot churn on one key, then GOMAXPROCS writers, each flipping
+		// a disjoint fresh-key block for 8 rounds.
+		absorb bool
+	}{{1, false}, {4, false}, {1, true}} {
+		shards := tc.shards
 		keys := testKeys(1200, 64)
 		opts := []Option{WithSeed(64), WithEventLog(EventLogConfig{})}
 		if shards > 1 {
 			opts = append(opts, WithShards(shards))
 		}
+		if tc.absorb {
+			opts = append(opts, WithWriteAbsorption())
+		}
 		d, err := NewDynamic(keys[:600], 0.1, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range keys[600:] {
-			if _, err := d.Insert(k); err != nil {
+		if tc.absorb {
+			// Hot churn on one key opens a split phase first; the
+			// concurrent flips then run through it and its seals.
+			for i := 0; i < 4096 && err == nil; i++ {
+				if i%2 == 0 {
+					_, err = d.Delete(keys[0])
+				} else {
+					_, err = d.Insert(keys[0])
+				}
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		for _, k := range keys[:300] {
-			if _, err := d.Delete(k); err != nil {
-				t.Fatal(err)
+			flipConcurrently(t, d, keys[600:], 8)
+		} else {
+			for _, k := range keys[600:] {
+				if _, err := d.Insert(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, k := range keys[:300] {
+				if _, err := d.Delete(k); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		d.Quiesce()
@@ -169,6 +198,9 @@ func TestEventLogDynamicTimeline(t *testing.T) {
 		if counts[EventEpochSealed] == 0 {
 			t.Fatalf("shards=%d: no sealed epochs recorded", shards)
 		}
+		if tc.absorb && counts[EventPhaseSplit] == 0 {
+			t.Fatal("hot churn with absorption recorded no split phase")
+		}
 		if shards > 1 && counts[EventShardRebuild] == 0 {
 			t.Fatal("sharded dictionary recorded no ShardRebuild events")
 		}
@@ -185,6 +217,36 @@ func TestEventLogDynamicTimeline(t *testing.T) {
 			t.Fatalf("quiesced dictionary kept emitting: %d events", len(more))
 		}
 	}
+}
+
+// flipConcurrently runs one writer goroutine per processor, each inserting
+// and then deleting its own disjoint block of fresh keys, rounds times.
+func flipConcurrently(t *testing.T, d *DynamicDict, fresh []uint64, rounds int) {
+	t.Helper()
+	workers := runtime.GOMAXPROCS(0)
+	block := min(64, len(fresh)/workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(keys []uint64) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for _, k := range keys {
+					if _, err := d.Insert(k); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				for _, k := range keys {
+					if _, err := d.Delete(k); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(fresh[w*block : (w+1)*block])
+	}
+	wg.Wait()
 }
 
 // TestEventLogAbsorptionPhases hammers hot keys on an absorbing dictionary

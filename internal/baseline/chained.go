@@ -120,7 +120,7 @@ func (d *Chained) Contains(x uint64, r rng.Source) (bool, error) {
 	} else {
 		pc = d.tab.Probe(0, chParamRow, 0)
 	}
-	h := hash.Pairwise{A: pc.Lo, B: pc.Hi, M: uint64(maxInt(d.n, 1))}
+	h := hash.Pairwise{A: pc.Lo, B: pc.Hi, M: uint64(max(d.n, 1))}
 	b := int(h.Eval(x))
 	hc := d.tab.Probe(1, chHeadRow, b)
 	cur := int(hc.Lo) - 1
@@ -157,11 +157,4 @@ func (d *Chained) ProbeSpec(x uint64) cellprobe.ProbeSpec {
 		}
 	}
 	return spec
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1180,10 +1180,3 @@ func (d *Dict) BufferTable() *cellprobe.Table { return d.cur.Load().buf.acct }
 // (buffer chain of length 1): one parameter probe, one slot probe, plus the
 // static dictionary's probes. Longer chains add one probe each.
 func (d *Dict) MaxReadProbes() int { return 2 + d.cur.Load().base.MaxProbes() }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -55,7 +55,7 @@ func A8(cfg Config) (*Table, error) {
 			"maxΦ̂·n(live)", "maxΦ·n(exact)", "ratio", "stepMassL∞",
 			"maxΦ̂·n(sim)", "simQdelay", "simSlowdown"},
 		Notes: []string{
-			"live numbers come from the runtime telemetry sink (internal/telemetry) attached to each structure's cell-probe table — the same estimator lcds-monitor exposes over /metrics",
+			"live numbers come from the runtime telemetry sink (internal/telemetry) attached to each structure's cell-probe table — the same estimator Dict.Telemetry().Snapshot() reports as maxΦ̂·n",
 			"ratio = maxΦ̂·n(live) / maxΦ·n(exact); deterministic schemes land on 1.000 exactly, replicated ones wander by the extreme-value noise of their random replica draws",
 			"stepMassL∞ is the largest absolute gap between the measured and exact per-step probe mass vectors — 0 for schemes whose probe count is input-independent",
 			fmt.Sprintf("sim columns replay %d captured probe sequences through internal/memsim (one module per cell) with the same telemetry estimator attached as the simulator's probe sink: maxΦ̂·n(sim) is the estimator's reading of the simulated stream, simQdelay the mean cycles each probe waited in a module queue (0 = served on issue), simSlowdown the makespan over the conflict-free ideal", simProcs),
@@ -242,7 +242,7 @@ func A10(cfg Config) (*Table, error) {
 		Columns: []string{"structure", "dist", "steps", "probes/q", "retained",
 			"top1", "overlap@3", "shareΔmax", "hotShare(exact)"},
 		Notes: []string{
-			"the sketch is telemetry.StepCellSketch — the always-on reservoir behind Snapshot.StepCells and lcds-monitor's /debug/telemetry — fed here at sampling 1 alongside a sequential cellprobe.Recorder on the same table, so both see the identical probe stream",
+			"the sketch is telemetry.StepCellSketch — the always-on reservoir behind Snapshot.StepCells — fed here at sampling 1 alongside a sequential cellprobe.Recorder on the same table, so both see the identical probe stream",
 			"top1 = steps where the sketch's hottest cell ties the exact per-step argmax / steps compared; overlap@3 = mean fraction of the sketch's top-3 cells inside the exact top-3; shareΔmax = worst |sketch hot-share − exact hot-share| over top-1 cells; hotShare(exact) = the exact hottest cell's worst-case probe share",
 			"point (every query hits one key) makes deterministic-probe schemes (fks, cuckoo, bsearch) probe one cell per step — top1 must be perfect; the core lcds dictionary randomizes every intermediate probe, so only its terminal key-read steps keep a stable hot cell and the sketch's low top1 across the rest IS the low-contention property (hotShare reports the worst step, which for lcds/point is that deterministic terminal read)",
 			"retained = reservoir samples surviving across all steps (bounded by slots × stripes regardless of query volume — the sketch's whole point)",

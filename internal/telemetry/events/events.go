@@ -21,7 +21,7 @@
 // The single consumer (Timeline, Stats — any reader) drains the MPSC ring
 // under a mutex into a larger timeline ring, assigning each event a global
 // monotone sequence number. Timeline(since, max) serves any suffix of the
-// retained window by cursor, which is what gives the monitor's
+// retained window by cursor, which is what gives lcds-server's
 // /debug/timeline endpoint stateless pagination.
 //
 // The package depends only on the standard library, so every layer of the

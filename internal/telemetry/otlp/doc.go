@@ -10,8 +10,8 @@
 // The implementation compiles only under the `otlp` build tag:
 //
 //	go build -tags otlp ./...
-//	go run -tags otlp ./cmd/lcds-monitor -otlp http://localhost:4318
+//	go run -tags otlp ./cmd/lcds-server -otlp http://localhost:4318
 //
-// Without the tag this package is an empty placeholder and lcds-monitor's
+// Without the tag this package is an empty placeholder and lcds-server's
 // -otlp flag refuses to start.
 package otlp

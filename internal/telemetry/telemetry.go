@@ -28,8 +28,7 @@
 // Snapshot returns the empirical maxΦ̂·n, per-step probe mass and probes per
 // query; Snapshot.CompareExact diffs those against a contention.ExactResult
 // so the drift between the analytic prediction and the live workload is
-// itself a monitored signal (experiment A8, and the lcds_phi_* metrics of
-// cmd/lcds-monitor).
+// itself a monitored signal (experiment A8).
 //
 // Φ̂(j) here is the per-cell *total* probe mass Σ_t Φ̂_t(j), the contention
 // of Definition 1; compare it with ExactResult.MaxTotal. (The full per-step
@@ -337,7 +336,7 @@ func (t *Telemetry) Events() *events.Log { return t.events }
 
 // Timeline drains the flight recorder and returns up to max events with
 // sequence numbers beyond since, oldest first, plus the cursor for the next
-// call — the monitor's /debug/timeline pagination contract.
+// call — lcds-server's /debug/timeline pagination contract.
 func (t *Telemetry) Timeline(since uint64, max int) ([]events.Event, uint64) {
 	return t.events.Timeline(since, max)
 }

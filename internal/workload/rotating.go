@@ -17,7 +17,7 @@ import (
 // deterministic; rotation is pure index arithmetic on top, so the whole
 // sequence is reproducible and the shared cursor stays a single atomic.
 //
-// The drive answers three consumers: bench and monitor loops call Next
+// The drive answers three consumers: bench and scenario loops call Next
 // (concurrent, schedule semantics like WeightedDrive), tests use At and
 // HotSet to know exactly which keys are hot at any position, and dist.Dist
 // consumers use Sample.

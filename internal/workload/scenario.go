@@ -40,7 +40,7 @@ type Op struct {
 }
 
 // Scenario is a named, seeded workload: a deterministic schedule of
-// operations that every driver — bench, monitor, server, loadgen — realizes
+// operations that every driver — lcds-loadgen, perfbench — realizes
 // identically. Position i always maps to the same Op for a given
 // (spec, key set, seed), so a schedule is reproducible no matter how many
 // goroutines drive it: concurrent callers of Next claim distinct positions
@@ -48,8 +48,9 @@ type Op struct {
 // {At(0), At(1), ...} regardless of which goroutine executed which position.
 //
 // Read-only scenarios with a stationary distribution additionally expose
-// their exact realized support, so exact-contention comparisons (the
-// monitor's drift block) run under precisely the driven distribution.
+// their exact realized support, so exact-contention comparisons
+// (Dict.TelemetryCompareExactWeighted) run under precisely the driven
+// distribution.
 type Scenario struct {
 	spec     string
 	pass     int
@@ -181,8 +182,7 @@ func NewScenario(spec string, keys []uint64, seed uint64) (*Scenario, error) {
 
 const (
 	// scenarioHotFrac is the traffic share of the hot block in the rotating
-	// and auction scenarios — the same 90% the monitor's rotating drive and
-	// the bench write storm use.
+	// and auction scenarios — the same 90% the bench write storm uses.
 	scenarioHotFrac = 0.9
 	// scenarioSeedSalt decorrelates the schedule shuffle from the
 	// construction seed the dictionary itself was built with.

@@ -21,7 +21,7 @@ type TelemetryConfig = telemetry.Config
 // (TelemetryConfig.Adaptive): a feedback controller steers the recorded
 // probe rate toward a budget, doubling the factor when the workload runs hot
 // and halving it when traffic is light. Drive it with Telemetry.AdaptTick
-// from a ticker goroutine, as cmd/lcds-monitor -adaptive does.
+// from a ticker goroutine.
 type TelemetryAdaptiveConfig = telemetry.AdaptiveConfig
 
 // Telemetry is the live telemetry handle of a dictionary built with
@@ -118,7 +118,7 @@ type EventLogConfig struct {
 	// event records each gap in the timeline).
 	RingCapacity int
 	// TimelineCapacity bounds the drained timeline Timeline() pages through;
-	// older events fall off. Reads (Timeline, Stats, the monitor's
+	// older events fall off. Reads (Timeline, Stats, lcds-server's
 	// /debug/timeline) drain the ring, so only the window between reads
 	// needs to fit in RingCapacity.
 	TimelineCapacity int
@@ -128,7 +128,7 @@ type EventLogConfig struct {
 // always-on, lock-free timeline of structural events — epoch seals, rebuild
 // start/end with durations, split-phase transitions, hot-key promotions and
 // demotions (hashed keys), sampling retunes — queryable with Timeline and
-// served by cmd/lcds-monitor at /debug/timeline. Emission is a single CAS
+// served by cmd/lcds-server at /debug/timeline. Emission is a single CAS
 // plus plain stores on the writer's claimed slot, off the query path
 // entirely; a dictionary with only an event log queries at the same speed as
 // a bare one. WithTelemetry implies an event log (the telemetry layer emits
