@@ -58,7 +58,9 @@ func TestPerfReportSchema(t *testing.T) {
 		"contains_allocs_per_op", "contains_eventlog_allocs_per_op",
 		"contains_eventlog_ns_per_op", "contains_ns_per_op",
 		"contains_telemetry_allocs_per_op", "contains_telemetry_ns_per_op",
-		"date", "eventlog_overhead_ratio",
+		"date", "dynamic_batch_ns_per_key",
+		"dynamic_batch_telemetry_ns_per_key", "dynamic_batch_telemetry_ratio",
+		"eventlog_overhead_ratio",
 		"exact_contention_parallel_ms", "exact_contention_serial_ms",
 		"exact_contention_speedup", "exact_contention_workers",
 		"go_version", "gomaxprocs", "insert_ns_per_op",

@@ -56,6 +56,15 @@ type perfReport struct {
 	BatchContainsMlpNsPerOp float64 `json:"batch_contains_mlp_ns_per_op"`
 	BatchSpeedupVsScalar    float64 `json:"batch_speedup_vs_scalar"`
 
+	// Dynamic batch path with Sample-1 telemetry against the same loop
+	// without it, per key answered, passes alternated and each side timed
+	// best-of-3. At Sample 1 a dynamic dictionary tallies a batch's probes
+	// in pooled scratch and flushes them once per batch, so the ratio is
+	// CI-gated at ≤ 1.15.
+	DynamicBatchNsPerKey          float64 `json:"dynamic_batch_ns_per_key"`
+	DynamicBatchTelemetryNsPerKey float64 `json:"dynamic_batch_telemetry_ns_per_key"`
+	DynamicBatchTelemetryRatio    float64 `json:"dynamic_batch_telemetry_ratio"`
+
 	// Dynamic update path: sequential insert latency (rebuilds amortized in),
 	// then the 80/10/10 Contains/Insert/Delete mixed workload at 1, 4 and
 	// GOMAXPROCS worker goroutines. The writer-scaling headline is
@@ -229,6 +238,33 @@ func runPerfSuite(n int, seed uint64, outPath string, telemetrySample int) error
 		rep.BatchSpeedupVsScalar = rep.BatchContainsNsPerOp / rep.BatchContainsMlpNsPerOp
 	}
 
+	ddBare, err := lcds.NewDynamic(keys, 0, lcds.WithSeed(seed))
+	if err != nil {
+		return err
+	}
+	ddTel, err := lcds.NewDynamic(keys, 0, lcds.WithSeed(seed),
+		lcds.WithTelemetry(lcds.TelemetryConfig{Sample: 1}))
+	if err != nil {
+		return err
+	}
+	for pass := 0; pass < 3; pass++ {
+		bare, err := dynamicBatchNsPerKey(ddBare, keys, queryOps)
+		if err != nil {
+			return err
+		}
+		tel, err := dynamicBatchNsPerKey(ddTel, keys, queryOps)
+		if err != nil {
+			return err
+		}
+		if pass == 0 || bare < rep.DynamicBatchNsPerKey {
+			rep.DynamicBatchNsPerKey = bare
+		}
+		if pass == 0 || tel < rep.DynamicBatchTelemetryNsPerKey {
+			rep.DynamicBatchTelemetryNsPerKey = tel
+		}
+	}
+	rep.DynamicBatchTelemetryRatio = rep.DynamicBatchTelemetryNsPerKey / rep.DynamicBatchNsPerKey
+
 	// Dynamic update path. Sequential inserts first: build over half the
 	// keys, insert the rest, Quiesce inside the timed window so triggered
 	// rebuilds are amortized into the per-op figure rather than leaking
@@ -359,6 +395,8 @@ func runPerfSuite(n int, seed uint64, outPath string, telemetrySample int) error
 		rep.ExactSerialMs, rep.ExactParallelMs, rep.ExactSpeedup, exactWorkers, workers)
 	fmt.Printf("eventlog: contains %.0fns/op (%.2fx overhead) %.2g allocs/op\n",
 		rep.ContainsEventlogNsPerOp, rep.EventlogOverheadRatio, rep.ContainsEventlogAllocs)
+	fmt.Printf("dynamic batch: %.0fns/key, %.0fns/key with sample-1 telemetry (%.2fx)\n",
+		rep.DynamicBatchNsPerKey, rep.DynamicBatchTelemetryNsPerKey, rep.DynamicBatchTelemetryRatio)
 	fmt.Printf("dynamic: insert %.0fns/op, mixed 80r/20w %.0f ops/s (w=1) %.0f ops/s (w=4) %.0f ops/s (w=%d)\n",
 		rep.InsertNsPerOp, rep.MixedW1OpsPerSec, rep.MixedW4OpsPerSec, rep.MixedWMaxOpsPerSec, rep.MixedWMaxWriters)
 	fmt.Printf("hot storm: absorbed %.0f/%.0f/%.0f ops/s vs cas %.0f/%.0f/%.0f ops/s (w=1/4/%d), %d absorbed writes, %d cas retries\n",
@@ -393,6 +431,26 @@ func containsNsPerOp(d *lcds.Dict, keys []uint64, ops int) (float64, error) {
 		}
 	}
 	return best, nil
+}
+
+// dynamicBatchNsPerKey times one pass of ops keys through DynamicDict's
+// ContainsBatch in batches of 1024 stored keys.
+func dynamicBatchNsPerKey(d *lcds.DynamicDict, keys []uint64, ops int) (float64, error) {
+	const batch = 1024
+	out := make([]bool, batch)
+	start := time.Now()
+	for i := 0; i+batch <= ops; i += batch {
+		lo := i % (len(keys) - batch + 1)
+		if err := d.ContainsBatch(keys[lo:lo+batch], out); err != nil {
+			return 0, err
+		}
+		for j, ok := range out {
+			if !ok {
+				return 0, fmt.Errorf("dynamic batch lost key %d", keys[lo+j])
+			}
+		}
+	}
+	return float64(time.Since(start).Nanoseconds()) / float64(ops/batch*batch), nil
 }
 
 // mixedDynamicOpsPerSec runs the mixed 80% Contains / 10% Insert / 10%

@@ -270,6 +270,7 @@ type DynamicStats struct {
 	Epochs          int    // rebuilds published (≥ 1 per shard)
 	Buffered        int    // live update-buffer entries across shards
 	Updates         int    // Insert/Delete calls that changed membership
+	ReadProbes      uint64 // probes issued by Contains/ContainsBatch (static probes counted at MaxProbes)
 	WriteProbes     uint64 // probes + slot writes issued by the claim path
 	WriteCASRetries uint64 // claim CASes lost to racing writers
 	AbsorbedWrites  uint64 // writes soaked by split-phase overlays
@@ -291,6 +292,7 @@ func (d *DynamicDict) Stats() DynamicStats {
 		Epochs:          st.Epoch,
 		Buffered:        st.Buffered,
 		Updates:         st.Updates,
+		ReadProbes:      st.ReadProbes,
 		WriteProbes:     st.WriteProbes,
 		WriteCASRetries: st.WriteCASRetries,
 		AbsorbedWrites:  st.AbsorbedWrites,

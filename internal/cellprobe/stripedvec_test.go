@@ -121,6 +121,31 @@ func TestTableSink(t *testing.T) {
 	}
 }
 
+// TestProbeToTally: a tallied probe skips the sink and lands at its step,
+// clamped into the tally's last slot, while the recorder still sees it; a
+// nil tally behaves as Probe.
+func TestProbeToTally(t *testing.T) {
+	sunk := 0
+	tab := New(2, 4)
+	tab.SetSink(sinkFunc(func(step, cell int) { sunk++ }))
+	rec := NewRecorder(tab.Size())
+	tab.Attach(rec)
+	tally := make([]uint64, 3)
+	tab.ProbeTo(0, 0, 1, tally)
+	tab.ProbeTo(2, 1, 2, tally)
+	tab.ProbeTo(7, 1, 3, tally)
+	if sunk != 0 || tally[0] != 1 || tally[1] != 0 || tally[2] != 2 {
+		t.Fatalf("tallied probes: sink saw %d, tally %v; want 0 and [1 0 2]", sunk, tally)
+	}
+	if rec.probes != 3 || rec.Total[6] != 1 {
+		t.Fatalf("recorder saw %d probes (cell 6: %d), want 3 (1)", rec.probes, rec.Total[6])
+	}
+	tab.ProbeTo(1, 0, 0, nil)
+	if sunk != 1 || rec.probes != 4 {
+		t.Fatalf("untallied probe: sink saw %d, recorder %d; want 1 and 4", sunk, rec.probes)
+	}
+}
+
 type sinkFunc func(step, cell int)
 
 func (f sinkFunc) ProbeObserved(step, cell int) { f(step, cell) }

@@ -218,7 +218,17 @@ func (t *Table) PrefetchCell(row, col int) {
 
 // Probe performs a recorded query probe of cell (row, col) at the given
 // 0-based step number and returns the cell contents.
-func (t *Table) Probe(step, row, col int) Cell {
+func (t *Table) Probe(step, row, col int) Cell { return t.ProbeTo(step, row, col, nil) }
+
+// ProbeTo is Probe with a caller-owned per-step tally. A nil tally reports
+// the probe to the installed sink, exactly as Probe does. A non-nil tally
+// counts it at tally[min(step, len(tally)−1)] in place of the sink call, and
+// the caller later hands the counts to the sink in one go — one flush per
+// query or batch instead of one sink call per probe. The tally must then
+// carry exactly what the sink would have counted, so callers use one only
+// for a sink that keeps nothing but per-step totals of every probe. The
+// recorder, trace and ForwardTo accounting see every probe either way.
+func (t *Table) ProbeTo(step, row, col int, tally []uint64) Cell {
 	i := t.Index(row, col)
 	if t.rec != nil {
 		t.rec.record(step, i)
@@ -226,7 +236,9 @@ func (t *Table) Probe(step, row, col int) Cell {
 	if t.trace != nil {
 		t.trace(step, i)
 	}
-	if t.sink != nil {
+	if tally != nil {
+		tally[min(step, len(tally)-1)]++
+	} else if t.sink != nil {
 		t.sink.ProbeObserved(step, i)
 	}
 	if t.fwd != nil {

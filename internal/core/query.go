@@ -86,7 +86,21 @@ type QueryScratch struct {
 	// admissions. A test/measurement mode — it allocates.
 	batchCap bool
 	batchLog []*[]int32
+
+	// tally, when armed (SetTally), counts every probe of the queries this
+	// scratch answers per step in place of the table's probe sink.
+	tally []uint64
 }
+
+// SetTally arms per-step probe tallying for the queries answered with this
+// scratch: each probe is counted at tally[min(step, len(tally)−1)] instead
+// of being reported to the table's probe sink (cellprobe.Table.ProbeTo), and
+// the caller flushes the counts to the sink itself. nil restores per-probe
+// sink reporting.
+func (sc *QueryScratch) SetTally(tally []uint64) { sc.tally = tally }
+
+// Tally returns the armed per-step tally, or nil.
+func (sc *QueryScratch) Tally() []uint64 { return sc.tally }
 
 // StartCapture arms per-probe capture for the next ContainsScratch call on
 // this scratch. The telemetry layer uses it to build per-query traces.
@@ -302,8 +316,8 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 		base := slot * 2 * d
 		for i := 0; i < d; i++ {
 			cf, cg := int(sc.wfCoef[base+2*i]), int(sc.wfCoef[base+2*i+1])
-			sc.fc[i] = tab.Probe(i, i, cf).Lo
-			sc.gc[i] = tab.Probe(d+i, d+i, cg).Lo
+			sc.fc[i] = tab.ProbeTo(i, i, cf, sc.tally).Lo
+			sc.gc[i] = tab.ProbeTo(d+i, d+i, cg, sc.tally).Lo
 			if s.log != nil {
 				logCell(s.log, i, tab.Index(i, cf))
 				logCell(s.log, d+i, tab.Index(d+i, cg))
@@ -320,7 +334,7 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 	case wfZ:
 		// Phase 1b: z_{g(x)} (step 2d) completes h(x); the group and the
 		// histogram columns become known.
-		zv := tab.Probe(2*d, dict.zRow(), s.col).Lo
+		zv := tab.ProbeTo(2*d, dict.zRow(), s.col, sc.tally).Lo
 		if s.log != nil {
 			logCell(s.log, 2*d, tab.Index(dict.zRow(), s.col))
 		}
@@ -348,7 +362,7 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 		// (steps 2d+2..2d+1+ρ), and the prefix-sum decode to the bucket's
 		// ℓ² cell span.
 		step := 2*d + 1
-		gbas := tab.Probe(step, dict.gbasRow(), s.col).Lo
+		gbas := tab.ProbeTo(step, dict.gbasRow(), s.col, sc.tally).Lo
 		if s.log != nil {
 			logCell(s.log, step, tab.Index(dict.gbasRow(), s.col))
 		}
@@ -359,7 +373,7 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 		for w := 0; w < dict.rho; w++ {
 			step++
 			ch := int(sc.wfHist[hbase+w])
-			c := tab.Probe(step, dict.histRow()+w, ch)
+			c := tab.ProbeTo(step, dict.histRow()+w, ch, sc.tally)
 			if s.log != nil {
 				logCell(s.log, step, tab.Index(dict.histRow()+w, ch))
 			}
@@ -389,7 +403,7 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 		// Phase 4a: the perfect hash from a random cell of the span
 		// (step 2d+2+ρ).
 		step := 2*d + 2 + dict.rho
-		phc := tab.Probe(step, dict.phRow(), s.col)
+		phc := tab.ProbeTo(step, dict.phRow(), s.col, sc.tally)
 		if s.log != nil {
 			logCell(s.log, step, tab.Index(dict.phRow(), s.col))
 		}
@@ -403,7 +417,7 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 	case wfData:
 		// Phase 4b: the data cell (step 2d+3+ρ) answers the query.
 		step := 2*d + 3 + dict.rho
-		dc := tab.Probe(step, dict.dataRow(), s.col)
+		dc := tab.ProbeTo(step, dict.dataRow(), s.col, sc.tally)
 		if s.log != nil {
 			logCell(s.log, step, tab.Index(dict.dataRow(), s.col))
 		}

@@ -156,14 +156,17 @@ type Params struct {
 	// for reproducible experiments (X1) at the cost of O(n) update-call
 	// latency at each rebuild.
 	SyncRebuild bool
-	// Sink, when non-nil, observes every recorded probe of the published
+	// Sink, when non-nil, observes every read probe of the published
 	// epochs' tables (live telemetry): it is installed on each new epoch's
 	// static and buffer tables before the epoch is published, so readers
 	// never race the installation. Buffer probes are reported with their
 	// step offset by the static MaxProbes, keeping the two step ranges
-	// distinguishable in step-mass reports. The sink sees the write path's
-	// buffer probes too (the table cannot tell them apart); Stats separates
-	// read and write probe counts exactly.
+	// distinguishable in step-mass reports. Write probes (claim walks and
+	// delta replays) never reach the sink: they are counted exactly on
+	// Stats.WriteProbes and Metrics.WriteClaim. A sink whose TallyLen method
+	// reports a positive length (see tallySink) is handed each Contains
+	// call's or ContainsBatch call's probes as one per-step tally instead of
+	// one ProbeObserved call per probe; the counts are the same.
 	Sink cellprobe.ProbeSink
 	// Metrics, when non-nil, receives the rebuild-side telemetry: epoch
 	// publishes, rebuild durations, writer pauses at the buffer hard cap,
@@ -235,6 +238,28 @@ type stepSink struct {
 
 func (s stepSink) ProbeObserved(step, cell int) { s.sink.ProbeObserved(step+s.off, cell) }
 
+// tallySink is the optional side of a Params.Sink that takes a read's probes
+// as per-step counts; *telemetry.Telemetry implements it. A positive TallyLen
+// means the sink keeps nothing but per-step totals of every probe, so the
+// read path counts into a tally of that length in its pooled scratch
+// (cellprobe.Table.ProbeTo) and calls FlushTally once per query or batch.
+// 0 means the sink needs every probe individually.
+type tallySink interface {
+	TallyLen() int
+	FlushTally(tally []uint64)
+}
+
+// bufTally returns the part of a read tally that buffer probes count into:
+// buffer steps sit past the static dictionary's off = MaxProbes steps, as
+// stepSink offsets them, and steps past the tally's end clamp into its last
+// slot. A nil tally stays nil.
+func bufTally(tally []uint64, off int) []uint64 {
+	if tally == nil {
+		return nil
+	}
+	return tally[min(off, len(tally)-1):]
+}
+
 // Stats describes the dictionary's dynamic behaviour. All counter fields are
 // maintained on atomic or striped counters, so Stats is safe to call while
 // writers and rebuilds are in full flight; totals read during a storm may
@@ -280,9 +305,10 @@ type buffer struct {
 	sealed  atomic.Bool
 }
 
-// params probes a random replica of the buffer's parameter row.
-func (b *buffer) params(r rng.Source) hash.Pairwise {
-	c := b.acct.Probe(0, bufParamRow, r.Intn(b.width))
+// params probes a random replica of the buffer's parameter row, counting the
+// probe in tally when it is non-nil (see cellprobe.Table.ProbeTo).
+func (b *buffer) params(r rng.Source, tally []uint64) hash.Pairwise {
+	c := b.acct.ProbeTo(0, bufParamRow, r.Intn(b.width), tally)
 	return hash.Pairwise{A: c.Lo, B: c.Hi, M: uint64(b.width)}
 }
 
@@ -300,11 +326,12 @@ func (b *buffer) seal() {
 // find walks the probe chain for x. It returns the slot holding x
 // (found=true) or the first empty slot (found=false). Probes are recorded
 // at steps 1, 2, ... on the accounting table; callers already probed the
-// parameter row at step 0.
-func (b *buffer) find(x uint64, h hash.Pairwise) (slot int, tag uint64, found bool, probes uint64, err error) {
+// parameter row at step 0. A non-nil tally counts the probes in place of
+// the sink, like params.
+func (b *buffer) find(x uint64, h hash.Pairwise, tally []uint64) (slot int, tag uint64, found bool, probes uint64, err error) {
 	p := int(h.Eval(x))
 	for step := 1; step <= b.width+1; step++ {
-		b.acct.Probe(step, bufSlotRow, p)
+		b.acct.ProbeTo(step, bufSlotRow, p, tally)
 		w := b.slots[p].Load()
 		probes++
 		t, k := unpackSlot(w)
@@ -369,6 +396,11 @@ type Dict struct {
 	cur atomic.Pointer[epoch]
 	n   atomic.Int64 // current key count, mirrored for lock-free Len
 
+	// tally is p.Sink when it takes per-step tallies (see tallySink), else
+	// nil. When set, every pooled scratch carries a tally that Contains and
+	// ContainsBatch flush into it.
+	tally tallySink
+
 	readProbes  *cellprobe.StripedCounter
 	writeProbes *cellprobe.StripedCounter
 	casRetries  *cellprobe.StripedCounter
@@ -403,8 +435,19 @@ func New(initial []uint64, p Params, seed uint64) (*Dict, error) {
 		casRetries:  cellprobe.NewStripedCounter(),
 		absorbed:    cellprobe.NewStripedCounter(),
 	}
-	d.scratch.New = func() any { return new(core.QueryScratch) }
-	d.batch.New = func() any { return new(batchState) }
+	if ts, ok := p.Sink.(tallySink); ok && ts.TallyLen() > 0 {
+		d.tally = ts
+	}
+	d.scratch.New = func() any {
+		sc := new(core.QueryScratch)
+		sc.SetTally(d.newTally())
+		return sc
+	}
+	d.batch.New = func() any {
+		st := new(batchState)
+		st.sc.SetTally(d.newTally())
+		return st
+	}
 	d.cond = sync.NewCond(&d.mu)
 	if err := scheme.ValidateKeys(initial); err != nil {
 		return nil, fmt.Errorf("dynamic: %w", err)
@@ -423,6 +466,15 @@ func New(initial []uint64, p Params, seed uint64) (*Dict, error) {
 		return nil, d.rebuildErr
 	}
 	return d, nil
+}
+
+// newTally returns a zeroed read tally for a pooled scratch, or nil when the
+// sink takes probes one at a time (or there is no sink).
+func (d *Dict) newTally() []uint64 {
+	if d.tally == nil {
+		return nil
+	}
+	return make([]uint64, d.tally.TallyLen())
 }
 
 // newBuffer sizes and seeds the buffer of epoch ep for a snapshot of n keys.
@@ -668,7 +720,11 @@ func (d *Dict) claim(e *epoch, x uint64, del bool, capLimit int) (claimOutcome, 
 	if del {
 		seed ^= 0xdead
 	}
-	h := b.params(rng.New(seed))
+	// Write probes are counted on writeProbes and Metrics.WriteClaim, not on
+	// the read sink: they go into this local tally, which is dropped, so the
+	// sink never sees them while a recorder or trace still does.
+	var unsunk [1]uint64
+	h := b.params(rng.New(seed), unsunk[:])
 	probes := uint64(1) // the step-0 parameter probe
 	var retries uint64
 	outcome := claimNoChange
@@ -681,7 +737,7 @@ walk:
 			err = fmt.Errorf("dynamic: buffer scan wrapped (corrupt table?)")
 			break walk
 		}
-		b.acct.Probe(step, bufSlotRow, p)
+		b.acct.ProbeTo(step, bufSlotRow, p, unsunk[:])
 		w := b.slots[p].Load()
 		probes++
 	slot:
@@ -776,13 +832,17 @@ walk:
 
 // Contains answers membership for x through recorded probes on both the
 // buffer and the static tables of the current epoch. It takes no lock and
-// writes no shared cache line beyond the striped probe counter; its working
+// writes no shared cache line beyond the striped probe counters; its working
 // memory comes from a pooled scratch, so the steady-state read path
-// performs no heap allocation.
+// performs no heap allocation. With a tallying sink the query's probes are
+// flushed to it once, after the query.
 func (d *Dict) Contains(x uint64, r rng.Source) (bool, error) {
 	e := d.cur.Load()
 	sc := d.scratch.Get().(*core.QueryScratch)
 	ok, err := d.containsEpoch(e, x, r, sc)
+	if d.tally != nil {
+		d.tally.FlushTally(sc.Tally())
+	}
 	d.scratch.Put(sc)
 	return ok, err
 }
@@ -791,6 +851,8 @@ func (d *Dict) Contains(x uint64, r rng.Source) (bool, error) {
 // the current epoch for the single query. The facade's telemetry path uses
 // it with a capture-armed scratch to trace the static probes of a query
 // (buffer probes are not captured — their cell indices are epoch-local).
+// Probes go to the sink one at a time unless sc carries a tally, which the
+// caller then owns and flushes.
 func (d *Dict) ContainsScratch(x uint64, r rng.Source, sc *core.QueryScratch) (bool, error) {
 	return d.containsEpoch(d.cur.Load(), x, r, sc)
 }
@@ -806,21 +868,21 @@ func (d *Dict) containsEpoch(e *epoch, x uint64, r rng.Source, sc *core.QueryScr
 		}
 	}
 	b := e.buf
-	h := b.params(r)
-	_, tag, found, probes, err := b.find(x, h)
+	bt := bufTally(sc.Tally(), e.base.MaxProbes())
+	h := b.params(r, bt)
+	_, tag, found, probes, err := b.find(x, h, bt)
 	if err != nil {
 		return false, err
 	}
-	d.readProbes.Add(probes + 1) // chain + the parameter probe
+	probes++ // the parameter probe
 	if found {
 		switch tag {
-		case slotInserted:
-			return true, nil
-		case slotDeleted:
-			return false, nil
+		case slotInserted, slotDeleted:
+			d.readProbes.Add(probes)
+			return tag == slotInserted, nil
 		}
 	}
-	d.readProbes.Add(uint64(e.base.MaxProbes()))
+	d.readProbes.Add(probes + uint64(e.base.MaxProbes()))
 	return e.base.ContainsScratch(x, r, sc)
 }
 
@@ -832,14 +894,18 @@ func (d *Dict) containsEpoch(e *epoch, x uint64, r rng.Source, sc *core.QueryScr
 // directly (buffer hit or tombstone) or yielding the key for wavefront
 // admission, where its static random budget is drawn immediately. The
 // shared random stream is therefore consumed in exactly sequential order.
+// The cursor sums the batch's read probes into probes, and counts buffer
+// probes into tally when it is non-nil, so the batch reaches the shared
+// counters once rather than once per key.
 type batchCursor struct {
-	d    *Dict
-	e    *epoch
-	r    rng.Source
-	keys []uint64
-	out  []bool
-	pos  int
-	err  error
+	e      *epoch
+	r      rng.Source
+	keys   []uint64
+	out    []bool
+	tally  []uint64 // buffer part of the read tally (bufTally), or nil
+	probes uint64   // read probes so far, as Stats.ReadProbes counts them
+	pos    int
+	err    error
 }
 
 func (c *batchCursor) NextQuery() (int, uint64, bool) {
@@ -849,19 +915,19 @@ func (c *batchCursor) NextQuery() (int, uint64, bool) {
 		x := c.keys[i]
 		if h := c.e.hot; h != nil {
 			if ent := h.entry(x); ent != nil {
-				c.d.readProbes.Add(1)
+				c.probes++
 				c.out[i] = ent.state.Load() == absorbPresent
 				continue
 			}
 		}
 		b := c.e.buf
-		h := b.params(c.r)
-		_, tag, found, probes, err := b.find(x, h)
+		h := b.params(c.r, c.tally)
+		_, tag, found, probes, err := b.find(x, h, c.tally)
 		if err != nil {
 			c.err = err
 			return 0, 0, false
 		}
-		c.d.readProbes.Add(probes + 1) // chain + the parameter probe
+		c.probes += probes + 1 // chain + the parameter probe
 		if found {
 			switch tag {
 			case slotInserted:
@@ -872,14 +938,15 @@ func (c *batchCursor) NextQuery() (int, uint64, bool) {
 				continue
 			}
 		}
-		c.d.readProbes.Add(uint64(c.e.base.MaxProbes()))
+		c.probes += uint64(c.e.base.MaxProbes())
 		return i, x, true
 	}
 	return 0, 0, false
 }
 
 // batchState bundles the per-batch working memory — the core scratch with
-// its wavefront arena plus the buffer cursor — into one poolable unit.
+// its wavefront arena and read tally, plus the buffer cursor — into one
+// poolable unit.
 type batchState struct {
 	sc  core.QueryScratch
 	cur batchCursor
@@ -894,13 +961,19 @@ type batchState struct {
 // misses of up to BatchGroup probe chains; answers and per-query probes are
 // identical to a sequential loop over the batch. out must be at least as
 // long as keys. It stops at the first corrupt-buffer or corrupt-table
-// error (queries in flight at that point are abandoned).
+// error (queries in flight at that point are abandoned). The batch's read
+// probes reach the shared counters — and a tallying sink — once per batch.
 func (d *Dict) ContainsBatch(keys []uint64, out []bool, r rng.Source) error {
 	if len(out) < len(keys) {
 		return fmt.Errorf("dynamic: ContainsBatch output length %d < %d keys", len(out), len(keys))
 	}
 	st := d.batch.Get().(*batchState)
-	err := d.containsBatchEpoch(d.cur.Load(), keys, out, r, st)
+	e := d.cur.Load()
+	st.cur = batchCursor{e: e, r: r, keys: keys, out: out, tally: bufTally(st.sc.Tally(), e.base.MaxProbes())}
+	err := d.answerBatch(&st.cur, &st.sc)
+	if d.tally != nil {
+		d.tally.FlushTally(st.sc.Tally())
+	}
 	st.cur = batchCursor{} // drop epoch/slice references before pooling
 	d.batch.Put(st)
 	return err
@@ -910,25 +983,27 @@ func (d *Dict) ContainsBatch(keys []uint64, out []bool, r rng.Source) error {
 // memory, pinning the current epoch for the whole batch. The equivalence
 // battery uses it with a batch-capture-armed scratch to compare the static
 // probe cells of wavefront and sequential answers (buffer probes are not
-// captured — their cell indices are epoch-local).
+// captured — their cell indices are epoch-local). As with ContainsScratch,
+// a tally on sc is the caller's to flush.
 func (d *Dict) ContainsBatchScratch(keys []uint64, out []bool, r rng.Source, sc *core.QueryScratch) error {
 	if len(out) < len(keys) {
 		return fmt.Errorf("dynamic: ContainsBatch output length %d < %d keys", len(out), len(keys))
 	}
 	e := d.cur.Load()
-	cur := batchCursor{d: d, e: e, r: r, keys: keys, out: out}
-	if err := e.base.ContainsWavefront(&cur, out, r, sc); err != nil {
+	cur := batchCursor{e: e, r: r, keys: keys, out: out, tally: bufTally(sc.Tally(), e.base.MaxProbes())}
+	return d.answerBatch(&cur, sc)
+}
+
+// answerBatch answers cur's batch against its pinned epoch: the buffer
+// pre-check in the cursor, the rest through the static wavefront on sc. The
+// batch's read probes are added to the shared counter in one add.
+func (d *Dict) answerBatch(cur *batchCursor, sc *core.QueryScratch) error {
+	err := cur.e.base.ContainsWavefront(cur, cur.out, cur.r, sc)
+	d.readProbes.Add(cur.probes)
+	if err != nil {
 		return err
 	}
 	return cur.err
-}
-
-func (d *Dict) containsBatchEpoch(e *epoch, keys []uint64, out []bool, r rng.Source, st *batchState) error {
-	st.cur = batchCursor{d: d, e: e, r: r, keys: keys, out: out}
-	if err := e.base.ContainsWavefront(&st.cur, out, r, &st.sc); err != nil {
-		return err
-	}
-	return st.cur.err
 }
 
 // Insert adds x. It reports whether the dictionary changed; crossing the

@@ -21,7 +21,10 @@
 // predictable nil-check per probe (the same discipline as the pre-existing
 // Recorder and trace hooks) and performs zero atomic writes and zero
 // allocations. When on, optional 1-in-k probe sampling (Config.Sample)
-// divides the counting cost; Snapshot scales the estimates back up.
+// divides the counting cost; Snapshot scales the estimates back up. A
+// cell-agnostic instance that counts every probe need not be called per
+// probe at all: the dynamic dictionary's read path tallies a query's or a
+// batch's probes per step itself and hands them over in one FlushTally.
 //
 // # Self-check against theory
 //
@@ -326,6 +329,37 @@ func (t *Telemetry) ProbeObserved(step, cell int) {
 		// sketch estimates the distribution of recorded (step, cell)
 		// pairs, which matches the scaled counters above.
 		t.sketch.offer(h, step, cell)
+	}
+	t.pool.Put(h)
+}
+
+// TallyLen reports the length of the per-step tally a caller may count
+// probes into in place of ProbeObserved, then hand over with FlushTally:
+// StepCap+1 when this instance counts every probe (Sample 1, not adaptive)
+// and keeps no per-cell accounting, 0 otherwise. Sampled, adaptive and
+// per-cell configurations need each probe individually. A tallying caller
+// clamps steps beyond StepCap into the last slot, as ProbeObserved does.
+func (t *Telemetry) TallyLen() int {
+	if t.sampleMask != 0 || t.adaptive || t.perCell != nil {
+		return 0
+	}
+	return t.stepCap + 1
+}
+
+// FlushTally adds a caller's per-step probe tally (see TallyLen) to the
+// per-step counters on the calling goroutine's stripe and zeroes it: one
+// handle fetch and one atomic add per non-zero step, whatever the number of
+// probes tallied.
+func (t *Telemetry) FlushTally(tally []uint64) {
+	if len(tally) != t.stepCap+1 {
+		panic(fmt.Sprintf("telemetry: tally of length %d, want %d", len(tally), t.stepCap+1))
+	}
+	h := t.pool.Get().(*handle)
+	for i, c := range tally {
+		if c != 0 {
+			t.steps.AddStripeN(h.stripe, i, c)
+			tally[i] = 0
+		}
 	}
 	t.pool.Put(h)
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -56,6 +57,39 @@ func TestStepCapOverflow(t *testing.T) {
 	// Steps ≥ StepCap aggregate into the overflow slot.
 	if len(s.StepMass) != 5 || s.StepMass[4] != 2.0 || s.StepMass[3] != 1.0 {
 		t.Fatalf("StepMass = %v", s.StepMass)
+	}
+}
+
+// TestFlushTally: a tally flushes to exactly what per-probe reporting
+// counts, and only the configurations that keep nothing but per-step totals
+// of every probe offer one.
+func TestFlushTally(t *testing.T) {
+	per, tallied := New(Config{StepCap: 4}, 0, 1), New(Config{StepCap: 4}, 0, 1)
+	tally := make([]uint64, tallied.TallyLen())
+	if len(tally) != 5 {
+		t.Fatalf("TallyLen = %d, want StepCap+1 = 5", len(tally))
+	}
+	for _, step := range []int{0, 3, 3, 4, 1000} {
+		per.ProbeObserved(step, 0)
+		tally[min(step, len(tally)-1)]++
+	}
+	tallied.FlushTally(tally)
+	tallied.FlushTally(tally) // zeroed by the first flush: adds nothing
+	for _, tel := range []*Telemetry{per, tallied} {
+		tel.ObserveQuery(true, false, 1)
+	}
+	a, b := per.Snapshot(), tallied.Snapshot()
+	if a.Probes != 5 || b.Probes != a.Probes || !slices.Equal(b.StepMass, a.StepMass) {
+		t.Fatalf("flushed %d probes %v, per-probe %d %v", b.Probes, b.StepMass, a.Probes, a.StepMass)
+	}
+	for name, tel := range map[string]*Telemetry{
+		"sampled":  New(Config{Sample: 8}, 0, 1),
+		"adaptive": New(Config{Adaptive: &AdaptiveConfig{TargetProbesPerSec: 1e6}}, 0, 1),
+		"per-cell": New(Config{}, 16, 1),
+	} {
+		if n := tel.TallyLen(); n != 0 {
+			t.Errorf("%s telemetry TallyLen = %d, want 0", name, n)
+		}
 	}
 }
 

@@ -42,3 +42,50 @@ func assertPooledPathsZeroAlloc(t *testing.T, d *Dict, keys []uint64) {
 		t.Fatalf("facade ContainsBatch: %v allocs per batch, want 0", allocs)
 	}
 }
+
+// TestDynamicTelemetryZeroAlloc: with Sample-1 telemetry the dynamic read
+// paths count probes into a tally that lives in the pooled scratch and is
+// flushed in place, so instrumented Contains and ContainsBatch allocate
+// nothing per call.
+func TestDynamicTelemetryZeroAlloc(t *testing.T) {
+	keys := testKeys(4096, 45)
+	d, err := NewDynamic(keys[:3500], 0.25, WithSeed(45), WithTelemetry(TelemetryConfig{Sample: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys[3500:] {
+		if _, err := d.Insert(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Quiesce()
+	gc := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(gc)
+
+	d.Contains(keys[0])
+	i := 0
+	if allocs := testing.AllocsPerRun(400, func() {
+		i++
+		if ok, err := d.Contains(keys[i%len(keys)]); err != nil || !ok {
+			t.Errorf("lost key: %v %v", ok, err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("instrumented DynamicDict.Contains: %v allocs/op, want 0", allocs)
+	}
+
+	batch := append(append([]uint64(nil), keys[:256]...), keys[3500:3756]...)
+	out := make([]bool, len(batch))
+	if err := d.ContainsBatch(batch, out); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := d.ContainsBatch(batch, out); err != nil {
+			t.Error(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("instrumented DynamicDict.ContainsBatch: %v allocs per batch, want 0", allocs)
+	}
+	if d.Telemetry().Snapshot().Probes == 0 {
+		t.Fatal("no probes reached the telemetry")
+	}
+}
