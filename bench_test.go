@@ -290,17 +290,6 @@ func BenchmarkContainsTelemetrySampled(b *testing.B) {
 	benchContainsTelemetry(b, WithTelemetry(TelemetryConfig{Sample: 64}))
 }
 
-// BenchmarkContainsTelemetryAdaptive measures the controller-tuned path at
-// the same effective rate as BenchmarkContainsTelemetrySampled (bounds pin
-// k = 64): the extra cost over fixed-k sampling is one atomic factor load
-// per probe plus the pre-scaled add on kept probes, and must stay within
-// noise of the fixed-k figure at 0 allocs/op.
-func BenchmarkContainsTelemetryAdaptive(b *testing.B) {
-	benchContainsTelemetry(b, WithTelemetry(TelemetryConfig{
-		Adaptive: &TelemetryAdaptiveConfig{TargetProbesPerSec: 1, MinSample: 64, MaxSample: 64},
-	}))
-}
-
 // BenchmarkBuild measures construction throughput at the bench size.
 func BenchmarkBuild(b *testing.B) {
 	keys := benchKeys(b)
@@ -581,14 +570,14 @@ func BenchmarkDynamicWriterScaling(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				drive, err := workload.NewRotatingHotSet(churn, 8, 1<<14, 0.9, 9)
+				drive, err := workload.NewScenario("rotating:8:16384", churn, 9)
 				if err != nil {
 					b.Fatal(err)
 				}
 				runFanOut(b, g, func(seed uint64, n int) {
 					r := rng.New(seed)
 					for i := 0; i < n; i++ {
-						k := drive.Next()
+						k := drive.Next().Key
 						var err error
 						if r.Intn(2) == 0 {
 							_, err = d.Insert(k)

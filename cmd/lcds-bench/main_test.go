@@ -29,11 +29,11 @@ func TestParseInts(t *testing.T) {
 	}
 }
 
-// TestPerfReportSchema is the golden-schema test for the committed BENCH
-// JSON: exactly these fields, in this set, including the telemetry block
-// (omitempty — asserted by marshalling a fully populated record). Renaming
-// or dropping a field breaks the comparability of the historical records,
-// so doing it must update this list deliberately.
+// TestPerfReportSchema is the golden-schema test for the BENCH JSON the
+// -json mode writes: exactly these fields, in this set, including the
+// telemetry block (omitempty — asserted by marshalling a fully populated
+// record). CI's bench-smoke gates read these fields by name, so renaming or
+// dropping one must update this list deliberately.
 func TestPerfReportSchema(t *testing.T) {
 	rep := perfReport{TelemetrySample: 1, ContainsTelemetryNsPerOp: 1,
 		ContainsTelemetryAllocs: 1, TelemetryOverheadRatio: 1,
@@ -72,7 +72,7 @@ func TestPerfReportSchema(t *testing.T) {
 		"mixed_hot_wmax_ops_per_sec",
 		"mixed_w1_ops_per_sec", "mixed_w4_ops_per_sec",
 		"mixed_wmax_ops_per_sec", "mixed_wmax_writers",
-		"n", "seed",
+		"n", "query_n", "seed",
 		"telemetry_max_phi_n", "telemetry_overhead_ratio",
 		"telemetry_probes_per_query", "telemetry_sample",
 	}

@@ -23,7 +23,6 @@ var requiredMetrics = []string{
 	"lcds_max_phi",
 	"lcds_max_phi_n",
 	"lcds_step_mass",
-	"lcds_sample",
 	"lcds_sampling_k",
 	"lcds_cells",
 	"lcds_keys",
@@ -42,10 +41,7 @@ var requiredMetrics = []string{
 // writeMetrics renders a telemetry snapshot in the Prometheus text
 // exposition format (version 0.0.4), with no client library: the snapshot
 // is already a consistent point-in-time read, so exposition is pure
-// formatting. lcds_sampling_k reads the factor atomically at scrape time
-// (Telemetry.Sample), not the snapshot's copy: an adaptive controller
-// retunes between AdaptTick and the scrape, and the gauge must report the
-// factor in force now. A dynamic dictionary keeps no per-cell counters, so
+// formatting. A dynamic dictionary keeps no per-cell counters, so
 // the snapshot's TopCells and Ranges are always empty and not rendered.
 func writeMetrics(w io.Writer, tel *lcds.Telemetry) {
 	s := tel.Snapshot()
@@ -60,18 +56,12 @@ func writeMetrics(w io.Writer, tel *lcds.Telemetry) {
 	counter("lcds_hits_total", "Queries answered true.", s.Hits)
 	counter("lcds_misses_total", "Queries answered false.", s.Misses)
 	counter("lcds_errors_total", "Queries that returned an error.", s.Errors)
-	counter("lcds_probes_total", "Cell probes (sampled counts scaled by lcds_sample).", s.Probes)
+	counter("lcds_probes_total", "Cell probes (sampled counts scaled by lcds_sampling_k).", s.Probes)
 	gauge("lcds_probes_per_query", "Mean probes per query.", s.ProbesPerQuery)
 	gauge("lcds_max_phi", "Empirical per-cell contention max_j phi(j) (Definition 1).", s.MaxPhi)
 	gauge("lcds_max_phi_n", "max_j phi(j) * n, the paper's absolute contention headline.", s.MaxPhiN)
 	gauge("lcds_max_phi_cell", "Flat index of the hottest cell.", float64(s.MaxPhiCell))
-	gauge("lcds_sample", "Probe sampling rate (1 = every probe counted).", float64(s.Sample))
-	gauge("lcds_sampling_k", "Sampling factor k currently in force (controller-tuned when lcds_sampling_adaptive is 1).", float64(tel.Sample()))
-	adaptiveVal := 0.0
-	if s.Adaptive {
-		adaptiveVal = 1
-	}
-	gauge("lcds_sampling_adaptive", "1 when the sampling factor is tuned by the adaptive controller.", adaptiveVal)
+	gauge("lcds_sampling_k", "Probe sampling factor k (1 = every probe counted).", float64(s.Sample))
 	gauge("lcds_cells", "Cell-probe table size s.", float64(s.Cells))
 	gauge("lcds_keys", "Member key count n.", float64(s.N))
 	gauge("lcds_uptime_seconds", "Seconds since telemetry was attached.", s.UptimeSeconds)

@@ -1,12 +1,14 @@
 // Command lcds-server serves a dynamic low-contention dictionary over a
 // small HTTP membership API: GET /contains, POST /batch, POST /insert,
 // POST /delete. Its observability surface is /metrics (Prometheus text,
-// with per-endpoint HTTP request counters and latency summaries so an
-// open-loop load generator such as cmd/lcds-loadgen can be cross-checked
-// against the server's own view of the traffic), /debug/telemetry,
-// /debug/timeline and /debug/pprof. Built with -tags otlp, -otlp also
-// pushes metrics and flight-recorder spans to an OTLP/HTTP collector.
-// SIGINT or SIGTERM drains in-flight requests before exiting.
+// with per-endpoint HTTP request counters and latency summaries, so a
+// client's view of the traffic can be cross-checked against the server's),
+// /debug/telemetry, /debug/timeline and /debug/pprof. The repo benchmark
+// (perfbench/) drives this binary; TestServiceScenarios drives every
+// registered workload scenario through its handlers and checks each
+// answer. Built with -tags otlp, -otlp also pushes metrics and
+// flight-recorder spans to an OTLP/HTTP collector. SIGINT or SIGTERM drains
+// in-flight requests before exiting.
 package main
 
 import (
@@ -205,8 +207,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // writeHTTPMetrics renders the server-level request ledger: per-handler
 // request and error counters plus a per-handler latency summary, with an
-// "all" aggregate merged bucket-wise from the per-handler snapshots — the
-// same merge an open-loop load generator applies to its workers.
+// "all" aggregate merged bucket-wise from the per-handler snapshots.
 func (s *server) writeHTTPMetrics(w http.ResponseWriter) {
 	fmt.Fprint(w, "# HELP lcds_http_requests_total HTTP requests served, by handler.\n# TYPE lcds_http_requests_total counter\n")
 	for _, st := range s.stats {

@@ -102,10 +102,9 @@ func (v *StripedVector) AddStripe(stripe uint64, i int) {
 	v.stripes[stripe&v.mask][vecPad+i].Add(1)
 }
 
-// AddStripeN adds n to counter i on the given stripe. The adaptive telemetry
-// sampler records each kept probe pre-scaled by its sampling factor at
-// record time, which keeps the accumulated estimates unbiased across factor
-// changes without rewriting history.
+// AddStripeN adds n to counter i on the given stripe. Telemetry flushes a
+// caller's per-step probe tally with it: one add per step, whatever the
+// number of probes tallied.
 func (v *StripedVector) AddStripeN(stripe uint64, i int, n uint64) {
 	v.stripes[stripe&v.mask][vecPad+i].Add(n)
 }

@@ -356,7 +356,7 @@ func TestRotatingHotSetAbsorbedStorm(t *testing.T) {
 	}
 	keys := distinctKeys(rng.New(110), 1024+64)
 	stable, volatile := keys[:1024], keys[1024:]
-	drive, err := workload.NewRotatingHotSet(volatile, 4, 4096, 0.9, 111)
+	drive, err := workload.NewScenario("rotating:4:4096", volatile, 111)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestRotatingHotSetAbsorbedStorm(t *testing.T) {
 			defer wg.Done()
 			r := rng.New(uint64(1100 + g))
 			for i := 0; i < ops; i++ {
-				k := drive.Next()
+				k := drive.Next().Key
 				var err error
 				if r.Intn(2) == 0 {
 					_, err = d.Insert(k)

@@ -331,7 +331,7 @@ func W1(cfg Config) (*Table, error) {
 			dist.NewUniformSet(keys, "uniform"),
 			ws,
 			sc,
-			workload.ReadMostlyNegative(keys, hash.MaxKey, 0.1),
+			dist.PosNeg(keys, hash.MaxKey, 0.1),
 		}, nil
 	}
 	probe, err := makeWorkloads(cfg.Seed)

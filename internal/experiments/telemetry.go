@@ -227,12 +227,9 @@ func A10(cfg Config) (*Table, error) {
 	}
 	queries := passes * n
 	const topK = 3
-	dists := []struct {
-		label   string
-		support []dist.Weighted
-	}{
-		{"zipf(1.2)", dist.NewZipf(keys, 1.2).Support()},
-		{"point", dist.PointMass{Key: keys[0]}.Support()},
+	dists := []struct{ label, spec string }{
+		{"zipf(1.2)", "zipf:1.2"},
+		{"point", "point"},
 	}
 	names := cfg.filterNames(RosterNames())
 	t := &Table{
@@ -255,7 +252,7 @@ func A10(cfg Config) (*Table, error) {
 				return nil, fmt.Errorf("A10: %w", err)
 			}
 			s := st[0]
-			drive, err := workload.NewWeightedDrive(q.support, queries, cfg.Seed^0xa10)
+			drive, err := workload.NewScenario(q.spec, keys, cfg.Seed^0xa10)
 			if err != nil {
 				return nil, fmt.Errorf("A10 %s/%s: %w", name, q.label, err)
 			}
@@ -266,7 +263,7 @@ func A10(cfg Config) (*Table, error) {
 			s.Table().SetSink(tel)
 			r := rng.New(cfg.Seed ^ 0xa10)
 			for i := 0; i < queries; i++ {
-				if _, err := s.Contains(drive.Next(), r); err != nil {
+				if _, err := s.Contains(drive.Next().Key, r); err != nil {
 					return nil, fmt.Errorf("A10 %s/%s: %w", name, q.label, err)
 				}
 				rec.EndQuery()
@@ -300,9 +297,10 @@ func A10(cfg Config) (*Table, error) {
 //
 // The drive is the weighted analogue of A8's round-robin: a deterministic
 // schedule realizing each distribution by largest-remainder apportionment
-// (internal/workload.WeightedDrive), with the exact analysis computed under
-// the schedule's *realized* frequencies, so apportionment quantization
-// cancels and deterministic schemes land on ratio 1.000 exactly. Replicated
+// (a weighted internal/workload.Scenario), with the exact analysis computed
+// under the schedule's *realized* frequencies (Scenario.Support), so
+// apportionment quantization cancels and deterministic schemes land on
+// ratio 1.000 exactly. Replicated
 // baselines still draw their replica columns at random per query; their
 // ratios carry extreme-value sampling noise that shrinks with the query
 // budget.
@@ -314,13 +312,10 @@ func A9(cfg Config) (*Table, error) {
 		passes = 1
 	}
 	queries := passes * n
-	dists := []struct {
-		label   string
-		support []dist.Weighted
-	}{
-		{"zipf(0.8)", dist.NewZipf(keys, 0.8).Support()},
-		{"zipf(1.2)", dist.NewZipf(keys, 1.2).Support()},
-		{"point", dist.PointMass{Key: keys[0]}.Support()},
+	dists := []struct{ label, spec string }{
+		{"zipf(0.8)", "zipf:0.8"},
+		{"zipf(1.2)", "zipf:1.2"},
+		{"point", "point"},
 	}
 	names := cfg.filterNames(RosterNames())
 	t := &Table{
@@ -342,7 +337,7 @@ func A9(cfg Config) (*Table, error) {
 				return nil, fmt.Errorf("A9: %w", err)
 			}
 			s := st[0]
-			drive, err := workload.NewWeightedDrive(q.support, queries, cfg.Seed^0xa9)
+			drive, err := workload.NewScenario(q.spec, keys, cfg.Seed^0xa9)
 			if err != nil {
 				return nil, fmt.Errorf("A9 %s/%s: %w", name, q.label, err)
 			}
@@ -350,13 +345,13 @@ func A9(cfg Config) (*Table, error) {
 			s.Table().SetSink(tel)
 			r := rng.New(cfg.Seed ^ 0xa9)
 			for i := 0; i < queries; i++ {
-				if _, err := s.Contains(drive.Next(), r); err != nil {
+				if _, err := s.Contains(drive.Next().Key, r); err != nil {
 					return nil, fmt.Errorf("A9 %s/%s: %w", name, q.label, err)
 				}
 				tel.ObserveQuery(true, false, 0)
 			}
 			s.Table().SetSink(nil)
-			ex, err := contention.Exact(s, drive.Realized())
+			ex, err := contention.Exact(s, drive.Support())
 			if err != nil {
 				return nil, fmt.Errorf("A9 %s/%s: %w", name, q.label, err)
 			}

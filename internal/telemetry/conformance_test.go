@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/contention"
-	"repro/internal/dist"
 	"repro/internal/hash"
 	"repro/internal/rng"
 	"repro/internal/scheme"
@@ -50,21 +49,17 @@ func TestRosterTelemetryConformance(t *testing.T) {
 	}
 	keys := genKeys(n, seed)
 	queries := passes * n
-	dists := []struct {
-		name    string
-		support []dist.Weighted
-	}{
-		{"uniform", dist.NewUniformSet(keys, "").Support()},
-		{"zipf(1.2)", dist.NewZipf(keys, 1.2).Support()},
-	}
 	for _, name := range scheme.Names() {
-		for _, q := range dists {
+		for _, q := range []struct{ name, spec string }{
+			{"uniform", "uniform"},
+			{"zipf(1.2)", "zipf:1.2"},
+		} {
 			t.Run(fmt.Sprintf("%s/%s", name, q.name), func(t *testing.T) {
 				s, err := scheme.Build(name, keys, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				drive, err := workload.NewWeightedDrive(q.support, queries, seed^0xc0)
+				drive, err := workload.NewScenario(q.spec, keys, seed^0xc0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,13 +67,13 @@ func TestRosterTelemetryConformance(t *testing.T) {
 				s.Table().SetSink(tel)
 				r := rng.New(seed ^ 0xc0)
 				for i := 0; i < queries; i++ {
-					if _, err := s.Contains(drive.Next(), r); err != nil {
+					if _, err := s.Contains(drive.Next().Key, r); err != nil {
 						t.Fatal(err)
 					}
 					tel.ObserveQuery(true, false, 0)
 				}
 				s.Table().SetSink(nil)
-				ex, err := contention.Exact(s, drive.Realized())
+				ex, err := contention.Exact(s, drive.Support())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,17 +2,16 @@
 // lock-free record of the structural moments the gauge-style telemetry
 // cannot reconstruct after the fact — when an epoch's buffer sealed, how
 // long each rebuild ran and how many keys it carried, when a write-
-// absorption phase split or joined, which (hashed) keys the classifier
-// promoted, and when the adaptive sampler retuned.
+// absorption phase split or joined, and which (hashed) keys the classifier
+// promoted.
 //
 // # Design
 //
 // Emitters — the dynamic dictionary's rebuild path, the sharded composite,
-// the adaptive-sampling controller, the hot-key classifier — call Emit from
-// whatever goroutine they run on; Emit is wait-free for the common case and
-// lock-free always (one CAS claim on a bounded multi-producer ring in the
-// style of Vyukov's bounded MPMC queue, then plain payload stores released
-// by the slot's sequence word). A full ring never blocks an emitter and
+// the hot-key classifier — call Emit from whatever goroutine they run on;
+// Emit is wait-free for the common case and lock-free always (one CAS claim
+// on a bounded multi-producer ring in the style of Vyukov's bounded MPMC
+// queue, then plain payload stores released by the slot's sequence word). A full ring never blocks an emitter and
 // never silently loses history: Emit counts the drop on an exact atomic
 // counter and returns false, and the next drain synthesizes an
 // OverflowDropped event carrying the cumulative total, so a timeline reader
@@ -63,9 +62,6 @@ const (
 	// HotKeyDemoted: the classifier demoted a cooled key. A = hash of the
 	// key.
 	HotKeyDemoted
-	// SamplingRetuned: the adaptive controller changed the sampling factor.
-	// A = previous k, B = new k.
-	SamplingRetuned
 	// ShardRebuild: one shard of a sharded composite published a rebuild
 	// (emitted alongside RebuildEnd so composite-level consumers can watch
 	// shard churn without decoding per-shard streams). A = epoch, B = keys,
@@ -104,7 +100,6 @@ var typeNames = [NumTypes]string{
 	PhaseJoined:     "phase_joined",
 	HotKeyPromoted:  "hot_key_promoted",
 	HotKeyDemoted:   "hot_key_demoted",
-	SamplingRetuned: "sampling_retuned",
 	ShardRebuild:    "shard_rebuild",
 	OverflowDropped: "overflow_dropped",
 }
@@ -164,9 +159,6 @@ func (e Event) MarshalJSON() ([]byte, error) {
 		m["weight"] = e.B
 	case HotKeyDemoted:
 		m["key_hash"] = e.A
-	case SamplingRetuned:
-		m["old_k"] = e.A
-		m["new_k"] = e.B
 	case ShardRebuild:
 		m["epoch"] = e.A
 		m["keys"] = e.B

@@ -68,12 +68,11 @@ type hotSlot struct {
 }
 
 // HotKeyClassifier is the hysteresis controller that decides which keys the
-// dynamic dictionary absorbs — the same deadband style as the AdaptTick
-// sampling controller, applied to key promotion instead of sample factors.
-// It tracks promotion candidates in a fixed lossy-counting sketch fed from
-// the lock-free claim path (ObserveClaim takes no locks; each cell is its
-// own padded cache line) and reclassifies at phase boundaries, where the
-// caller serializes it under the dictionary mutex.
+// dynamic dictionary absorbs. It tracks promotion candidates in a fixed
+// lossy-counting sketch fed from the lock-free claim path (ObserveClaim
+// takes no locks; each cell is its own padded cache line) and reclassifies
+// at phase boundaries, where the caller serializes it under the dictionary
+// mutex.
 //
 // It implements dynamic.HotClassifier. One classifier serves one dictionary
 // (one shard); shards classify independently, matching their independent

@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cellprobe"
@@ -58,20 +57,12 @@ type Config struct {
 	// 0 or 1 records every probe. Snapshot scales counts back up by the
 	// realized sampling factor, so estimates stay unbiased.
 	Sample int
-	// Adaptive, when non-nil, makes the sampling factor self-tuning: a
-	// feedback controller (AdaptTick) steers the recorded probe rate toward
-	// AdaptiveConfig.TargetProbesPerSec, with Sample as the initial factor.
-	// Recorded probes are accumulated pre-scaled by the factor in force, so
-	// estimates stay unbiased across factor changes.
-	Adaptive *AdaptiveConfig
-	// TraceEvery traces roughly 1 in TraceEvery queries into the ring
-	// buffer (per-goroutine sampled, so concurrent tracers never contend
-	// on a shared sequence counter); 0 disables query tracing.
+	// TraceEvery traces roughly 1 in TraceEvery queries into Tracer
+	// (per-goroutine sampled, so concurrent tracers never contend on a
+	// shared sequence counter). Queries are traced only when both
+	// TraceEvery > 0 and Tracer are set.
 	TraceEvery int
-	// TraceBuffer is the trace ring capacity (default 256).
-	TraceBuffer int
-	// Tracer, when non-nil, receives every sampled QueryTrace instead of
-	// the internal ring buffer.
+	// Tracer receives every sampled QueryTrace.
 	Tracer Tracer
 	// TopK is how many hottest cells Snapshot reports (default 10).
 	TopK int
@@ -125,15 +116,6 @@ type Telemetry struct {
 	traceMask  uint64
 	stepCap    int
 
-	// Adaptive-sampling state: the controller retunes curMask out-of-band
-	// (AdaptTick) while the probe hot path loads it with one atomic read.
-	adaptive  bool
-	adapt     AdaptiveConfig
-	curMask   atomic.Uint64
-	recorded  *cellprobe.StripedVector // post-sampling probe count (length 1)
-	adaptMu   sync.Mutex
-	adaptLast uint64 // recorded total at the previous tick
-
 	steps   *cellprobe.StripedVector // per-step probe counts (slot stepCap = overflow)
 	perCell *cellprobe.StripedVector // per-cell probe counts, nil when cells == 0
 
@@ -145,7 +127,6 @@ type Telemetry struct {
 	latency      *LogHistogram // single-query Contains latency, ns
 	batchLatency *LogHistogram // whole-batch ContainsBatch latency, ns
 
-	ring   *Ring
 	tracer Tracer
 	events *events.Log
 	sketch *StepCellSketch // nil in cell-agnostic mode or when disabled
@@ -178,12 +159,11 @@ func New(cfg Config, cells, n int) *Telemetry {
 		panic(fmt.Sprintf("telemetry: negative sample %d", cfg.Sample))
 	}
 	sample := ceilPow2(cfg.Sample)
-	trace := 0
-	if cfg.TraceEvery > 0 {
-		trace = ceilPow2(cfg.TraceEvery)
-	}
-	if cfg.TraceBuffer <= 0 {
-		cfg.TraceBuffer = 256
+	var tracer Tracer
+	traceMask := uint64(0)
+	if cfg.TraceEvery > 0 && cfg.Tracer != nil {
+		tracer = cfg.Tracer
+		traceMask = uint64(ceilPow2(cfg.TraceEvery) - 1)
 	}
 	if cfg.TopK <= 0 {
 		cfg.TopK = 10
@@ -205,7 +185,7 @@ func New(cfg Config, cells, n int) *Telemetry {
 		n:            n,
 		cells:        cells,
 		sampleMask:   uint64(sample - 1),
-		traceMask:    uint64(trace - 1),
+		traceMask:    traceMask,
 		stepCap:      cfg.StepCap,
 		steps:        cellprobe.NewStripedVector(cfg.StepCap+1, stripes),
 		queries:      cellprobe.NewStripedCounter(),
@@ -214,7 +194,7 @@ func New(cfg Config, cells, n int) *Telemetry {
 		errors:       cellprobe.NewStripedCounter(),
 		latency:      NewLogHistogram(),
 		batchLatency: NewLogHistogram(),
-		tracer:       cfg.Tracer,
+		tracer:       tracer,
 		started:      time.Now(),
 	}
 	t.events = cfg.Events
@@ -226,27 +206,6 @@ func New(cfg Config, cells, n int) *Telemetry {
 		if cfg.SketchSlots >= 0 {
 			t.sketch = NewStepCellSketch(cfg.SketchSlots, stripes)
 		}
-	}
-	if cfg.Adaptive != nil {
-		ac, err := cfg.Adaptive.withDefaults()
-		if err != nil {
-			panic(err.Error())
-		}
-		k := sample
-		if k < ac.MinSample {
-			k = ac.MinSample
-		}
-		if k > ac.MaxSample {
-			k = ac.MaxSample
-		}
-		t.adaptive = true
-		t.adapt = ac
-		t.curMask.Store(uint64(k - 1))
-		t.recorded = cellprobe.NewStripedVector(1, stripes)
-	}
-	if trace > 0 && t.tracer == nil {
-		t.ring = NewRing(cfg.TraceBuffer)
-		t.tracer = t.ring
 	}
 	var next uint64
 	var mu sync.Mutex
@@ -262,14 +221,8 @@ func New(cfg Config, cells, n int) *Telemetry {
 	return t
 }
 
-// Sample returns the probe sampling factor k currently in force (a power of
-// two ≥ 1; controller-tuned when the configuration is adaptive).
-func (t *Telemetry) Sample() int {
-	if t.adaptive {
-		return int(t.curMask.Load()) + 1
-	}
-	return int(t.sampleMask) + 1
-}
+// Sample returns the probe sampling factor k (a power of two ≥ 1).
+func (t *Telemetry) Sample() int { return int(t.sampleMask) + 1 }
 
 // Cells returns the per-cell accounting width (0 in cell-agnostic mode).
 func (t *Telemetry) Cells() int { return t.cells }
@@ -292,11 +245,7 @@ func splitmix64(x uint64) uint64 {
 // stripe, after the 1-in-k sampling decision.
 func (t *Telemetry) ProbeObserved(step, cell int) {
 	h := t.pool.Get().(*handle)
-	mask := t.sampleMask
-	if t.adaptive {
-		mask = t.curMask.Load()
-	}
-	if mask != 0 {
+	if mask := t.sampleMask; mask != 0 {
 		h.rng += 0x9e3779b97f4a7c15
 		z := h.rng
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -309,20 +258,9 @@ func (t *Telemetry) ProbeObserved(step, cell int) {
 	if step > t.stepCap {
 		step = t.stepCap
 	}
-	if t.adaptive {
-		// Accumulate pre-scaled by the factor in force *now*: the estimate
-		// stays unbiased across retunes and Snapshot never rescales.
-		w := mask + 1
-		t.recorded.AddStripe(h.stripe, 0)
-		t.steps.AddStripeN(h.stripe, step, w)
-		if t.perCell != nil {
-			t.perCell.AddStripeN(h.stripe, cell, w)
-		}
-	} else {
-		t.steps.AddStripe(h.stripe, step)
-		if t.perCell != nil {
-			t.perCell.AddStripe(h.stripe, cell)
-		}
+	t.steps.AddStripe(h.stripe, step)
+	if t.perCell != nil {
+		t.perCell.AddStripe(h.stripe, cell)
 	}
 	if t.sketch != nil {
 		// Feed the reservoir with the post-sampling probe stream: the
@@ -335,12 +273,12 @@ func (t *Telemetry) ProbeObserved(step, cell int) {
 
 // TallyLen reports the length of the per-step tally a caller may count
 // probes into in place of ProbeObserved, then hand over with FlushTally:
-// StepCap+1 when this instance counts every probe (Sample 1, not adaptive)
-// and keeps no per-cell accounting, 0 otherwise. Sampled, adaptive and
-// per-cell configurations need each probe individually. A tallying caller
+// StepCap+1 when this instance counts every probe (Sample 1) and keeps no
+// per-cell accounting, 0 otherwise. Sampled and per-cell configurations
+// need each probe individually. A tallying caller
 // clamps steps beyond StepCap into the last slot, as ProbeObserved does.
 func (t *Telemetry) TallyLen() int {
-	if t.sampleMask != 0 || t.adaptive || t.perCell != nil {
+	if t.sampleMask != 0 || t.perCell != nil {
 		return 0
 	}
 	return t.stepCap + 1
@@ -423,21 +361,12 @@ func (t *Telemetry) ShouldTrace() bool {
 	return ok
 }
 
-// Emit delivers one completed query trace to the tracer (ring buffer by
-// default). Callers pair it with ShouldTrace.
+// Emit delivers one completed query trace to the tracer. Callers pair it
+// with ShouldTrace.
 func (t *Telemetry) Emit(qt QueryTrace) {
 	if t.tracer != nil {
 		t.tracer.Trace(qt)
 	}
-}
-
-// Traces returns the most recent traced queries, newest first (nil when
-// tracing is disabled or routed to a custom Tracer).
-func (t *Telemetry) Traces() []QueryTrace {
-	if t.ring == nil {
-		return nil
-	}
-	return t.ring.Recent(0)
 }
 
 // DynamicShard returns the rebuild-metrics slot for shard i, creating slots
@@ -482,12 +411,8 @@ type Snapshot struct {
 	// Sample).
 	Probes uint64 `json:"probes"`
 	Sample int    `json:"sample"`
-	// Adaptive marks a controller-tuned Sample (see AdaptiveConfig); the
-	// counters are then pre-scaled and Sample is the factor currently in
-	// force, not the factor behind every historical count.
-	Adaptive bool `json:"adaptive,omitempty"`
-	Cells    int  `json:"cells"`
-	N        int  `json:"n"`
+	Cells  int    `json:"cells"`
+	N      int    `json:"n"`
 
 	ProbesPerQuery float64 `json:"probes_per_query"`
 	// MaxPhi is max_j Φ̂(j), the empirical per-cell total contention of
@@ -525,22 +450,16 @@ type Snapshot struct {
 // per table cell) and is meant for scrape/inspection cadence, not the query
 // path.
 func (t *Telemetry) Snapshot() Snapshot {
-	// Adaptive counts are accumulated pre-scaled (see ProbeObserved), so
-	// they are already estimates of the true totals; fixed-k counts scale
-	// up by the one factor that produced them.
+	// Sampled counts scale up by the one factor that produced them.
 	scale := float64(t.Sample())
-	if t.adaptive {
-		scale = 1
-	}
 	s := Snapshot{
-		Queries:  t.queries.Sum(),
-		Hits:     t.hits.Sum(),
-		Misses:   t.misses.Sum(),
-		Errors:   t.errors.Sum(),
-		Sample:   t.Sample(),
-		Adaptive: t.adaptive,
-		Cells:    t.cells,
-		N:        t.n,
+		Queries: t.queries.Sum(),
+		Hits:    t.hits.Sum(),
+		Misses:  t.misses.Sum(),
+		Errors:  t.errors.Sum(),
+		Sample:  t.Sample(),
+		Cells:   t.cells,
+		N:       t.n,
 
 		Latency:       t.latency.Snapshot(),
 		BatchLatency:  t.batchLatency.Snapshot(),

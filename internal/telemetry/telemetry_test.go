@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/contention"
@@ -84,7 +85,6 @@ func TestFlushTally(t *testing.T) {
 	}
 	for name, tel := range map[string]*Telemetry{
 		"sampled":  New(Config{Sample: 8}, 0, 1),
-		"adaptive": New(Config{Adaptive: &AdaptiveConfig{TargetProbesPerSec: 1e6}}, 0, 1),
 		"per-cell": New(Config{}, 16, 1),
 	} {
 		if n := tel.TallyLen(); n != 0 {
@@ -185,60 +185,37 @@ func TestTopK(t *testing.T) {
 	}
 }
 
-func TestRing(t *testing.T) {
-	r := NewRing(3)
-	for i := 1; i <= 5; i++ {
-		r.Trace(QueryTrace{KeyHash: uint64(i)})
-	}
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", r.Len())
-	}
-	recent := r.Recent(0)
-	if len(recent) != 3 || recent[0].KeyHash != 5 || recent[1].KeyHash != 4 || recent[2].KeyHash != 3 {
-		t.Fatalf("Recent = %+v", recent)
-	}
-	if two := r.Recent(2); len(two) != 2 || two[0].KeyHash != 5 {
-		t.Fatalf("Recent(2) = %+v", two)
-	}
-}
-
 func TestTracerSampling(t *testing.T) {
-	// TraceEvery 0 disables tracing entirely.
-	off := New(Config{}, 0, 1)
-	if off.ShouldTrace() {
-		t.Fatal("tracing enabled without TraceEvery")
+	// Tracing needs both TraceEvery and a Tracer.
+	var mu sync.Mutex
+	var got []QueryTrace
+	collect := tracerFunc(func(qt QueryTrace) {
+		mu.Lock()
+		got = append(got, qt)
+		mu.Unlock()
+	})
+	for name, cfg := range map[string]Config{
+		"zero config":    {},
+		"no tracer":      {TraceEvery: 1},
+		"no trace every": {Tracer: collect},
+	} {
+		if New(cfg, 0, 1).ShouldTrace() {
+			t.Fatalf("%s: tracing enabled", name)
+		}
 	}
-	if off.Traces() != nil {
-		t.Fatal("trace ring exists without TraceEvery")
-	}
-	// TraceEvery 1 traces every query into the internal ring.
-	every := New(Config{TraceEvery: 1, TraceBuffer: 8}, 0, 1)
+	// TraceEvery 1 traces every query into the tracer.
+	every := New(Config{TraceEvery: 1, Tracer: collect}, 0, 1)
 	for i := 0; i < 5; i++ {
 		if !every.ShouldTrace() {
 			t.Fatal("TraceEvery=1 skipped a query")
 		}
 		every.Emit(QueryTrace{KeyHash: uint64(i)})
 	}
-	if got := len(every.Traces()); got != 5 {
-		t.Fatalf("ring holds %d traces, want 5", got)
-	}
-	// A custom tracer replaces the ring.
-	var mu sync.Mutex
-	n := 0
-	custom := New(Config{TraceEvery: 1, Tracer: tracerFunc(func(QueryTrace) {
-		mu.Lock()
-		n++
-		mu.Unlock()
-	})}, 0, 1)
-	custom.Emit(QueryTrace{})
-	if n != 1 {
-		t.Fatalf("custom tracer saw %d traces, want 1", n)
-	}
-	if custom.Traces() != nil {
-		t.Fatal("internal ring populated despite custom tracer")
+	if len(got) != 5 || got[4].KeyHash != 4 {
+		t.Fatalf("tracer saw %+v, want 5 traces in order", got)
 	}
 	// TraceEvery k samples roughly 1/k of queries.
-	sampled := New(Config{TraceEvery: 8}, 0, 1)
+	sampled := New(Config{TraceEvery: 8, Tracer: collect}, 0, 1)
 	hits := 0
 	const trials = 64000
 	for i := 0; i < trials; i++ {
@@ -348,10 +325,56 @@ func TestCompareExact(t *testing.T) {
 	}
 }
 
+func TestCompareExactStepsBoundsBufferSteps(t *testing.T) {
+	// A dynamic dictionary's live step masses: the static snapshot occupies
+	// steps 0..3 (MaxProbes 4) and the always-executed update-buffer probe
+	// lands at step 4 with mass 1. The exact analysis models only the static
+	// snapshot.
+	s := Snapshot{
+		MaxPhi:         0.01,
+		ProbesPerQuery: 3.5, // includes the buffer probe
+		StepMass:       []float64{1, 1, 0.5, 0, 1},
+	}
+	ex := contention.ExactResult{
+		MaxTotal: 0.01,
+		Probes:   2.5,
+		StepMass: []float64{1, 1, 0.5, 0},
+	}
+	// Unbounded compare sees the buffer step as a spurious mass-1 gap —
+	// the regression this API exists to fix.
+	if d := s.CompareExact(ex); d.StepMassMaxDiff != 1.0 {
+		t.Fatalf("unbounded StepMassMaxDiff = %v, want the spurious 1.0", d.StepMassMaxDiff)
+	}
+	// Bounded to the snapshot's MaxProbes: step 3 is still compared, step 4
+	// is not, and probes per query recomputes to the in-range mass.
+	d := s.CompareExactSteps(ex, 4)
+	if d.StepMassMaxDiff != 0 {
+		t.Fatalf("bounded StepMassMaxDiff = %v, want 0", d.StepMassMaxDiff)
+	}
+	if d.ProbesLive != 2.5 || d.ProbesRatio != 1.0 {
+		t.Fatalf("bounded probes live=%v ratio=%v, want 2.5 and 1.0", d.ProbesLive, d.ProbesRatio)
+	}
+	if d.MaxPhiRatio != 1.0 {
+		t.Fatalf("MaxPhiRatio = %v, want 1.0", d.MaxPhiRatio)
+	}
+	// A genuine static-range gap still surfaces: perturb step 3.
+	s.StepMass[3] = 0.25
+	if d := s.CompareExactSteps(ex, 4); math.Abs(d.StepMassMaxDiff-0.25) > 1e-12 {
+		t.Fatalf("boundary step 3 diff = %v, want 0.25", d.StepMassMaxDiff)
+	}
+	// Exact steps beyond the live vector but inside the bound still count
+	// (a live workload that never reached step 3 must not hide its absence).
+	short := Snapshot{StepMass: []float64{1, 1}, ProbesPerQuery: 2}
+	if d := short.CompareExactSteps(ex, 4); math.Abs(d.StepMassMaxDiff-0.5) > 1e-12 {
+		t.Fatalf("missing live steps diff = %v, want 0.5", d.StepMassMaxDiff)
+	}
+}
+
 // TestConcurrentProbes drives ProbeObserved and ObserveQuery from many
 // goroutines; the snapshot must account every probe exactly (sampling off).
 func TestConcurrentProbes(t *testing.T) {
-	tel := New(Config{TraceEvery: 4, TopK: 5}, 64, 1000)
+	var traced atomic.Uint64
+	tel := New(Config{TraceEvery: 4, TopK: 5, Tracer: tracerFunc(func(QueryTrace) { traced.Add(1) })}, 64, 1000)
 	const goroutines, perG = 8, 5000
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -374,5 +397,8 @@ func TestConcurrentProbes(t *testing.T) {
 	}
 	if s.Latency.Count != uint64(goroutines*perG) {
 		t.Fatalf("latency count %d", s.Latency.Count)
+	}
+	if traced.Load() == 0 {
+		t.Fatal("TraceEvery=4 traced no query")
 	}
 }

@@ -1,7 +1,5 @@
 package telemetry
 
-import "sync"
-
 // QueryTrace is one sampled membership query: which cells it probed at
 // which steps, what it answered, and how long it took. Cell indices are
 // flat indices into the dictionary's composite table (for sharded
@@ -32,56 +30,4 @@ type QueryTrace struct {
 // probe hot path (after the query completes).
 type Tracer interface {
 	Trace(QueryTrace)
-}
-
-// Ring is the default Tracer: a fixed-capacity ring buffer of the most
-// recent traces, overwriting oldest-first. A single mutex guards it — at a
-// 1-in-TraceEvery sampling rate the lock sees a small fraction of query
-// traffic, and each critical section is a few word copies.
-type Ring struct {
-	mu    sync.Mutex
-	buf   []QueryTrace
-	next  int // next write position
-	count int // traces ever written, saturating at len(buf)
-}
-
-// NewRing creates a ring holding the last capacity traces.
-func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		panic("telemetry: ring capacity must be ≥ 1")
-	}
-	return &Ring{buf: make([]QueryTrace, capacity)}
-}
-
-// Trace implements Tracer.
-func (r *Ring) Trace(qt QueryTrace) {
-	r.mu.Lock()
-	r.buf[r.next] = qt
-	r.next = (r.next + 1) % len(r.buf)
-	if r.count < len(r.buf) {
-		r.count++
-	}
-	r.mu.Unlock()
-}
-
-// Recent returns up to max traces, newest first (max ≤ 0 means all held).
-func (r *Ring) Recent(max int) []QueryTrace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.count
-	if max > 0 && max < n {
-		n = max
-	}
-	out := make([]QueryTrace, n)
-	for i := 0; i < n; i++ {
-		out[i] = r.buf[(r.next-1-i+len(r.buf)*2)%len(r.buf)]
-	}
-	return out
-}
-
-// Len returns the number of traces currently held.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.count
 }

@@ -20,24 +20,19 @@ func TestRotatingHotSetWindows(t *testing.T) {
 	keys := rotKeys(64)
 	const hot, window = 4, 512
 	hotFrac := 0.9
-	d, err := NewRotatingHotSet(keys, hot, window, hotFrac, 42)
+	d, err := newRotatingHotSet(keys, hot, window, hotFrac, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for w := 0; w < 3; w++ {
+		// Window w's hot block is the hot keys starting at w·hot.
 		hotSet := make(map[uint64]bool)
-		for _, k := range d.HotSet(w) {
-			hotSet[k] = true
-		}
-		if len(hotSet) != hot {
-			t.Fatalf("window %d: hot set has %d distinct keys, want %d", w, len(hotSet), hot)
+		for i := 0; i < hot; i++ {
+			hotSet[keys[(w*hot+i)%len(keys)]] = true
 		}
 		hits := 0
 		for i := w * window; i < (w+1)*window; i++ {
-			if d.Window(i) != w {
-				t.Fatalf("position %d maps to window %d, want %d", i, d.Window(i), w)
-			}
-			if hotSet[d.At(i)] {
+			if hotSet[d.at(uint64(i))] {
 				hits++
 			}
 		}
@@ -48,28 +43,20 @@ func TestRotatingHotSetWindows(t *testing.T) {
 			t.Errorf("window %d: hot block got %d/%d ops, want ≥ %d", w, hits, window, wantMin)
 		}
 	}
-	// Rotation: window 1's block starts hot positions further along.
-	h0, h1 := d.HotSet(0), d.HotSet(1)
-	if h0[0] == h1[0] {
-		t.Errorf("hot block did not rotate: window 0 and 1 both start at key %d", h0[0])
-	}
-	if h1[0] != keys[hot] {
-		t.Errorf("window 1 starts at key %d, want %d", h1[0], keys[hot])
-	}
 }
 
-// TestRotatingHotSetNextMatchesAt checks that concurrent Next calls
-// collectively consume exactly the positional schedule At describes.
+// TestRotatingHotSetNextMatchesAt checks that concurrent Next calls on a
+// rotating scenario collectively consume exactly the positional schedule
+// At describes.
 func TestRotatingHotSetNextMatchesAt(t *testing.T) {
-	keys := rotKeys(32)
-	const hot, window, total = 2, 128, 1024
-	d, err := NewRotatingHotSet(keys, hot, window, 0.8, 7)
+	const total = 1024
+	d, err := NewScenario("rotating:2:128", rotKeys(32), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := make(map[uint64]int)
 	for i := 0; i < total; i++ {
-		want[d.At(i)]++
+		want[d.At(i).Key]++
 	}
 	got := make(map[uint64]int)
 	var mu sync.Mutex
@@ -80,7 +67,7 @@ func TestRotatingHotSetNextMatchesAt(t *testing.T) {
 			defer wg.Done()
 			local := make(map[uint64]int)
 			for i := 0; i < total/4; i++ {
-				local[d.Next()]++
+				local[d.Next().Key]++
 			}
 			mu.Lock()
 			for k, c := range local {
@@ -115,7 +102,7 @@ func TestRotatingHotSetValidation(t *testing.T) {
 		{"frac zero", keys, 2, 16, 0},
 	}
 	for _, c := range cases {
-		if _, err := NewRotatingHotSet(c.keys, c.hot, c.window, c.hotFrac, 1); err == nil {
+		if _, err := newRotatingHotSet(c.keys, c.hot, c.window, c.hotFrac, 1); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}

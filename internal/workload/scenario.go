@@ -2,6 +2,8 @@ package workload
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -40,12 +42,13 @@ type Op struct {
 }
 
 // Scenario is a named, seeded workload: a deterministic schedule of
-// operations that every driver — lcds-loadgen, perfbench — realizes
-// identically. Position i always maps to the same Op for a given
-// (spec, key set, seed), so a schedule is reproducible no matter how many
-// goroutines drive it: concurrent callers of Next claim distinct positions
-// from one atomic cursor, and the collective realized schedule is exactly
-// {At(0), At(1), ...} regardless of which goroutine executed which position.
+// operations that every driver — perfbench, lcds-server's scenario test,
+// the experiments and benchmarks — realizes identically. Position i always
+// maps to the same Op for a given (spec, key set, seed), so a schedule is
+// reproducible no matter how many goroutines drive it: concurrent callers
+// of Next claim distinct positions from one atomic cursor, and the
+// collective realized schedule is exactly {At(0), At(1), ...} regardless of
+// which goroutine executed which position.
 //
 // Read-only scenarios with a stationary distribution additionally expose
 // their exact realized support, so exact-contention comparisons
@@ -101,7 +104,7 @@ func NewScenario(spec string, keys []uint64, seed uint64) (*Scenario, error) {
 		return newWeightedScenario(spec, dist.NewUniformSet(keys, "").Support(), len(keys), seed)
 	case strings.HasPrefix(spec, "zipf:"):
 		s, err := strconv.ParseFloat(strings.TrimPrefix(spec, "zipf:"), 64)
-		if err != nil || s < 0 {
+		if err != nil || s < 0 || math.IsNaN(s) {
 			return nil, fmt.Errorf("workload: bad zipf exponent in scenario %q", spec)
 		}
 		return newWeightedScenario(spec, dist.NewZipf(keys, s).Support(), len(keys), seed)
@@ -112,7 +115,7 @@ func NewScenario(spec string, keys []uint64, seed uint64) (*Scenario, error) {
 		if err != nil {
 			return nil, err
 		}
-		rot, err := NewRotatingHotSet(keys, hot, window, scenarioHotFrac, seed^scenarioSeedSalt)
+		rot, err := newRotatingHotSet(keys, hot, window, scenarioHotFrac, seed^scenarioSeedSalt)
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +136,7 @@ func NewScenario(spec string, keys []uint64, seed uint64) (*Scenario, error) {
 		if hot > len(keys) {
 			hot = len(keys)
 		}
-		rot, err := NewRotatingHotSet(keys, hot, window, scenarioHotFrac, seed^scenarioSeedSalt)
+		rot, err := newRotatingHotSet(keys, hot, window, scenarioHotFrac, seed^scenarioSeedSalt)
 		if err != nil {
 			return nil, err
 		}
@@ -189,20 +192,18 @@ const (
 	scenarioSeedSalt = 0xd157
 )
 
-// newWeightedScenario wraps a WeightedDrive pass as a read-only scenario.
+// newWeightedScenario wraps a weightedDrive pass as a read-only scenario.
 func newWeightedScenario(spec string, support []dist.Weighted, passLen int, seed uint64) (*Scenario, error) {
-	drive, err := NewWeightedDrive(support, passLen, seed^scenarioSeedSalt)
+	drive, err := newWeightedDrive(support, passLen, seed^scenarioSeedSalt)
 	if err != nil {
 		return nil, err
 	}
 	return &Scenario{
 		spec:     spec,
-		pass:     drive.Len(),
+		pass:     len(drive.schedule),
 		readOnly: true,
-		support:  drive.Realized(),
-		at: func(i uint64) Op {
-			return Op{Kind: OpRead, Key: drive.At(int(i % uint64(drive.Len())))}
-		},
+		support:  drive.realized,
+		at:       func(i uint64) Op { return Op{Kind: OpRead, Key: drive.at(i)} },
 	}, nil
 }
 
@@ -273,4 +274,132 @@ func MemberKeys(n int, seed uint64) []uint64 {
 		}
 	}
 	return keys
+}
+
+// weightedDrive is one pass of Len queries realizing a weighted support
+// exactly: key i appears round(P_i · Len) times (largest-remainder
+// apportionment), in an order shuffled by the seed. realized is the
+// schedule's exact empirical support; contention.Exact computed under it
+// compares against a live drive with no apportionment error.
+type weightedDrive struct {
+	schedule []uint64
+	realized []dist.Weighted
+}
+
+// newWeightedDrive builds the pass over support. passLen must be ≥ 1;
+// supports with more keys than passLen lose their lightest keys to
+// apportionment (counts round to zero).
+func newWeightedDrive(support []dist.Weighted, passLen int, seed uint64) (*weightedDrive, error) {
+	if passLen < 1 {
+		return nil, fmt.Errorf("workload: weighted drive pass length %d must be ≥ 1", passLen)
+	}
+	set, err := dist.NewWeightedSet(support, "")
+	if err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
+	}
+	norm := set.Support()
+
+	// Largest-remainder apportionment: floor everyone, then hand the
+	// leftover slots to the largest fractional remainders (ties by lower
+	// index, i.e. lower key — deterministic).
+	counts := make([]int, len(norm))
+	type rem struct {
+		i int
+		f float64
+	}
+	rems := make([]rem, len(norm))
+	total := 0
+	for i, w := range norm {
+		exact := w.P * float64(passLen)
+		c := int(exact)
+		counts[i] = c
+		total += c
+		rems[i] = rem{i: i, f: exact - float64(c)}
+	}
+	sort.Slice(rems, func(a, b int) bool {
+		if rems[a].f != rems[b].f {
+			return rems[a].f > rems[b].f
+		}
+		return rems[a].i < rems[b].i
+	})
+	for j := 0; total < passLen; j++ {
+		counts[rems[j%len(rems)].i]++
+		total++
+	}
+
+	d := &weightedDrive{schedule: make([]uint64, 0, passLen)}
+	for i, c := range counts {
+		for j := 0; j < c; j++ {
+			d.schedule = append(d.schedule, norm[i].Key)
+		}
+		if c > 0 {
+			d.realized = append(d.realized, dist.Weighted{Key: norm[i].Key, P: float64(c) / float64(passLen)})
+		}
+	}
+	r := rng.New(seed)
+	for i := len(d.schedule) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		d.schedule[i], d.schedule[j] = d.schedule[j], d.schedule[i]
+	}
+	return d, nil
+}
+
+// at returns schedule position i, cycling over the pass.
+func (d *weightedDrive) at(i uint64) uint64 { return d.schedule[i%uint64(len(d.schedule))] }
+
+// rotatingHotSet is the ddtxn-auction-style adversary for the two-phase
+// write path: a point mass of hot keys receives hotFrac of all traffic,
+// and every window of operations the hot block rotates to the next hot
+// keys (wrapping over the key set). Within a window the schedule is a
+// weightedDrive pass over key *indices*, so the realized hot mass per
+// window is exact; rotation is pure index arithmetic on top.
+type rotatingHotSet struct {
+	keys   []uint64
+	hot    int
+	window int
+	inner  *weightedDrive // schedule over indices [0, len(keys))
+}
+
+// newRotatingHotSet builds the drive: hot keys out of keys get hotFrac of
+// the traffic, rotating every window ops. The window is also the inner
+// pass length, so each window realizes the apportioned frequencies
+// exactly; window must be ≥ 1 and hot in [1, len(keys)].
+func newRotatingHotSet(keys []uint64, hot, window int, hotFrac float64, seed uint64) (*rotatingHotSet, error) {
+	if len(keys) == 0 {
+		return nil, fmt.Errorf("workload: rotating hot set needs keys")
+	}
+	if hot < 1 || hot > len(keys) {
+		return nil, fmt.Errorf("workload: hot-set size %d outside [1, %d]", hot, len(keys))
+	}
+	if window < 1 {
+		return nil, fmt.Errorf("workload: rotation window %d must be ≥ 1", window)
+	}
+	if hotFrac <= 0 || hotFrac >= 1 {
+		return nil, fmt.Errorf("workload: hot fraction %v outside (0, 1)", hotFrac)
+	}
+	// Index support: indices 0..hot-1 carry the hot mass on top of the
+	// uniform residual every index gets. Rotation shifts which keys those
+	// indices map to, not the support itself.
+	n := len(keys)
+	support := make([]dist.Weighted, n)
+	residual := (1 - hotFrac) / float64(n)
+	for i := range support {
+		support[i] = dist.Weighted{Key: uint64(i), P: residual}
+		if i < hot {
+			support[i].P += hotFrac / float64(hot)
+		}
+	}
+	inner, err := newWeightedDrive(support, window, seed)
+	if err != nil {
+		return nil, err
+	}
+	return &rotatingHotSet{keys: append([]uint64(nil), keys...), hot: hot, window: window, inner: inner}, nil
+}
+
+// at maps one schedule position to a key: the inner pass supplies the
+// index pattern, the position's window supplies the rotation offset.
+func (d *rotatingHotSet) at(pos uint64) uint64 {
+	idx := d.inner.at(pos % uint64(d.window))
+	w := pos / uint64(d.window)
+	return d.keys[(idx+w*uint64(d.hot))%uint64(len(d.keys))]
 }

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"testing"
 )
@@ -134,7 +136,7 @@ func TestScenarioGrammar(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{
-		"", "hot", "zipf", "zipf:x", "zipf:-1",
+		"", "hot", "zipf", "zipf:x", "zipf:-1", "zipf:NaN",
 		"rotating:", "rotating:4", "rotating:x:512", "rotating:4:x",
 		"rotating:0:512", "rotating:4:0", "rotating:65:512",
 		"auction:4", "auction:0:512", "flood:9",
@@ -241,9 +243,58 @@ func TestScenarioShapes(t *testing.T) {
 	}
 }
 
+// TestScenarioScheduleStable pins every registered schedule, and the two
+// the repo benchmark drives (uniform and zipf:1.1 over its 32768 member
+// keys), to a golden FNV-64 hash of positions 0..65535 at seed 1. A change
+// that moves any schedule, and with it the benchmark's traffic, fails here.
+func TestScenarioScheduleStable(t *testing.T) {
+	cases := []struct {
+		spec string
+		n    int
+		want uint64
+	}{
+		{"uniform", 4096, 0xc8ad7c089f9a0465},
+		{"zipf:1.1", 4096, 0xc4c650c362970725},
+		{"point", 4096, 0xd52a92393aaa2325},
+		{"rotating:8:4096", 4096, 0x4f010cb1d9074cff},
+		{"auction", 4096, 0x548ca7c2619adabf},
+		{"flood", 4096, 0x3e6551e0ec13dcd},
+		{"uniform", 32768, 0x5e7f87da86e6e8f5},
+		{"zipf:1.1", 32768, 0x974ccba084dd8079},
+	}
+	covered := map[string]bool{}
+	for _, c := range cases {
+		if c.n == 4096 {
+			covered[c.spec] = true
+		}
+	}
+	for _, spec := range ScenarioNames() {
+		if !covered[spec] {
+			t.Errorf("scenario %q has no golden schedule hash", spec)
+		}
+	}
+	for _, c := range cases {
+		sc, err := NewScenario(c.spec, MemberKeys(c.n, 1), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var buf [9]byte
+		for i := 0; i < 1<<16; i++ {
+			op := sc.At(i)
+			buf[0] = byte(op.Kind)
+			binary.LittleEndian.PutUint64(buf[1:], op.Key)
+			h.Write(buf[:])
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s over %d keys: schedule hash %#x, want %#x", c.spec, c.n, got, c.want)
+		}
+	}
+}
+
 // TestMemberKeys pins the shared key-derivation convention: deterministic,
 // distinct, and stable across instance counts — the contract that lets
-// lcds-loadgen reconstruct a server's key set from (n, seed) alone.
+// perfbench reconstruct a server's key set from (n, seed) alone.
 func TestMemberKeys(t *testing.T) {
 	a := MemberKeys(512, 77)
 	b := MemberKeys(512, 77)

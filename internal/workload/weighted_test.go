@@ -6,18 +6,17 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/rng"
 )
 
 func TestWeightedDriveValidation(t *testing.T) {
 	sup := []dist.Weighted{{Key: 1, P: 1}}
-	if _, err := NewWeightedDrive(sup, 0, 1); err == nil {
+	if _, err := newWeightedDrive(sup, 0, 1); err == nil {
 		t.Error("zero pass length accepted")
 	}
-	if _, err := NewWeightedDrive(nil, 10, 1); err == nil {
+	if _, err := newWeightedDrive(nil, 10, 1); err == nil {
 		t.Error("empty support accepted")
 	}
-	if _, err := NewWeightedDrive([]dist.Weighted{{Key: 1, P: -1}}, 10, 1); err == nil {
+	if _, err := newWeightedDrive([]dist.Weighted{{Key: 1, P: -1}}, 10, 1); err == nil {
 		t.Error("negative weight accepted")
 	}
 }
@@ -26,16 +25,16 @@ func TestWeightedDriveApportionmentIsExact(t *testing.T) {
 	// 0.5 / 0.3 / 0.2 over a pass of 10 has exact integer apportionment:
 	// 5, 3, 2 — the schedule must realize it with no rounding drift.
 	sup := []dist.Weighted{{Key: 1, P: 0.5}, {Key: 2, P: 0.3}, {Key: 3, P: 0.2}}
-	d, err := NewWeightedDrive(sup, 10, 7)
+	d, err := newWeightedDrive(sup, 10, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Len() != 10 {
-		t.Fatalf("pass length %d, want 10", d.Len())
+	if len(d.schedule) != 10 {
+		t.Fatalf("pass length %d, want 10", len(d.schedule))
 	}
 	counts := map[uint64]int{}
-	for i := 0; i < d.Len(); i++ {
-		counts[d.At(i)]++
+	for i := uint64(0); i < 10; i++ {
+		counts[d.at(i)]++
 	}
 	want := map[uint64]int{1: 5, 2: 3, 3: 2}
 	for k, c := range want {
@@ -51,16 +50,16 @@ func TestWeightedDriveRealizedMatchesSchedule(t *testing.T) {
 	// within 1/passLen of the requested weights (largest-remainder bound).
 	sup := []dist.Weighted{{Key: 10, P: 1}, {Key: 20, P: 1}, {Key: 30, P: 1}}
 	const passLen = 100
-	d, err := NewWeightedDrive(sup, passLen, 3)
+	d, err := newWeightedDrive(sup, passLen, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := map[uint64]int{}
-	for i := 0; i < passLen; i++ {
-		counts[d.At(i)]++
+	for i := uint64(0); i < passLen; i++ {
+		counts[d.at(i)]++
 	}
 	total := 0.0
-	for _, w := range d.Realized() {
+	for _, w := range d.realized {
 		if got := float64(counts[w.Key]) / passLen; math.Abs(got-w.P) > 1e-12 {
 			t.Errorf("key %d realized %v, schedule says %v", w.Key, w.P, got)
 		}
@@ -76,30 +75,26 @@ func TestWeightedDriveRealizedMatchesSchedule(t *testing.T) {
 
 func TestWeightedDriveNextCyclesDeterministically(t *testing.T) {
 	sup := []dist.Weighted{{Key: 1, P: 2}, {Key: 2, P: 1}}
-	d, err := NewWeightedDrive(sup, 9, 5)
+	d, err := newWeightedScenario("test", sup, 9, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := make([]uint64, d.Len())
+	first := make([]Op, d.PassLen())
 	for i := range first {
 		first[i] = d.Next()
 	}
 	// Second pass replays the same schedule.
 	for i := range first {
 		if got := d.Next(); got != first[i] {
-			t.Fatalf("pass 2 position %d: got %d, want %d", i, got, first[i])
+			t.Fatalf("pass 2 position %d: got %v, want %v", i, got, first[i])
 		}
 	}
-	// Two drives with the same seed agree; a different seed shuffles.
-	d2, _ := NewWeightedDrive(sup, 9, 5)
-	same := true
-	for i := 0; i < d.Len(); i++ {
+	// Two drives with the same seed agree.
+	d2, _ := newWeightedScenario("test", sup, 9, 5)
+	for i := range first {
 		if d.At(i) != d2.At(i) {
-			same = false
+			t.Fatal("same seed produced different schedules")
 		}
-	}
-	if !same {
-		t.Error("same seed produced different schedules")
 	}
 }
 
@@ -109,13 +104,13 @@ func TestWeightedDriveConcurrentNextRealizesPass(t *testing.T) {
 	// comparison depends on.
 	sup := []dist.Weighted{{Key: 1, P: 0.6}, {Key: 2, P: 0.25}, {Key: 3, P: 0.15}}
 	const passLen, passes, workers = 200, 8, 4
-	d, err := NewWeightedDrive(sup, passLen, 9)
+	d, err := newWeightedScenario("test", sup, passLen, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	scheduled := map[uint64]int{}
 	for i := 0; i < passLen; i++ {
-		scheduled[d.At(i)]++
+		scheduled[d.At(i).Key]++
 	}
 	var mu sync.Mutex
 	got := map[uint64]int{}
@@ -127,7 +122,7 @@ func TestWeightedDriveConcurrentNextRealizesPass(t *testing.T) {
 			defer wg.Done()
 			local := map[uint64]int{}
 			for i := 0; i < per; i++ {
-				local[d.Next()]++
+				local[d.Next().Key]++
 			}
 			mu.Lock()
 			for k, c := range local {
@@ -141,38 +136,5 @@ func TestWeightedDriveConcurrentNextRealizesPass(t *testing.T) {
 		if got[k] != c*passes {
 			t.Errorf("key %d drawn %d times across %d passes, want %d", k, got[k], passes, c*passes)
 		}
-	}
-}
-
-func TestWeightedDriveDrawSamplesSupport(t *testing.T) {
-	sup := []dist.Weighted{{Key: 100, P: 0.7}, {Key: 200, P: 0.3}}
-	d, err := NewWeightedDrive(sup, 50, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(13)
-	hits := 0
-	const trials = 40000
-	for i := 0; i < trials; i++ {
-		switch d.Draw(r) {
-		case 100:
-			hits++
-		case 200:
-		default:
-			t.Fatal("Draw left the support")
-		}
-	}
-	if got := float64(hits) / trials; math.Abs(got-0.7) > 0.02 {
-		t.Errorf("key 100 frequency %.3f, want 0.7", got)
-	}
-}
-
-func TestWeightedDriveName(t *testing.T) {
-	d, err := NewWeightedDrive([]dist.Weighted{{Key: 1, P: 1}}, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Name() == "" {
-		t.Error("empty name")
 	}
 }

@@ -1,9 +1,10 @@
 // Package workload provides stateful query generators that sit between the
 // paper's two analyzed extremes — the uniform positive/negative class of §2
 // and the adversarial distributions of §3. They model what real concurrent
-// readers do: temporal locality with a drifting working set, sequential
-// scans, and read-mostly negative lookups. Each generator implements
-// dist.Dist, so the contention machinery consumes them directly.
+// readers do: temporal locality with a drifting working set and sequential
+// scans. Each generator implements dist.Dist, so the contention machinery
+// consumes them directly. Scenario (scenario.go) is the named, seeded
+// schedule every driver of the service and the benchmarks shares.
 package workload
 
 import (
@@ -106,12 +107,6 @@ func (s *Scan) Sample(*rng.RNG) uint64 {
 
 // Name identifies the workload in reports.
 func (s *Scan) Name() string { return fmt.Sprintf("scan(%d)", len(s.keys)) }
-
-// ReadMostlyNegative models a filter in front of a data store: most lookups
-// miss (uniform negatives), a small fraction hit (uniform positives).
-func ReadMostlyNegative(keys []uint64, universe uint64, hitRate float64) dist.Dist {
-	return dist.PosNeg(keys, universe, hitRate)
-}
 
 // Interface assertions.
 var (

@@ -115,26 +115,6 @@ func TestScanCycles(t *testing.T) {
 	}
 }
 
-func TestReadMostlyNegative(t *testing.T) {
-	keys := keysN(100)
-	inSet := map[uint64]bool{}
-	for _, k := range keys {
-		inSet[k] = true
-	}
-	q := ReadMostlyNegative(keys, 1<<40, 0.1)
-	r := rng.New(5)
-	hits := 0
-	const trials = 50000
-	for i := 0; i < trials; i++ {
-		if inSet[q.Sample(r)] {
-			hits++
-		}
-	}
-	if got := float64(hits) / trials; math.Abs(got-0.1) > 0.01 {
-		t.Errorf("hit rate %v, want ≈ 0.1", got)
-	}
-}
-
 func TestNames(t *testing.T) {
 	r := rng.New(6)
 	w, _ := NewWorkingSet(keysN(10), 3, 0.8, 0.1, r)

@@ -57,8 +57,7 @@ type Dict struct {
 	// events is the flight recorder: WithEventLog's log, or the telemetry
 	// layer's always-on log when only WithTelemetry was used. It is never
 	// consulted on the query path — static dictionaries emit no structural
-	// events of their own (the adaptive sampler does), so an event log
-	// costs queries nothing.
+	// events of their own, so an event log costs queries nothing.
 	events *events.Log
 	// scratch pools per-query working memory (coefficient buffers,
 	// histogram words) so the steady-state read path allocates nothing.

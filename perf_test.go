@@ -61,6 +61,14 @@ func TestContainsZeroAlloc(t *testing.T) {
 	}
 
 	assertPooledPathsZeroAlloc(t, d, keys)
+
+	// Sampled telemetry keeps the per-probe sink path (1-in-k decision,
+	// striped per-step and per-cell adds); it must not allocate either.
+	sampled, err := New(keys, WithSeed(9), WithTelemetry(TelemetryConfig{Sample: 64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPooledPathsZeroAlloc(t, sampled, keys)
 }
 
 func TestContainsBatchFacade(t *testing.T) {

@@ -17,17 +17,9 @@ import (
 // every probe and traces nothing. See internal/telemetry for field docs.
 type TelemetryConfig = telemetry.Config
 
-// TelemetryAdaptiveConfig makes the probe-sampling factor self-tuning
-// (TelemetryConfig.Adaptive): a feedback controller steers the recorded
-// probe rate toward a budget, doubling the factor when the workload runs hot
-// and halving it when traffic is light. Drive it with Telemetry.AdaptTick
-// from a ticker goroutine.
-type TelemetryAdaptiveConfig = telemetry.AdaptiveConfig
-
 // Telemetry is the live telemetry handle of a dictionary built with
 // WithTelemetry: Snapshot() for the runtime Φ̂ estimate, per-step probe
-// masses, latency histograms and per-shard rebuild metrics; Traces() for
-// the recent-query ring.
+// masses, latency histograms and per-shard rebuild metrics.
 type Telemetry = telemetry.Telemetry
 
 // TelemetrySnapshot is a point-in-time summary of the live telemetry.
@@ -37,10 +29,10 @@ type TelemetrySnapshot = telemetry.Snapshot
 // rebuild durations, writer pauses).
 type TelemetryHistogram = telemetry.HistogramSnapshot
 
-// QueryTrace is one sampled query in the trace ring.
+// QueryTrace is one sampled query delivered to a Tracer.
 type QueryTrace = telemetry.QueryTrace
 
-// Tracer receives sampled query traces in place of the internal ring.
+// Tracer receives sampled query traces (TelemetryConfig.Tracer).
 type Tracer = telemetry.Tracer
 
 // TelemetryDrift is the live-vs-exact contention comparison
@@ -49,18 +41,14 @@ type TelemetryDrift = telemetry.Drift
 
 // WithTelemetry enables the live observability layer on New, Read and
 // NewDynamic: runtime Φ̂ estimation on striped per-cell/per-step counters,
-// optional 1-in-k probe sampling, log₂ latency histograms, a trace ring of
-// recent queries, and (dynamic dictionaries) per-shard rebuild metrics.
+// optional 1-in-k probe sampling, log₂ latency histograms, sampled query
+// traces to a Tracer, and (dynamic dictionaries) per-shard rebuild metrics.
 // Without this option no sink is installed and the query path performs zero
 // additional atomic writes and zero additional allocations.
 func WithTelemetry(cfg TelemetryConfig) Option {
 	return func(c *opterr) {
 		if cfg.Sample < 0 {
 			c.err = fmt.Errorf("lcds: telemetry sample %d must be ≥ 0", cfg.Sample)
-			return
-		}
-		if cfg.Adaptive != nil && !(cfg.Adaptive.TargetProbesPerSec > 0) {
-			c.err = fmt.Errorf("lcds: adaptive telemetry needs TargetProbesPerSec > 0 (got %v)", cfg.Adaptive.TargetProbesPerSec)
 			return
 		}
 		cc := cfg
@@ -70,7 +58,7 @@ func WithTelemetry(cfg TelemetryConfig) Option {
 
 // Event is one entry of the flight-recorder timeline: a typed, timestamped
 // record of a structural transition (epoch seal, rebuild, phase split/join,
-// hot-key promotion, sampling retune, overflow). Payload words A/B/C are
+// hot-key promotion, overflow). Payload words A/B/C are
 // decoded per type by its JSON encoding; key-carrying events store hashed
 // keys only.
 type Event = events.Event
@@ -97,7 +85,6 @@ const (
 	EventPhaseJoined     = events.PhaseJoined
 	EventHotKeyPromoted  = events.HotKeyPromoted
 	EventHotKeyDemoted   = events.HotKeyDemoted
-	EventSamplingRetuned = events.SamplingRetuned
 	EventShardRebuild    = events.ShardRebuild
 	EventOverflowDropped = events.OverflowDropped
 )
@@ -127,12 +114,12 @@ type EventLogConfig struct {
 // WithEventLog enables the flight recorder on New, Read and NewDynamic: an
 // always-on, lock-free timeline of structural events — epoch seals, rebuild
 // start/end with durations, split-phase transitions, hot-key promotions and
-// demotions (hashed keys), sampling retunes — queryable with Timeline and
+// demotions (hashed keys), per-shard rebuilds — queryable with Timeline and
 // served by cmd/lcds-server at /debug/timeline. Emission is a single CAS
 // plus plain stores on the writer's claimed slot, off the query path
 // entirely; a dictionary with only an event log queries at the same speed as
-// a bare one. WithTelemetry implies an event log (the telemetry layer emits
-// sampling retunes into it); use WithEventLog alongside it to size the log
+// a bare one. WithTelemetry implies an event log (its snapshot reports the
+// log's stats); use WithEventLog alongside it to size the log
 // explicitly or without it for events with zero query-path instrumentation.
 func WithEventLog(cfg EventLogConfig) Option {
 	return func(c *opterr) {
@@ -196,7 +183,7 @@ func (d *Dict) TelemetryCompareExact(keys []uint64) (TelemetryDrift, error) {
 // TelemetryCompareExactWeighted is TelemetryCompareExact under an arbitrary
 // query distribution: the exact analysis is computed under the given
 // weighted support — pass the same weights the live workload draws from
-// (e.g. WeightedDrive.Realized of internal/workload, or any Supporter's
+// (e.g. Scenario.Support of internal/workload, or any Supporter's
 // Support) and the drift ratios read 1.0 exactly when the running system
 // matches Definition 1 under that skew. Weights are normalized; duplicate
 // keys merge.

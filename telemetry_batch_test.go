@@ -72,8 +72,8 @@ func telemetryReadStream(keys []uint64) []uint64 {
 // TestBatchTelemetryMatchesSequential answers one read stream three ways on
 // dictionaries built from the same seed and driven through the same writes:
 // ContainsBatch and sequential Contains (both tallied), and traced
-// sequential Contains (TraceEvery 1 routes every query through a caller
-// scratch without a tally, so each probe reaches the sink on its own — the
+// sequential Contains (TraceEvery 1 with a Tracer routes every query
+// through a caller scratch without a tally, so each probe reaches the sink on its own — the
 // per-probe reference). Probes, step masses and read-probe counts must be
 // identical, across a small StepCap that sends static and buffer steps into
 // the overflow slot, write absorption and a 4-way sharded dictionary.
@@ -94,8 +94,12 @@ func TestBatchTelemetryMatchesSequential(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			build := func(traceEvery int) *DynamicDict {
-				opts := []Option{WithSeed(41), WithTelemetry(TelemetryConfig{Sample: 1, StepCap: tc.stepCap, TraceEvery: traceEvery})}
+			build := func(traced bool) *DynamicDict {
+				cfg := TelemetryConfig{Sample: 1, StepCap: tc.stepCap}
+				if traced {
+					cfg.TraceEvery, cfg.Tracer = 1, &traceLog{}
+				}
+				opts := []Option{WithSeed(41), WithTelemetry(cfg)}
 				if tc.shards > 0 {
 					opts = append(opts, WithShards(tc.shards))
 				}
@@ -109,7 +113,7 @@ func TestBatchTelemetryMatchesSequential(t *testing.T) {
 				telemetryTwinOps(t, d, keys, tc.absorb)
 				return d
 			}
-			batch, seq, traced := build(0), build(0), build(1)
+			batch, seq, traced := build(false), build(false), build(true)
 			st := batch.Stats()
 			for _, d := range []*DynamicDict{seq, traced} {
 				if s := d.Stats(); s.Epochs != st.Epochs || s.Buffered != st.Buffered || s.HotKeys != st.HotKeys || s.Len != st.Len {

@@ -3,10 +3,12 @@ package lcds
 import (
 	"bytes"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // TestTelemetryAcceptance is the PR's headline self-check: with telemetry
@@ -143,9 +145,28 @@ func TestTelemetryCounters(t *testing.T) {
 	}
 }
 
+// traceLog is a Tracer that keeps every trace it receives.
+type traceLog struct {
+	mu     sync.Mutex
+	traces []QueryTrace
+}
+
+func (l *traceLog) Trace(qt QueryTrace) {
+	l.mu.Lock()
+	l.traces = append(l.traces, qt)
+	l.mu.Unlock()
+}
+
+func (l *traceLog) all() []QueryTrace {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]QueryTrace(nil), l.traces...)
+}
+
 func TestTelemetryTraces(t *testing.T) {
 	keys := testKeys(600, 23)
-	d, err := New(keys, WithSeed(23), WithTelemetry(TelemetryConfig{TraceEvery: 1, TraceBuffer: 16}))
+	var log traceLog
+	d, err := New(keys, WithSeed(23), WithTelemetry(TelemetryConfig{TraceEvery: 1, Tracer: &log}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +175,9 @@ func TestTelemetryTraces(t *testing.T) {
 			t.Fatalf("lost key %d", k)
 		}
 	}
-	traces := d.Telemetry().Traces()
-	if len(traces) != 16 {
-		t.Fatalf("ring holds %d traces, want 16 (buffer cap)", len(traces))
+	traces := log.all()
+	if len(traces) != 20 {
+		t.Fatalf("tracer saw %d traces, want 20", len(traces))
 	}
 	size := d.SpaceCells()
 	for _, tr := range traces {
@@ -179,7 +200,8 @@ func TestTelemetryTraces(t *testing.T) {
 
 func TestTelemetrySharded(t *testing.T) {
 	keys := testKeys(4096, 24)
-	d, err := New(keys, WithSeed(24), WithShards(4), WithTelemetry(TelemetryConfig{TraceEvery: 1}))
+	var log traceLog
+	d, err := New(keys, WithSeed(24), WithShards(4), WithTelemetry(TelemetryConfig{TraceEvery: 1, Tracer: &log}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +227,7 @@ func TestTelemetrySharded(t *testing.T) {
 	}
 	// Each traced query's captured cells must lie inside the range of the
 	// shard that answered it.
-	for _, tr := range d.Telemetry().Traces() {
+	for _, tr := range log.all() {
 		lo := d.sharded.CellOffset(tr.Shard)
 		hi := lo + d.sharded.Shard(tr.Shard).Table().Size()
 		for _, c := range tr.Cells {
@@ -253,7 +275,8 @@ func TestTelemetryShardedStepMass(t *testing.T) {
 
 func TestTelemetryDynamic(t *testing.T) {
 	keys := testKeys(3000, 25)
-	d, err := NewDynamic(keys[:2000], 0.1, WithSeed(25), WithTelemetry(TelemetryConfig{TraceEvery: 1}))
+	var log traceLog
+	d, err := NewDynamic(keys[:2000], 0.1, WithSeed(25), WithTelemetry(TelemetryConfig{TraceEvery: 1, Tracer: &log}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +324,7 @@ func TestTelemetryDynamic(t *testing.T) {
 	if dm.DeltaHighWater == 0 {
 		t.Fatal("delta high-water never moved despite 500 buffered inserts")
 	}
-	if len(d.Telemetry().Traces()) == 0 {
+	if len(log.all()) == 0 {
 		t.Fatal("no traces captured")
 	}
 
@@ -443,4 +466,101 @@ func TestTelemetryUniformSupport(t *testing.T) {
 		}
 	}
 	_ = telemetry.Config{} // facade aliases stay interchangeable with the internal types
+}
+
+// TestTelemetryCompareExactWeighted closes the skewed-drive loop through the
+// public facade: a Zipf(1.2) schedule drives the dictionary and the drift is
+// computed under the schedule's realized weights, so the live and exact sides
+// describe the same distribution and the ratios sit at 1 within sampling
+// noise.
+func TestTelemetryCompareExactWeighted(t *testing.T) {
+	const n, passes = 2048, 32
+	keys := testKeys(n, 42)
+	d, err := New(keys, WithSeed(42), WithTelemetry(TelemetryConfig{Sample: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive, err := workload.NewScenario("zipf:1.2", keys, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < passes*drive.PassLen(); i++ {
+		if !d.Contains(drive.Next().Key) {
+			t.Fatal("lost key")
+		}
+	}
+	support := make([]WeightedKey, 0, n)
+	for _, w := range drive.Support() {
+		support = append(support, WeightedKey{Key: w.Key, P: w.P})
+	}
+	drift, err := d.TelemetryCompareExactWeighted(support)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(drift.MaxPhiRatio-1) > 0.05 {
+		t.Fatalf("skewed maxΦ̂ ratio %.4f outside [0.95, 1.05] (live %.4f exact %.4f)",
+			drift.MaxPhiRatio, drift.MaxPhiLive, drift.MaxPhiExact)
+	}
+	if math.Abs(drift.ProbesRatio-1) > 1e-9 {
+		t.Fatalf("skewed probes ratio %v, want exactly 1 (deterministic probe counts)", drift.ProbesRatio)
+	}
+	// The uniform-weights entry point agrees with the plain-keys one.
+	du, err := d.TelemetryCompareExact(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dw, err := d.TelemetryCompareExactWeighted(uniformWeights(keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if du != dw {
+		t.Fatalf("uniform drift mismatch: %+v vs %+v", du, dw)
+	}
+	// A degenerate support is rejected, not analyzed.
+	if _, err := d.TelemetryCompareExactWeighted([]WeightedKey{{Key: keys[0], P: 0}}); err == nil {
+		t.Fatal("zero-mass support accepted")
+	}
+}
+
+// TestDynamicCompareExactBufferSteps is the regression test for the dynamic
+// step-alignment fix: with an empty update buffer mid-epoch, the always-
+// executed buffer probes land at steps past the static snapshot's MaxProbes,
+// and the comparison previously diffed them against an exact analysis that
+// never modeled them — reporting a spurious step-mass gap of ≈ 1.0 and an
+// inflated probes ratio. Bounded to the static range, both signals read
+// clean.
+func TestDynamicCompareExactBufferSteps(t *testing.T) {
+	const n, passes = 1024, 16
+	keys := testKeys(n, 43)
+	d, err := NewDynamic(keys, 0.25, WithSeed(43), WithTelemetry(TelemetryConfig{Sample: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Quiesce()
+	for p := 0; p < passes; p++ {
+		for _, k := range keys {
+			ok, err := d.Contains(k)
+			if err != nil || !ok {
+				t.Fatalf("lost key %d (%v)", k, err)
+			}
+		}
+	}
+	drift, err := d.TelemetryCompareExact(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if drift.StepMassMaxDiff > 0.02 {
+		t.Fatalf("step-mass gap %.4f with an empty buffer, want ≈ 0 (the spurious-1.0 regression)",
+			drift.StepMassMaxDiff)
+	}
+	if math.Abs(drift.ProbesRatio-1) > 0.05 {
+		t.Fatalf("in-range probes ratio %.4f (live %.3f exact %.3f)",
+			drift.ProbesRatio, drift.ProbesLive, drift.ProbesExact)
+	}
+	// The raw snapshot still sees the buffer probes — the comparison, not the
+	// counters, is what the fix bounds.
+	if snap := d.Telemetry().Snapshot(); snap.ProbesPerQuery <= drift.ProbesLive {
+		t.Fatalf("whole-epoch probes/query %.3f not above in-range %.3f — buffer probes missing",
+			snap.ProbesPerQuery, drift.ProbesLive)
+	}
 }
