@@ -368,6 +368,53 @@ func BenchmarkContainsBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkDynamicContainsBatchSource prices the query source on the dynamic
+// batch path lcds-server's /batch runs: n=32768, 1024 uniformly drawn member
+// keys per batch, Sample-1 telemetry. source=default is the sharded source
+// (one shared draw per batch, then the pooled scratch's own stream);
+// source=rng is an explicit *rng.RNG, the single-goroutine reference. The gap
+// between the two is what the default source costs a batch.
+func BenchmarkDynamicContainsBatchSource(b *testing.B) {
+	const n, batch, batches = 32768, 1024, 64
+	keys := testKeys(n, 12)
+	r := rng.New(13)
+	qs := make([]uint64, batch*batches)
+	for i := range qs {
+		qs[i] = keys[r.Intn(n)]
+	}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"default", nil},
+		{"rng", []Option{WithQuerySource(rng.New(14))}},
+	} {
+		b.Run("source="+tc.name, func(b *testing.B) {
+			opts := append([]Option{WithSeed(12), WithTelemetry(TelemetryConfig{Sample: 1})}, tc.opts...)
+			d, err := NewDynamic(keys, 0.25, opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			out := make([]bool, batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % batches * batch
+				if err := d.ContainsBatch(qs[j:j+batch], out); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			for _, ok := range out {
+				if !ok {
+					b.Fatal("lost key")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/key")
+		})
+	}
+}
+
 // BenchmarkContainsBatchGroup sweeps the wavefront width G at a fixed batch
 // size, bracketing the default (8): G=1 is the scalar query-at-a-time
 // reference, and the curve flattens once G covers the core's memory-level

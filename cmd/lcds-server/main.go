@@ -43,9 +43,16 @@ const (
 
 // shutdownGrace bounds how long a shutdown waits for in-flight requests;
 // otlpEvery is the OTLP export interval while -otlp is set.
+// readHeaderTimeout bounds how long a connection may take to send a
+// request's line and headers, so a client that stalls mid-request cannot
+// hold a connection and its goroutine forever; a well-behaved client sends
+// both in one segment. There is deliberately no idle timeout: keep-alive
+// connections may sit idle between requests as long as they like (the
+// header clock starts only once the next request's first bytes arrive).
 const (
-	shutdownGrace = 2 * time.Second
-	otlpEvery     = 10 * time.Second
+	shutdownGrace     = 2 * time.Second
+	otlpEvery         = 10 * time.Second
+	readHeaderTimeout = 2 * time.Second
 )
 
 // endpointStats is one handler's request ledger: total requests, requests
@@ -315,9 +322,10 @@ func newServer(n int, seed uint64, shards int, epsilon float64, absorb bool, tel
 
 // run serves h on ln until ctx is cancelled, then shuts down gracefully:
 // the listener closes at once, and requests already in flight get up to
-// shutdownGrace to finish.
+// shutdownGrace to finish. A connection that does not deliver a request's
+// headers within readHeaderTimeout is closed.
 func run(ctx context.Context, ln net.Listener, h http.Handler) error {
-	hs := &http.Server{Handler: h}
+	hs := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 	served := make(chan error, 1)
 	go func() { served <- hs.Serve(ln) }()
 	select {

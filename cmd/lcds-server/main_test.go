@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -498,6 +499,56 @@ func TestRunGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(shutdownGrace):
 		t.Fatal("run did not return within shutdownGrace")
+	}
+}
+
+// TestRunReadHeaderTimeout holds run's defence against a stalled client: a
+// connection that sends half a request line and stops is closed once
+// readHeaderTimeout has passed, while other clients are served meanwhile.
+func TestRunReadHeaderTimeout(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	_, mux := newTestMux(t, 64, 29)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, ln, mux) }()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("run: %v", err)
+		}
+	}()
+
+	start := time.Now()
+	slow, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	if _, err := io.WriteString(slow, "GET /heal"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatalf("/healthz while a client stalls: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 || !strings.Contains(string(body), "ok") {
+		t.Fatalf("/healthz while a client stalls: %d %q", resp.StatusCode, body)
+	}
+
+	const slack = 2 * time.Second
+	slow.SetReadDeadline(start.Add(readHeaderTimeout + slack))
+	if _, err := io.Copy(io.Discard, slow); err != nil {
+		t.Fatalf("stalled connection still open %v after it connected: %v", time.Since(start), err)
+	}
+	if took := time.Since(start); took < readHeaderTimeout-100*time.Millisecond {
+		t.Fatalf("stalled connection closed after %v, before readHeaderTimeout (%v)", took, readHeaderTimeout)
 	}
 }
 

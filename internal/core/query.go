@@ -90,7 +90,20 @@ type QueryScratch struct {
 	// tally, when armed (SetTally), counts every probe of the queries this
 	// scratch answers per step in place of the table's probe sink.
 	tally []uint64
+
+	// rs is the scratch's own random stream (Source): a query or batch
+	// answered with this scratch draws its replica choices from it after
+	// one draw from a shared rng.Sharded.
+	rs rng.Stream
 }
+
+// Source localises r for one query or batch answered with this scratch:
+// a shared rng.Sharded costs one draw here and the span's replica choices
+// come from the scratch's own stream; any other source (an explicit
+// *rng.RNG, or a stream already localised by an outer call) is returned
+// unchanged. See rng.Local. Like the scratch, the result must stay on the
+// calling goroutine.
+func (sc *QueryScratch) Source(r rng.Source) rng.Source { return rng.Local(r, &sc.rs) }
 
 // SetTally arms per-step probe tallying for the queries answered with this
 // scratch: each probe is counted at tally[min(step, len(tally)−1)] instead
@@ -220,7 +233,9 @@ func (dict *Dict) SetBatchGroup(g int) { dict.batchGroup = g }
 // four-phase algorithm. Every value it uses is read from table cells via
 // recorded probes; the random source chooses which replica each probe
 // reads. Pass an *rng.RNG for reproducible sequential queries or a shared
-// rng.Sharded for concurrent ones.
+// rng.Sharded for concurrent ones (each query then takes one draw from it
+// and its replica choices from the scratch's own stream, see
+// QueryScratch.Source).
 //
 // The returned error is non-nil only when the table itself is corrupt
 // (failure injection, bit flips): every error path is a consistency check
@@ -244,7 +259,7 @@ func (dict *Dict) Contains(x uint64, r rng.Source) (bool, error) {
 // answers interchangeable with sequential ones probe for probe.
 func (dict *Dict) ContainsScratch(x uint64, r rng.Source, sc *QueryScratch) (bool, error) {
 	sc.ensureWave(dict.d, dict.rho, 1)
-	dict.wfAdmitKey(sc, 0, 0, x, r, false)
+	dict.wfAdmitKey(sc, 0, 0, x, sc.Source(r), false)
 	for {
 		done, ans, err := dict.wfStep(sc, 0, false)
 		if done || err != nil {
@@ -465,11 +480,14 @@ func (s *sliceSource) NextQuery() (int, uint64, bool) {
 // calling ContainsScratch per key with the same source — only the order of
 // probes across the batch changes. out must be long enough for every index
 // src yields. It stops at the first corrupt-table error; queries in flight
-// at that point are abandoned.
+// at that point are abandoned. A shared rng.Sharded r is localised once for
+// the whole batch (QueryScratch.Source); a source that draws from r itself
+// should be handed the same localised stream first.
 func (dict *Dict) ContainsWavefront(src BatchSource, out []bool, r rng.Source, sc *QueryScratch) error {
 	if sc == nil {
 		sc = new(QueryScratch)
 	}
+	r = sc.Source(r)
 	g := dict.batchGroupSize()
 	sc.ensureWave(dict.d, dict.rho, g)
 	for i := 0; i < g; i++ {

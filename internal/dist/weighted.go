@@ -17,7 +17,8 @@ import (
 //
 // Unlike the other distributions here it can additionally draw from a plain
 // rng.Source (Draw), so concurrent workload drivers can sample through a
-// low-contention rng.Sharded stream instead of a per-goroutine *rng.RNG.
+// shared low-contention rng.Sharded or through a goroutine-owned stream
+// (rng.Stream, e.g. from rng.Local) instead of a per-goroutine *rng.RNG.
 type WeightedSet struct {
 	keys  []uint64
 	cum   []float64 // cumulative probabilities, cum[len-1] == 1
@@ -67,8 +68,10 @@ func (w *WeightedSet) Len() int { return len(w.keys) }
 // Sample draws one key with a *rng.RNG (the Dist interface).
 func (w *WeightedSet) Sample(r *rng.RNG) uint64 { return w.at(r.Float64()) }
 
-// Draw draws one key from any rng.Source — pass an rng.Sharded stream so
-// concurrent drivers sample without contending on a shared generator. The
+// Draw draws one key from any rng.Source — an rng.Sharded lets concurrent
+// drivers sample without contending on a shared generator, at a pool
+// round trip and an atomic add per draw; a driver that draws many keys in a
+// row can localise it once with rng.Local and draw from its own stream. The
 // uniform variate is the source's top 53 bits, the same construction
 // rng.RNG.Float64 uses.
 func (w *WeightedSet) Draw(r rng.Source) uint64 {

@@ -835,11 +835,13 @@ walk:
 // writes no shared cache line beyond the striped probe counters; its working
 // memory comes from a pooled scratch, so the steady-state read path
 // performs no heap allocation. With a tallying sink the query's probes are
-// flushed to it once, after the query.
+// flushed to it once, after the query. A shared rng.Sharded r is drawn from
+// once; the query's replica choices come from the scratch's own stream
+// (core.QueryScratch.Source).
 func (d *Dict) Contains(x uint64, r rng.Source) (bool, error) {
 	e := d.cur.Load()
 	sc := d.scratch.Get().(*core.QueryScratch)
-	ok, err := d.containsEpoch(e, x, r, sc)
+	ok, err := d.containsEpoch(e, x, sc.Source(r), sc)
 	if d.tally != nil {
 		d.tally.FlushTally(sc.Tally())
 	}
@@ -854,7 +856,7 @@ func (d *Dict) Contains(x uint64, r rng.Source) (bool, error) {
 // Probes go to the sink one at a time unless sc carries a tally, which the
 // caller then owns and flushes.
 func (d *Dict) ContainsScratch(x uint64, r rng.Source, sc *core.QueryScratch) (bool, error) {
-	return d.containsEpoch(d.cur.Load(), x, r, sc)
+	return d.containsEpoch(d.cur.Load(), x, sc.Source(r), sc)
 }
 
 // containsEpoch answers membership against one pinned epoch. Absorbed-hot
@@ -893,7 +895,8 @@ func (d *Dict) containsEpoch(e *epoch, x uint64, r rng.Source, sc *core.QueryScr
 // draw, the chain walk (no draws) — before either writing the answer
 // directly (buffer hit or tombstone) or yielding the key for wavefront
 // admission, where its static random budget is drawn immediately. The
-// shared random stream is therefore consumed in exactly sequential order.
+// batch's random stream (r, localised once per batch) is therefore consumed
+// in exactly sequential order.
 // The cursor sums the batch's read probes into probes, and counts buffer
 // probes into tally when it is non-nil, so the batch reaches the shared
 // counters once rather than once per key.
@@ -962,14 +965,15 @@ type batchState struct {
 // identical to a sequential loop over the batch. out must be at least as
 // long as keys. It stops at the first corrupt-buffer or corrupt-table
 // error (queries in flight at that point are abandoned). The batch's read
-// probes reach the shared counters — and a tallying sink — once per batch.
+// probes reach the shared counters — and a tallying sink — once per batch,
+// and a shared rng.Sharded r is drawn from once per batch.
 func (d *Dict) ContainsBatch(keys []uint64, out []bool, r rng.Source) error {
 	if len(out) < len(keys) {
 		return fmt.Errorf("dynamic: ContainsBatch output length %d < %d keys", len(out), len(keys))
 	}
 	st := d.batch.Get().(*batchState)
 	e := d.cur.Load()
-	st.cur = batchCursor{e: e, r: r, keys: keys, out: out, tally: bufTally(st.sc.Tally(), e.base.MaxProbes())}
+	st.cur = batchCursor{e: e, r: st.sc.Source(r), keys: keys, out: out, tally: bufTally(st.sc.Tally(), e.base.MaxProbes())}
 	err := d.answerBatch(&st.cur, &st.sc)
 	if d.tally != nil {
 		d.tally.FlushTally(st.sc.Tally())
@@ -990,7 +994,7 @@ func (d *Dict) ContainsBatchScratch(keys []uint64, out []bool, r rng.Source, sc 
 		return fmt.Errorf("dynamic: ContainsBatch output length %d < %d keys", len(out), len(keys))
 	}
 	e := d.cur.Load()
-	cur := batchCursor{e: e, r: r, keys: keys, out: out, tally: bufTally(sc.Tally(), e.base.MaxProbes())}
+	cur := batchCursor{e: e, r: sc.Source(r), keys: keys, out: out, tally: bufTally(sc.Tally(), e.base.MaxProbes())}
 	return d.answerBatch(&cur, sc)
 }
 

@@ -70,14 +70,11 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n(0)")
 	}
-	hi, lo := bits.Mul64(r.Uint64(), n)
-	if lo < n {
-		threshold := -n % n
-		for lo < threshold {
-			hi, lo = bits.Mul64(r.Uint64(), n)
+	for {
+		if v, ok := reduce(r.Uint64(), n); ok {
+			return v
 		}
 	}
-	return hi
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.

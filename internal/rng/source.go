@@ -10,7 +10,9 @@ import (
 // Source is the randomness a membership query consumes: independent uniform
 // draws, one per replica choice. *RNG implements it for sequential and
 // explicitly-seeded use; Sharded implements it for concurrent query paths
-// that must not contend on a shared generator state.
+// that must not contend on a shared generator state; Stream is the
+// goroutine-owned generator Local seeds from a Sharded for one span of
+// queries.
 //
 // Implementations must be safe for use by the goroutine that owns them;
 // Sharded is additionally safe for concurrent use by any number of
@@ -47,6 +49,11 @@ type shard struct {
 // no writes to shared cache lines. Under handle churn (GC clears the pool)
 // a goroutine may move to another shard; streams stay decorrelated because
 // every shard runs its own splitmix64 sequence from an independent origin.
+//
+// Each call still pays the pool round trip and an atomic add. The query
+// paths therefore draw from a Sharded once per query or batch, through
+// Local, and take that span's replica choices from a goroutine-owned
+// Stream seeded by the draw.
 //
 // Sharded trades reproducibility for scalability: which stream serves a
 // call depends on scheduler placement (only a single-shard source is fully
@@ -107,12 +114,72 @@ func (s *Sharded) Intn(n int) int {
 		panic("rng: Intn with non-positive n")
 	}
 	un := uint64(n)
-	hi, lo := bits.Mul64(s.Uint64(), un)
-	if lo < un {
-		threshold := -un % un
-		for lo < threshold {
-			hi, lo = bits.Mul64(s.Uint64(), un)
+	for {
+		if v, ok := reduce(s.Uint64(), un); ok {
+			return int(v)
 		}
 	}
-	return int(hi)
+}
+
+// reduce maps the 64-bit draw u to [0, n) by Lemire's nearly-divisionless
+// multiply-shift. ok is false when u falls in the rejection zone that would
+// bias the result; the caller then redraws. The modulo runs only when the
+// low product word is below n, which is rare for n ≪ 2^64.
+func reduce(u, n uint64) (v uint64, ok bool) {
+	hi, lo := bits.Mul64(u, n)
+	if lo < n && lo < -n%n {
+		return 0, false
+	}
+	return hi, true
+}
+
+// Stream is a goroutine-owned splitmix64 generator: a single state word
+// advanced with plain (non-atomic) arithmetic, seeded by Local. A Stream
+// must not be shared by concurrent goroutines. The zero Stream is usable
+// (origin 0).
+type Stream struct {
+	state uint64
+}
+
+var _ Source = (*Stream)(nil)
+
+// Uint64 advances the stream by one splitmix64 step.
+func (s *Stream) Uint64() uint64 {
+	s.state += splitMixGamma
+	return mix64(s.state)
+}
+
+// Intn returns a uniform int in [0, n) with the reduction RNG.Intn and
+// Sharded.Intn use. It panics if n <= 0.
+func (s *Stream) Intn(n int) int {
+	if n <= 0 {
+		panic("rng: Intn with non-positive n")
+	}
+	un := uint64(n)
+	for {
+		if v, ok := reduce(s.Uint64(), un); ok {
+			return int(v)
+		}
+	}
+}
+
+// Local returns the source a goroutine should draw one query's or one
+// batch's replica choices from. When src is a *Sharded, Local reseeds s
+// from a single src.Uint64() and returns s: the span then pays one shared
+// draw instead of one per replica choice, and its remaining draws touch
+// only the caller's own memory. Any other source — an explicitly seeded
+// *RNG, or a *Stream some outer call already localised — is returned
+// unchanged, so an explicit source is consumed draw for draw, one draw per
+// replica choice, and nested calls pass a localised stream straight
+// through.
+//
+// The returned source belongs to the calling goroutine: it must not be
+// handed to another goroutine, which should call Local on the shared
+// source itself.
+func Local(src Source, s *Stream) Source {
+	if sh, ok := src.(*Sharded); ok {
+		s.state = sh.Uint64()
+		return s
+	}
+	return src
 }

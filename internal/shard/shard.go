@@ -202,21 +202,14 @@ func (d *Dict) routeProbe(x uint64, r rng.Source) int {
 }
 
 // Contains answers membership: one routing probe, then the owning shard's
-// own query.
+// own query, on pooled scratch (the low-contention dictionary's
+// zero-allocation path). The routing draw and the shard's replica choices
+// come from one stream localised on that scratch (core.QueryScratch.Source).
 func (d *Dict) Contains(x uint64, r rng.Source) (bool, error) {
-	return d.containsShard(d.routeProbe(x, r), x, r)
-}
-
-// containsShard runs shard i's query, using pooled scratch on the
-// low-contention dictionary's zero-allocation path.
-func (d *Dict) containsShard(i int, x uint64, r rng.Source) (bool, error) {
-	if cd, ok := d.shards[i].(*core.Dict); ok {
-		sc := d.scratch.Get().(*core.QueryScratch)
-		ok2, err := cd.ContainsScratch(x, r, sc)
-		d.scratch.Put(sc)
-		return ok2, err
-	}
-	return d.shards[i].Contains(x, r)
+	sc := d.scratch.Get().(*core.QueryScratch)
+	found, _, err := d.ContainsTraced(x, sc.Source(r), sc)
+	d.scratch.Put(sc)
+	return found, err
 }
 
 // ContainsTraced is Contains with caller-supplied scratch, reporting which
@@ -256,14 +249,17 @@ func (d *Dict) groupBatch(keys []uint64, r rng.Source) []group {
 // answerGroup answers one shard's group, batching through the inner
 // dictionary's own batch path when it has one — for core dictionaries that
 // is the wavefront scheduler, so a sharded batch gets memory-level
-// parallelism within each shard on top of the cross-shard fan-out.
+// parallelism within each shard on top of the cross-shard fan-out. The
+// group draws from r localised on its own pooled scratch, so concurrent
+// groups may share one rng.Sharded r.
 func (d *Dict) answerGroup(shard int, g group, out []bool, r rng.Source) error {
 	if len(g.keys) == 0 {
 		return nil
 	}
+	sc := d.scratch.Get().(*core.QueryScratch)
+	defer d.scratch.Put(sc)
+	r = sc.Source(r)
 	if cd, ok := d.shards[shard].(*core.Dict); ok {
-		sc := d.scratch.Get().(*core.QueryScratch)
-		defer d.scratch.Put(sc)
 		ans := make([]bool, len(g.keys))
 		if err := cd.ContainsBatch(g.keys, ans, r, sc); err != nil {
 			return err
@@ -286,8 +282,12 @@ func (d *Dict) answerGroup(shard int, g group, out []bool, r rng.Source) error {
 // ContainsBatch answers membership for every keys[i] into out[i],
 // sequentially: the batch is routed up front, grouped by shard, and each
 // group answered in shard order against that shard's batch path. out must
-// be at least as long as keys.
+// be at least as long as keys. Routing and every group draw from one stream
+// localised on a pooled scratch (core.QueryScratch.Source).
 func (d *Dict) ContainsBatch(keys []uint64, out []bool, r rng.Source) error {
+	sc := d.scratch.Get().(*core.QueryScratch)
+	defer d.scratch.Put(sc)
+	r = sc.Source(r)
 	for shard, g := range d.groupBatch(keys, r) {
 		if err := d.answerGroup(shard, g, out, r); err != nil {
 			return err
@@ -299,9 +299,13 @@ func (d *Dict) ContainsBatch(keys []uint64, out []bool, r rng.Source) error {
 // ContainsBatchParallel is ContainsBatch with the per-shard groups answered
 // by concurrent goroutines — the scale-out read path sharding exists for.
 // The source must be safe for concurrent use (rng.Sharded is; an *rng.RNG
-// is not) whenever the batch spans more than one shard.
+// is not) whenever the batch spans more than one shard. Routing draws from
+// a stream localised on the calling goroutine; each group goroutine
+// localises the shared r for itself (answerGroup).
 func (d *Dict) ContainsBatchParallel(keys []uint64, out []bool, r rng.Source) error {
-	groups := d.groupBatch(keys, r)
+	sc := d.scratch.Get().(*core.QueryScratch)
+	groups := d.groupBatch(keys, sc.Source(r))
+	d.scratch.Put(sc)
 	busy := 0
 	for _, g := range groups {
 		if len(g.keys) > 0 {

@@ -42,10 +42,11 @@ import (
 const MaxKey = hash.MaxKey
 
 // Dict is an immutable low-contention static dictionary. It is safe for
-// concurrent use by multiple goroutines: queries draw their replica choices
-// from a sharded random source (see QuerySource), so concurrent readers
-// write no shared cache line — the machine-level analogue of the paper's
-// O(1/s) per-cell guarantee.
+// concurrent use by multiple goroutines: each query or batch takes one draw
+// from a sharded random source and its replica choices from a stream owned
+// by its pooled scratch (see QuerySource), so concurrent readers write no
+// shared cache line — the machine-level analogue of the paper's O(1/s)
+// per-cell guarantee.
 type Dict struct {
 	inner   *core.Dict  // unsharded dictionary (nil when sharded)
 	sharded *shard.Dict // P-way composite (nil when unsharded)
@@ -90,9 +91,12 @@ func (d *Dict) structure() scheme.Scheme {
 
 // QuerySource is the stream of uniform draws a query consumes for its
 // replica choices. The default is a sharded splitmix64 source
-// (rng.NewSharded) whose streams are padded to separate cache lines;
-// supply your own via WithQuerySource — e.g. an *rng.RNG for bit-exact
-// reproducible query traces.
+// (rng.NewSharded) whose streams are padded to separate cache lines. A
+// query or batch draws from it once, to seed a splitmix64 stream owned by
+// the query's pooled scratch, and takes every replica choice from that
+// stream (rng.Local). Supply your own via WithQuerySource — e.g. an
+// *rng.RNG for bit-exact reproducible query traces; any source other than
+// rng.Sharded is consumed draw for draw, one draw per replica choice.
 type QuerySource = rng.Source
 
 // options collects construction options.
@@ -122,10 +126,11 @@ func WithSeed(seed uint64) Option {
 	return func(c *opterr) { c.o.seed = seed }
 }
 
-// WithQuerySource replaces the default sharded query source. The source
-// supplies every replica choice queries make; it must be safe for as many
-// concurrent callers as the dictionary has (an *rng.RNG is single-goroutine
-// only, an rng.Sharded is safe for any number).
+// WithQuerySource replaces the default sharded query source. A source other
+// than rng.Sharded supplies every replica choice queries make, draw for
+// draw; it must be safe for as many concurrent callers as the dictionary
+// has (an *rng.RNG is single-goroutine only, an rng.Sharded is safe for any
+// number).
 func WithQuerySource(src QuerySource) Option {
 	return func(c *opterr) {
 		if src == nil {
@@ -323,9 +328,10 @@ func (d *Dict) Contains(x uint64) bool {
 // Lookup reports membership and surfaces table corruption as an error — and
 // only table corruption (failure injection, bit flips): on a well-formed
 // table the error is always nil and the answer exact. It acquires no lock,
-// writes no memory outside the query source's cache-line-private shard, and
-// performs no steady-state heap allocation (query working memory comes from
-// an internal pool).
+// writes no shared memory beyond one draw on the query source's
+// cache-line-private shard (the replica choices come from the pooled
+// scratch's own stream), and performs no steady-state heap allocation
+// (query working memory comes from an internal pool).
 func (d *Dict) Lookup(x uint64) (bool, error) {
 	if d.tel != nil {
 		return d.lookupTelemetry(x)

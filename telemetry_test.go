@@ -2,6 +2,7 @@ package lcds
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -519,6 +520,52 @@ func TestTelemetryCompareExactWeighted(t *testing.T) {
 	// A degenerate support is rejected, not analyzed.
 	if _, err := d.TelemetryCompareExactWeighted([]WeightedKey{{Key: keys[0], P: 0}}); err == nil {
 		t.Fatal("zero-mass support accepted")
+	}
+}
+
+// TestBatchDefaultSourceContention holds the default query source to the
+// paper's contention model on batch spans. A batch takes one draw from the
+// shared sharded source and draws every replica choice after that from its
+// pooled scratch's own stream, so the shortest span (1-key batches, one
+// shared draw per query) and a long one (1024-key batches) must both
+// realize the exact per-cell distribution: live maxΦ̂·n within 5% of
+// contention.Exact over a round-robin uniform drive, and exactly the
+// analysed probes per query.
+func TestBatchDefaultSourceContention(t *testing.T) {
+	const n, passes = 2048, 32
+	keys := testKeys(n, 44)
+	for _, batch := range []int{1, 1024} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			d, err := New(keys, WithSeed(44), WithTelemetry(TelemetryConfig{Sample: 1}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := make([]bool, batch)
+			for p := 0; p < passes; p++ {
+				for i := 0; i < n; i += batch {
+					if err := d.ContainsBatch(keys[i:i+batch], out); err != nil {
+						t.Fatal(err)
+					}
+					for j, ok := range out {
+						if !ok {
+							t.Fatalf("lost key %d", keys[i+j])
+						}
+					}
+				}
+			}
+			drift, err := d.TelemetryCompareExact(keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(drift.MaxPhiRatio-1) > 0.05 {
+				t.Fatalf("maxΦ̂ ratio %.4f outside [0.95, 1.05] (live %.4f exact %.4f)",
+					drift.MaxPhiRatio, drift.MaxPhiLive, drift.MaxPhiExact)
+			}
+			if math.Abs(drift.ProbesRatio-1) > 1e-9 {
+				t.Fatalf("probes ratio %v, want exactly 1 (live %.3f exact %.3f)",
+					drift.ProbesRatio, drift.ProbesLive, drift.ProbesExact)
+			}
+		})
 	}
 }
 
