@@ -1,14 +1,17 @@
 // Command lcds-server serves a dynamic low-contention dictionary over a
 // small HTTP membership API: GET /contains, POST /batch, POST /insert,
-// POST /delete. Its observability surface is /metrics (Prometheus text,
-// with per-endpoint HTTP request counters and latency summaries, so a
-// client's view of the traffic can be cross-checked against the server's),
-// /debug/telemetry, /debug/timeline and /debug/pprof. The repo benchmark
-// (perfbench/) drives this binary; TestServiceScenarios drives every
-// registered workload scenario through its handlers and checks each
-// answer. Built with -tags otlp, -otlp also pushes metrics and
-// flight-recorder spans to an OTLP/HTTP collector. SIGINT or SIGTERM drains
-// in-flight requests before exiting.
+// POST /delete. The data plane's JSON is hand-coded (wire.go): a canonical
+// {"keys":[...]} body is parsed without encoding/json, any other body is
+// still accepted exactly as encoding/json decodes it, and a /batch answer
+// is sent with a Content-Length, not chunked. Its observability surface is
+// /metrics (Prometheus text, with per-endpoint HTTP request counters and
+// latency summaries, so a client's view of the traffic can be
+// cross-checked against the server's), /debug/telemetry, /debug/timeline
+// and /debug/pprof. The repo benchmark (perfbench/) drives this binary;
+// TestServiceScenarios drives every registered workload scenario through
+// its handlers and checks each answer. Built with -tags otlp, -otlp also
+// pushes metrics and flight-recorder spans to an OTLP/HTTP collector.
+// SIGINT or SIGTERM drains in-flight requests before exiting.
 package main
 
 import (
@@ -129,50 +132,59 @@ func (s *server) handleContains(w http.ResponseWriter, r *http.Request) int {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return http.StatusInternalServerError
 	}
-	writeJSON(w, map[string]any{"key": key, "member": member})
+	sc := getScratch()
+	sc.resp = appendContains(sc.resp[:0], key, member)
+	writeWire(w, sc.resp)
+	putScratch(sc)
 	return http.StatusOK
 }
 
-type batchRequest struct {
-	Keys []uint64 `json:"keys"`
-}
-
-type batchResponse struct {
-	Members []bool `json:"members"`
-}
-
+// handleBatch answers POST /batch. The whole body, up to batchBodyLimit
+// bytes, is read before it is decoded, so a body longer than the limit is
+// refused even when a complete object ends within it.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return http.StatusMethodNotAllowed
 	}
-	var req batchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, batchBodyLimit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.body.Reset()
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, batchBodyLimit)); err != nil {
 		http.Error(w, "bad batch body: "+err.Error(), http.StatusBadRequest)
 		return http.StatusBadRequest
 	}
-	if len(req.Keys) == 0 {
+	keys, err := decodeBatchKeys(sc.body.Bytes(), sc.keys)
+	sc.keys = keys
+	if err != nil {
+		http.Error(w, "bad batch body: "+err.Error(), http.StatusBadRequest)
+		return http.StatusBadRequest
+	}
+	if len(keys) == 0 {
 		http.Error(w, "bad batch: empty keys", http.StatusBadRequest)
 		return http.StatusBadRequest
 	}
-	if len(req.Keys) > batchLimit {
-		http.Error(w, fmt.Sprintf("bad batch: %d keys exceeds the %d-key limit", len(req.Keys), batchLimit), http.StatusBadRequest)
+	if len(keys) > batchLimit {
+		http.Error(w, fmt.Sprintf("bad batch: %d keys exceeds the %d-key limit", len(keys), batchLimit), http.StatusBadRequest)
 		return http.StatusBadRequest
 	}
-	for _, k := range req.Keys {
+	for _, k := range keys {
 		if k >= lcds.MaxKey {
 			http.Error(w, fmt.Sprintf("bad key: %d is outside the key universe [0, 2^61-1)", k), http.StatusBadRequest)
 			return http.StatusBadRequest
 		}
 	}
-	out := make([]bool, len(req.Keys))
-	if err := s.dd.ContainsBatch(req.Keys, out); err != nil {
+	if cap(sc.out) < len(keys) {
+		sc.out = make([]bool, len(keys))
+	}
+	out := sc.out[:len(keys)]
+	if err := s.dd.ContainsBatch(keys, out); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return http.StatusInternalServerError
 	}
-	writeJSON(w, batchResponse{Members: out})
+	sc.resp = appendMembers(sc.resp[:0], out)
+	w.Header().Set("Content-Length", strconv.Itoa(len(sc.resp)))
+	writeWire(w, sc.resp)
 	return http.StatusOK
 }
 
@@ -202,7 +214,10 @@ func (s *server) handleWrite(w http.ResponseWriter, r *http.Request, del bool) i
 	if del {
 		field = "deleted"
 	}
-	writeJSON(w, map[string]any{"key": key, field: changed})
+	sc := getScratch()
+	sc.resp = appendWrite(sc.resp[:0], field, key, changed)
+	writeWire(w, sc.resp)
+	putScratch(sc)
 	return http.StatusOK
 }
 

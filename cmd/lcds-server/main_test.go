@@ -98,7 +98,7 @@ func TestBatchMatchesSingles(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("batch status %d: %s", rec.Code, rec.Body)
 	}
-	var resp batchResponse
+	var resp membersAnswer
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
