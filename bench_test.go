@@ -368,6 +368,49 @@ func BenchmarkContainsBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkContainsBatchSize separates the static batch path's compute from
+// its memory stalls: the same 1024-key batches of uniformly drawn members on
+// a table small enough to stay in L2 (n=512, 0.4 MiB) and on lcds-server's
+// 26 MiB table (n=32768). The gap between the two ns/key figures is what
+// the cache and TLB misses cost; the small table's figure is the work per
+// key itself.
+func BenchmarkContainsBatchSize(b *testing.B) {
+	const batch, batches = 1024, 64
+	for _, n := range []int{512, 32768} {
+		keys := testKeys(n, 15)
+		r := rng.New(16)
+		qs := make([]uint64, batch*batches)
+		for i := range qs {
+			qs[i] = keys[r.Intn(n)]
+		}
+		d, err := New(keys, WithSeed(15))
+		if err != nil {
+			b.Fatal(err)
+		}
+		out := make([]bool, batch)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			if err := d.ContainsBatch(qs[:batch], out); err != nil { // warm the scratch pool
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % batches * batch
+				if err := d.ContainsBatch(qs[j:j+batch], out); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			for _, ok := range out {
+				if !ok {
+					b.Fatal("lost key")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/key")
+		})
+	}
+}
+
 // BenchmarkDynamicContainsBatchSource prices the query source on the dynamic
 // batch path lcds-server's /batch runs: n=32768, 1024 uniformly drawn member
 // keys per batch, Sample-1 telemetry. source=default is the sharded source

@@ -22,6 +22,22 @@
 // rows of the paper's construction — stores one value per block while
 // still *accounting* for the full s cells of model space. Compact backing
 // changes nothing observable through At/Probe.
+//
+// The dense rows share one backing allocation, the row arena, made at the
+// table's first Set and sized by the rows that are not compact at that
+// point: compact rows never materialize, and HeapCells counts exactly what
+// was allocated. On Linux the arena's 2 MiB-aligned interior is advised
+// for transparent huge pages before its first write, so a probe of a large
+// table costs a cache miss rather than a cache miss plus a page walk; a
+// range declared never written (ColdTail) is kept off huge pages so that it
+// costs no memory.
+//
+// A caller that answers many probes of an all-dense table may read the
+// rows directly through DenseRows, the resolved cell view, but only while
+// nothing observes individual probes (no Recorder, trace or ForwardTo link,
+// and a sink only if the caller tallies for it). A view is not a probe
+// bypass: every probe is still tallied at its step, exactly as ProbeTo
+// would tally it.
 package cellprobe
 
 import (
@@ -40,14 +56,16 @@ type Cell struct {
 // (row, col) following the paper's §2.2 layout, or by flat index
 // row*width + col. The zero column count is invalid; use New.
 type Table struct {
-	rows  int
-	width int
-	dense [][]Cell   // dense[r] allocated on first Set of row r
-	block []blockRow // block[r].values non-nil for compact rows
-	rec   *Recorder
-	trace func(step, cell int)
-	sink  ProbeSink
-	fwd   *forward
+	rows     int
+	width    int
+	arena    []Cell     // backing of the dense rows, allocated on the first Set
+	dense    [][]Cell   // dense[r] is row r's share of arena; nil for compact rows
+	block    []blockRow // block[r].values non-nil for compact rows
+	allDense bool       // arena backs every row (DenseRows may hand them out)
+	rec      *Recorder
+	trace    func(step, cell int)
+	sink     ProbeSink
+	fwd      *forward
 }
 
 // forward re-records this table's probes on a parent table's accounting at
@@ -84,6 +102,9 @@ type blockRow struct {
 }
 
 func (b blockRow) at(col int) Cell {
+	if len(b.values) == 1 {
+		return b.values[0] // a constant row: skip the division
+	}
 	i := col / b.blk
 	if i >= len(b.values) {
 		i = len(b.values) - 1
@@ -92,8 +113,9 @@ func (b blockRow) at(col int) Cell {
 }
 
 // New allocates a table of the given shape with all cells zero. Row storage
-// is allocated lazily on first write, so compact tables never materialize
-// their replicated rows.
+// is allocated on the first Set, for the rows not compact by then, so
+// compact tables never materialize their replicated rows: install compact
+// rows (SetBlockRow) before writing dense ones.
 func New(rows, width int) *Table {
 	if rows < 1 || width < 1 {
 		panic(fmt.Sprintf("cellprobe: invalid table shape %d×%d", rows, width))
@@ -117,11 +139,12 @@ func (t *Table) Width() int { return t.width }
 func (t *Table) Size() int { return t.rows * t.width }
 
 // HeapCells returns the number of Cell values actually allocated — the Go
-// memory footprint (compact rows count one value per block).
+// memory footprint (the row arena plus one value per block of each compact
+// row).
 func (t *Table) HeapCells() int {
-	total := 0
+	total := len(t.arena)
 	for r := 0; r < t.rows; r++ {
-		total += len(t.dense[r]) + len(t.block[r].values)
+		total += len(t.block[r].values)
 	}
 	return total
 }
@@ -154,10 +177,46 @@ func (t *Table) Set(row, col int, c Cell) {
 	if t.block[row].values != nil {
 		panic(fmt.Sprintf("cellprobe: Set on compact row %d", row))
 	}
-	if t.dense[row] == nil {
-		t.dense[row] = make([]Cell, t.width)
+	if t.arena == nil {
+		t.carve()
 	}
 	t.dense[row][col] = c
+}
+
+// carve allocates the row arena for every row not compact at this point and
+// hands each its share.
+func (t *Table) carve() {
+	n := 0
+	for r := 0; r < t.rows; r++ {
+		if t.block[r].values == nil {
+			n++
+		}
+	}
+	t.arena = make([]Cell, n*t.width)
+	adviseHuge(t.arena)
+	t.allDense = n == t.rows
+	for r, lo := 0, 0; r < t.rows; r++ {
+		if t.block[r].values == nil {
+			t.dense[r] = t.arena[lo : lo+t.width : lo+t.width]
+			lo += t.width
+		}
+	}
+}
+
+// ColdTail declares that cells [from, Width) of the dense row will never be
+// written or probed. Called before the first Set, it carves the row arena
+// (see New) and keeps that range off huge pages, so the kernel never faults
+// it in: on a huge-page-backed arena an untouched range is otherwise mapped
+// whole along with the touched cells that share its huge pages. Rows that
+// are compact by then, and ranges too small to span a page, are left as
+// they are.
+func (t *Table) ColdTail(row, from int) {
+	if t.arena == nil {
+		t.carve()
+	}
+	if d := t.dense[row]; from >= 0 && from < len(d) {
+		adviseCold(t.arena, d[from:])
+	}
 }
 
 // SetBlockRow installs a compact backing for a row whose content is
@@ -175,6 +234,7 @@ func (t *Table) SetBlockRow(row int, values []Cell, blk int) {
 		panic(fmt.Sprintf("cellprobe: %d values of block %d do not cover width %d", len(values), blk, t.width))
 	}
 	t.dense[row] = nil
+	t.allDense = false
 	t.block[row] = blockRow{values: values, blk: blk}
 }
 
@@ -213,6 +273,31 @@ func (t *Table) PrefetchCell(row, col int) {
 	}
 	if d := t.dense[row]; d != nil {
 		cpu.Prefetch(unsafe.Pointer(&d[col]))
+	}
+}
+
+// DenseRows returns the table's rows as plain cell slices — the resolved
+// cell view — when every row is dense and no probe observer needs to see
+// individual probes: no Recorder, trace or ForwardTo link is attached, and
+// a sink, if installed, is one the caller tallies for (tallied; see
+// ProbeTo). Otherwise, or before the first Set, it returns nil and probes
+// must go through ProbeTo. A caller reading cell (row, col) through the
+// view as rows[row][col] must count the probe at its step exactly as
+// ProbeTo counts it into a tally, and must not write through the view or
+// keep it beyond the call that took it: dropping it is what lets a retired
+// table be collected.
+func (t *Table) DenseRows(tallied bool) [][]Cell {
+	if !t.allDense || t.rec != nil || t.trace != nil || t.fwd != nil || (t.sink != nil && !tallied) {
+		return nil
+	}
+	return t.dense
+}
+
+// PrefetchRowCell is PrefetchCell for a row taken from DenseRows: it hints
+// row[col] and ignores an out-of-range col.
+func PrefetchRowCell(row []Cell, col int) {
+	if uint(col) < uint(len(row)) {
+		cpu.Prefetch(unsafe.Pointer(&row[col]))
 	}
 }
 

@@ -550,7 +550,12 @@ func (dict *Dict) layoutWith(keys []uint64, ph phSource) error {
 			}
 			tab.SetBlockRow(dict.histRow()+w, hvals, dict.blkG)
 		}
-	} else {
+	}
+	// The perfect-hash row is written, and probed, only on the bucket spans,
+	// which end at pos; declare its tail cold before the first dense write
+	// so that huge pages never fault it in.
+	tab.ColdTail(dict.phRow(), pos)
+	if !dict.compact {
 		for i := 0; i < d; i++ {
 			for j := 0; j < s; j++ {
 				tab.Set(i, j, cellprobe.Cell{Lo: dict.f.Coef[i]})

@@ -95,6 +95,69 @@ type QueryScratch struct {
 	// answered with this scratch draws its replica choices from it after
 	// one draw from a shared rng.Sharded.
 	rs rng.Stream
+
+	// view is the resolved cell view of the call in progress (openView),
+	// empty between calls. spill is the view's tally when none is armed:
+	// counted into, never read by the query path.
+	view  cellView
+	spill []uint64
+}
+
+// cellView is the resolved cell view a call reads its cells through when
+// the table hands its rows out (cellprobe.Table.DenseRows): a probe of cell
+// (row, col) at step is tally[step]++ plus a load of rows[row][col]. An
+// empty view (nil rows) sends every probe through Table.ProbeTo and every
+// prefetch through Table.PrefetchCell.
+type cellView struct {
+	rows  [][]cellprobe.Cell
+	tally []uint64
+}
+
+// openView resets the scratch's view for one ContainsScratch or
+// ContainsWavefront call on dict. It takes the table's rows when the table
+// hands them out and no capture mode is armed (capture records through
+// ProbeTo), and when the armed tally, if any, has a slot for every step
+// (ProbeTo clamps later steps into the last slot; the view does not). The
+// call clears the view again before it returns, so a pooled scratch never
+// keeps a retired table reachable.
+func (sc *QueryScratch) openView(dict *Dict) {
+	sc.view = cellView{}
+	steps := dict.MaxProbes()
+	if sc.capture || sc.batchCap || (sc.tally != nil && len(sc.tally) < steps) {
+		return
+	}
+	rows := dict.tab.DenseRows(sc.tally != nil)
+	if rows == nil {
+		return
+	}
+	tally := sc.tally
+	if tally == nil {
+		if cap(sc.spill) < steps {
+			sc.spill = make([]uint64, steps)
+		}
+		tally = sc.spill[:steps]
+	}
+	sc.view = cellView{rows: rows, tally: tally}
+}
+
+// probe reads cell (row, col) of tab at step: through the view when the
+// call holds one, otherwise as a ProbeTo into the armed tally.
+func (sc *QueryScratch) probe(tab *cellprobe.Table, step, row, col int) cellprobe.Cell {
+	if rows := sc.view.rows; rows != nil {
+		sc.view.tally[step]++
+		return rows[row][col]
+	}
+	return tab.ProbeTo(step, row, col, sc.tally)
+}
+
+// prefetch hints cell (row, col) of tab, through the view when the call
+// holds one.
+func (sc *QueryScratch) prefetch(tab *cellprobe.Table, row, col int) {
+	if rows := sc.view.rows; rows != nil {
+		cellprobe.PrefetchRowCell(rows[row], col)
+		return
+	}
+	tab.PrefetchCell(row, col)
 }
 
 // Source localises r for one query or batch answered with this scratch:
@@ -259,11 +322,13 @@ func (dict *Dict) Contains(x uint64, r rng.Source) (bool, error) {
 // answers interchangeable with sequential ones probe for probe.
 func (dict *Dict) ContainsScratch(x uint64, r rng.Source, sc *QueryScratch) (bool, error) {
 	sc.ensureWave(dict.d, dict.rho, 1)
+	sc.openView(dict)
 	dict.wfAdmitKey(sc, 0, 0, x, sc.Source(r), false)
 	for {
 		done, ans, err := dict.wfStep(sc, 0, false)
 		if done || err != nil {
 			sc.wf[0].stage = wfIdle
+			sc.view = cellView{}
 			return ans, err
 		}
 	}
@@ -280,17 +345,31 @@ func (dict *Dict) wfAdmitKey(sc *QueryScratch, slot, idx int, x uint64, r rng.So
 	d := dict.d
 	s.x, s.idx = x, idx
 	base := slot * 2 * d
-	for i := 0; i < d; i++ {
-		sc.wfCoef[base+2*i] = int32(r.Intn(dict.s))
-		sc.wfCoef[base+2*i+1] = int32(r.Intn(dict.s))
+	coef := sc.wfCoef[base : base+2*d]           // f_i's replica at 2i, g_i's at 2i+1
+	hist := sc.wfHist[slot*dict.rho:][:dict.rho] // one replica per histogram row
+	if st, ok := r.(*rng.Stream); ok {
+		// A localised stream (QueryScratch.Source): the same draws in the
+		// same order, called on the concrete type so each one inlines.
+		for i := range coef {
+			coef[i] = int32(st.Intn(dict.s))
+		}
+		s.kz = st.Intn(dict.blkZ)
+		s.kb = st.Intn(dict.blkG)
+		for w := range hist {
+			hist[w] = int32(st.Intn(dict.blkG))
+		}
+		s.uSpan = st.Uint64()
+	} else {
+		for i := range coef {
+			coef[i] = int32(r.Intn(dict.s))
+		}
+		s.kz = r.Intn(dict.blkZ)
+		s.kb = r.Intn(dict.blkG)
+		for w := range hist {
+			hist[w] = int32(r.Intn(dict.blkG))
+		}
+		s.uSpan = r.Uint64()
 	}
-	s.kz = r.Intn(dict.blkZ)
-	s.kb = r.Intn(dict.blkG)
-	hbase := slot * dict.rho
-	for w := 0; w < dict.rho; w++ {
-		sc.wfHist[hbase+w] = int32(r.Intn(dict.blkG))
-	}
-	s.uSpan = r.Uint64()
 	s.stage = wfCoef
 	s.log = nil
 	if sc.batchCap {
@@ -308,8 +387,8 @@ func (dict *Dict) wfAdmitKey(sc *QueryScratch, slot, idx int, x uint64, r rng.So
 	if pf {
 		tab := dict.tab
 		for i := 0; i < d; i++ {
-			tab.PrefetchCell(i, int(sc.wfCoef[base+2*i]))
-			tab.PrefetchCell(d+i, int(sc.wfCoef[base+2*i+1]))
+			sc.prefetch(tab, i, int(coef[2*i]))
+			sc.prefetch(tab, d+i, int(coef[2*i+1]))
 		}
 	}
 }
@@ -331,8 +410,8 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 		base := slot * 2 * d
 		for i := 0; i < d; i++ {
 			cf, cg := int(sc.wfCoef[base+2*i]), int(sc.wfCoef[base+2*i+1])
-			sc.fc[i] = tab.ProbeTo(i, i, cf, sc.tally).Lo
-			sc.gc[i] = tab.ProbeTo(d+i, d+i, cg, sc.tally).Lo
+			sc.fc[i] = sc.probe(tab, i, i, cf).Lo
+			sc.gc[i] = sc.probe(tab, d+i, d+i, cg).Lo
 			if s.log != nil {
 				logCell(s.log, i, tab.Index(i, cf))
 				logCell(s.log, d+i, tab.Index(d+i, cg))
@@ -342,14 +421,14 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 		s.fsum = hash.EvalFromCoef(sc.fc, uint64(dict.s), s.x)
 		s.col = dict.zReplicaCol(gx, s.kz)
 		if pf {
-			tab.PrefetchCell(dict.zRow(), s.col)
+			sc.prefetch(tab, dict.zRow(), s.col)
 		}
 		s.stage = wfZ
 
 	case wfZ:
 		// Phase 1b: z_{g(x)} (step 2d) completes h(x); the group and the
 		// histogram columns become known.
-		zv := tab.ProbeTo(2*d, dict.zRow(), s.col, sc.tally).Lo
+		zv := sc.probe(tab, 2*d, dict.zRow(), s.col).Lo
 		if s.log != nil {
 			logCell(s.log, 2*d, tab.Index(dict.zRow(), s.col))
 		}
@@ -365,9 +444,9 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 			sc.wfHist[hbase+w] = int32(dict.groupReplicaCol(s.hp, int(sc.wfHist[hbase+w])))
 		}
 		if pf {
-			tab.PrefetchCell(dict.gbasRow(), s.col)
+			sc.prefetch(tab, dict.gbasRow(), s.col)
 			for w := 0; w < dict.rho; w++ {
-				tab.PrefetchCell(dict.histRow()+w, int(sc.wfHist[hbase+w]))
+				sc.prefetch(tab, dict.histRow()+w, int(sc.wfHist[hbase+w]))
 			}
 		}
 		s.stage = wfGroup
@@ -377,7 +456,7 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 		// (steps 2d+2..2d+1+ρ), and the prefix-sum decode to the bucket's
 		// ℓ² cell span.
 		step := 2*d + 1
-		gbas := tab.ProbeTo(step, dict.gbasRow(), s.col, sc.tally).Lo
+		gbas := sc.probe(tab, step, dict.gbasRow(), s.col).Lo
 		if s.log != nil {
 			logCell(s.log, step, tab.Index(dict.gbasRow(), s.col))
 		}
@@ -388,7 +467,7 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 		for w := 0; w < dict.rho; w++ {
 			step++
 			ch := int(sc.wfHist[hbase+w])
-			c := tab.ProbeTo(step, dict.histRow()+w, ch, sc.tally)
+			c := sc.probe(tab, step, dict.histRow()+w, ch)
 			if s.log != nil {
 				logCell(s.log, step, tab.Index(dict.histRow()+w, ch))
 			}
@@ -410,7 +489,7 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 		s.off, s.span = off, span
 		s.col = off + spanIndex(s.uSpan, span)
 		if pf {
-			tab.PrefetchCell(dict.phRow(), s.col)
+			sc.prefetch(tab, dict.phRow(), s.col)
 		}
 		s.stage = wfPH
 
@@ -418,21 +497,21 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 		// Phase 4a: the perfect hash from a random cell of the span
 		// (step 2d+2+ρ).
 		step := 2*d + 2 + dict.rho
-		phc := tab.ProbeTo(step, dict.phRow(), s.col, sc.tally)
+		phc := sc.probe(tab, step, dict.phRow(), s.col)
 		if s.log != nil {
 			logCell(s.log, step, tab.Index(dict.phRow(), s.col))
 		}
 		hstar := hash.Pairwise{A: phc.Lo, B: phc.Hi, M: uint64(s.span)}
 		s.col = s.off + int(hstar.Eval(s.x))
 		if pf {
-			tab.PrefetchCell(dict.dataRow(), s.col)
+			sc.prefetch(tab, dict.dataRow(), s.col)
 		}
 		s.stage = wfData
 
 	case wfData:
 		// Phase 4b: the data cell (step 2d+3+ρ) answers the query.
 		step := 2*d + 3 + dict.rho
-		dc := tab.ProbeTo(step, dict.dataRow(), s.col, sc.tally)
+		dc := sc.probe(tab, step, dict.dataRow(), s.col)
 		if s.log != nil {
 			logCell(s.log, step, tab.Index(dict.dataRow(), s.col))
 		}
@@ -490,6 +569,7 @@ func (dict *Dict) ContainsWavefront(src BatchSource, out []bool, r rng.Source, s
 	r = sc.Source(r)
 	g := dict.batchGroupSize()
 	sc.ensureWave(dict.d, dict.rho, g)
+	sc.openView(dict)
 	for i := 0; i < g; i++ {
 		sc.wf[i].stage = wfIdle
 	}
@@ -509,6 +589,7 @@ func (dict *Dict) ContainsWavefront(src BatchSource, out []bool, r rng.Source, s
 			}
 			done, ans, err := dict.wfStep(sc, i, true)
 			if err != nil {
+				sc.view = cellView{}
 				return err
 			}
 			if !done {
@@ -523,6 +604,7 @@ func (dict *Dict) ContainsWavefront(src BatchSource, out []bool, r rng.Source, s
 			}
 		}
 	}
+	sc.view = cellView{}
 	return nil
 }
 

@@ -150,15 +150,17 @@ func (s *Stream) Uint64() uint64 {
 }
 
 // Intn returns a uniform int in [0, n) with the reduction RNG.Intn and
-// Sharded.Intn use. It panics if n <= 0.
+// Sharded.Intn use (reduce, written out so that the compiler can inline
+// Intn at a call through a concrete *Stream). It panics if n <= 0.
 func (s *Stream) Intn(n int) int {
-	if n <= 0 {
-		panic("rng: Intn with non-positive n")
-	}
 	un := uint64(n)
 	for {
-		if v, ok := reduce(s.Uint64(), un); ok {
-			return int(v)
+		hi, lo := bits.Mul64(s.Uint64(), un)
+		if lo >= un || lo >= -un%un {
+			if n <= 0 {
+				panic("rng: Intn with non-positive n")
+			}
+			return int(hi)
 		}
 	}
 }

@@ -89,12 +89,16 @@ func TestStreamIntnBounds(t *testing.T) {
 			}
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Intn(0) did not panic")
-		}
-	}()
-	s.Intn(0)
+	for _, n := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Intn(%d) did not panic", n)
+				}
+			}()
+			s.Intn(n)
+		}()
+	}
 }
 
 // TestLocalConcurrentSpans localises one Sharded source from many goroutines
