@@ -646,44 +646,36 @@ func BenchmarkDynamicWriterScaling(b *testing.B) {
 	}
 	// Hot-set variants: the same pure-writer storm, but 90% of the churn
 	// lands on a rotating 8-key point mass — the workload where CAS claims
-	// collide hardest. absorb=true runs the two-phase write protocol
-	// (WithWriteAbsorption), absorb=false the plain claim path; the pair is
-	// the benchmark-form of the mixed_hot_* vs mixed_hot_cas_* BENCH fields.
+	// collide hardest; the benchmark form of the mixed_hot_* BENCH fields.
 	for _, g := range benchGoroutineCounts() {
-		for _, absorb := range []bool{false, true} {
-			b.Run(fmt.Sprintf("hot/writers=%d/absorb=%v", g, absorb), func(b *testing.B) {
-				opts := []Option{WithSeed(8)}
-				if absorb {
-					opts = append(opts, WithWriteAbsorption())
-				}
-				d, err := NewDynamic(resident, 0.5, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				drive, err := workload.NewScenario("rotating:8:16384", churn, 9)
-				if err != nil {
-					b.Fatal(err)
-				}
-				runFanOut(b, g, func(seed uint64, n int) {
-					r := rng.New(seed)
-					for i := 0; i < n; i++ {
-						k := drive.Next().Key
-						var err error
-						if r.Intn(2) == 0 {
-							_, err = d.Insert(k)
-						} else {
-							_, err = d.Delete(k)
-						}
-						if err != nil {
-							b.Error(err)
-							return
-						}
+		b.Run(fmt.Sprintf("hot/writers=%d", g), func(b *testing.B) {
+			d, err := NewDynamic(resident, 0.5, WithSeed(8))
+			if err != nil {
+				b.Fatal(err)
+			}
+			drive, err := workload.NewScenario("rotating:8:16384", churn, 9)
+			if err != nil {
+				b.Fatal(err)
+			}
+			runFanOut(b, g, func(seed uint64, n int) {
+				r := rng.New(seed)
+				for i := 0; i < n; i++ {
+					k := drive.Next().Key
+					var err error
+					if r.Intn(2) == 0 {
+						_, err = d.Insert(k)
+					} else {
+						_, err = d.Delete(k)
 					}
-				})
-				b.StopTimer()
-				d.Quiesce()
+					if err != nil {
+						b.Error(err)
+						return
+					}
+				}
 			})
-		}
+			b.StopTimer()
+			d.Quiesce()
+		})
 	}
 }
 

@@ -65,9 +65,7 @@ func TestPerfReportSchema(t *testing.T) {
 		"exact_contention_speedup", "exact_contention_workers",
 		"go_version", "gomaxprocs", "insert_ns_per_op",
 		"max_phi_times_s",
-		"mixed_hot_absorbed_writes", "mixed_hot_cas_retries",
-		"mixed_hot_cas_w1_ops_per_sec", "mixed_hot_cas_w4_ops_per_sec",
-		"mixed_hot_cas_wmax_ops_per_sec",
+		"mixed_hot_cas_retries",
 		"mixed_hot_w1_ops_per_sec", "mixed_hot_w4_ops_per_sec",
 		"mixed_hot_wmax_ops_per_sec",
 		"mixed_w1_ops_per_sec", "mixed_w4_ops_per_sec",

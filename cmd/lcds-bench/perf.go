@@ -82,21 +82,14 @@ type perfReport struct {
 	MixedWMaxWriters   int     `json:"mixed_wmax_writers"`
 
 	// Rotating-hot-set write storm: pure insert/delete churn with 90% of
-	// the ops on a rotating 8-key point mass, the workload two-phase write
-	// absorption exists for. mixed_hot_* runs with WithWriteAbsorption,
-	// mixed_hot_cas_* the identical storm on the plain CAS claim path; the
-	// acceptance contract is absorbed ≥ direct-CAS at every writer count.
-	// mixed_hot_cas_retries counts the absorbed run's claim-CAS retries —
-	// near zero, because hot writes never touch a contended slot — and
-	// mixed_hot_absorbed_writes certifies the overlay actually engaged.
-	MixedHotW1OpsPerSec      float64 `json:"mixed_hot_w1_ops_per_sec"`
-	MixedHotW4OpsPerSec      float64 `json:"mixed_hot_w4_ops_per_sec"`
-	MixedHotWMaxOpsPerSec    float64 `json:"mixed_hot_wmax_ops_per_sec"`
-	MixedHotCasW1OpsPerSec   float64 `json:"mixed_hot_cas_w1_ops_per_sec"`
-	MixedHotCasW4OpsPerSec   float64 `json:"mixed_hot_cas_w4_ops_per_sec"`
-	MixedHotCasWMaxOpsPerSec float64 `json:"mixed_hot_cas_wmax_ops_per_sec"`
-	MixedHotCASRetries       uint64  `json:"mixed_hot_cas_retries"`
-	MixedHotAbsorbedWrites   uint64  `json:"mixed_hot_absorbed_writes"`
+	// the ops on a rotating 8-key point mass, at the same writer counts.
+	// Every write of a key reuses that key's one buffer slot, so hot-key
+	// churn costs no more than the uniform mixed storm above.
+	// mixed_hot_cas_retries sums the claim-CAS races lost over the runs.
+	MixedHotW1OpsPerSec   float64 `json:"mixed_hot_w1_ops_per_sec"`
+	MixedHotW4OpsPerSec   float64 `json:"mixed_hot_w4_ops_per_sec"`
+	MixedHotWMaxOpsPerSec float64 `json:"mixed_hot_wmax_ops_per_sec"`
+	MixedHotCASRetries    uint64  `json:"mixed_hot_cas_retries"`
 
 	// Telemetry overhead, measured only when -telemetry k is given: the
 	// same Contains loop against a dictionary built with
@@ -307,41 +300,25 @@ func runPerfSuite(n int, seed uint64, outPath string, telemetrySample int) error
 		}
 	}
 
-	// Rotating-hot-set write storm, absorbed and direct-CAS.
-	hot := func(workers int, absorb bool) (float64, lcds.DynamicStats, error) {
-		return hotStormOpsPerSec(keys, seed, workers, absorb)
+	// Rotating-hot-set write storm at the same writer counts.
+	hot := func(workers int) (float64, error) {
+		ops, st, err := hotStormOpsPerSec(keys, seed, workers)
+		rep.MixedHotCASRetries += st.WriteCASRetries
+		return ops, err
 	}
-	var hotStats lcds.DynamicStats
-	if rep.MixedHotW1OpsPerSec, hotStats, err = hot(1, true); err != nil {
+	if rep.MixedHotW1OpsPerSec, err = hot(1); err != nil {
 		return err
 	}
-	rep.MixedHotCASRetries = hotStats.WriteCASRetries
-	rep.MixedHotAbsorbedWrites = hotStats.AbsorbedWrites
-	if rep.MixedHotW4OpsPerSec, hotStats, err = hot(4, true); err != nil {
-		return err
-	}
-	rep.MixedHotCASRetries += hotStats.WriteCASRetries
-	rep.MixedHotAbsorbedWrites += hotStats.AbsorbedWrites
-	if rep.MixedHotCasW1OpsPerSec, _, err = hot(1, false); err != nil {
-		return err
-	}
-	if rep.MixedHotCasW4OpsPerSec, _, err = hot(4, false); err != nil {
+	if rep.MixedHotW4OpsPerSec, err = hot(4); err != nil {
 		return err
 	}
 	switch workers {
 	case 1:
 		rep.MixedHotWMaxOpsPerSec = rep.MixedHotW1OpsPerSec
-		rep.MixedHotCasWMaxOpsPerSec = rep.MixedHotCasW1OpsPerSec
 	case 4:
 		rep.MixedHotWMaxOpsPerSec = rep.MixedHotW4OpsPerSec
-		rep.MixedHotCasWMaxOpsPerSec = rep.MixedHotCasW4OpsPerSec
 	default:
-		if rep.MixedHotWMaxOpsPerSec, hotStats, err = hot(workers, true); err != nil {
-			return err
-		}
-		rep.MixedHotCASRetries += hotStats.WriteCASRetries
-		rep.MixedHotAbsorbedWrites += hotStats.AbsorbedWrites
-		if rep.MixedHotCasWMaxOpsPerSec, _, err = hot(workers, false); err != nil {
+		if rep.MixedHotWMaxOpsPerSec, err = hot(workers); err != nil {
 			return err
 		}
 	}
@@ -406,10 +383,9 @@ func runPerfSuite(n int, seed uint64, outPath string, telemetrySample int) error
 		rep.DynamicBatchNsPerKey, rep.DynamicBatchTelemetryNsPerKey, rep.DynamicBatchTelemetryRatio)
 	fmt.Printf("dynamic: insert %.0fns/op, mixed 80r/20w %.0f ops/s (w=1) %.0f ops/s (w=4) %.0f ops/s (w=%d)\n",
 		rep.InsertNsPerOp, rep.MixedW1OpsPerSec, rep.MixedW4OpsPerSec, rep.MixedWMaxOpsPerSec, rep.MixedWMaxWriters)
-	fmt.Printf("hot storm: absorbed %.0f/%.0f/%.0f ops/s vs cas %.0f/%.0f/%.0f ops/s (w=1/4/%d), %d absorbed writes, %d cas retries\n",
+	fmt.Printf("hot storm: %.0f/%.0f/%.0f ops/s (w=1/4/%d), %d cas retries\n",
 		rep.MixedHotW1OpsPerSec, rep.MixedHotW4OpsPerSec, rep.MixedHotWMaxOpsPerSec,
-		rep.MixedHotCasW1OpsPerSec, rep.MixedHotCasW4OpsPerSec, rep.MixedHotCasWMaxOpsPerSec,
-		rep.MixedWMaxWriters, rep.MixedHotAbsorbedWrites, rep.MixedHotCASRetries)
+		rep.MixedWMaxWriters, rep.MixedHotCASRetries)
 	if telemetrySample > 0 {
 		fmt.Printf("telemetry sample=%d: contains %.0fns/op (%.2fx overhead) %.2g allocs/op, maxPhi*n=%.3f, probes/query=%.3f\n",
 			telemetrySample, rep.ContainsTelemetryNsPerOp, rep.TelemetryOverheadRatio,
@@ -521,15 +497,9 @@ func mixedDynamicOpsPerSec(keys []uint64, seed uint64, workers int) (float64, er
 // hotStormOpsPerSec runs the rotating-hot-set write storm — pure 50/50
 // insert/delete churn, 90% of it on a rotating 8-key point mass — with the
 // given writer count, returning aggregate ops/sec and the dictionary's final
-// stats. absorb toggles WithWriteAbsorption, so the absorbed and direct-CAS
-// runs face the identical schedule (same drive seed) and differ only in the
-// write protocol.
-func hotStormOpsPerSec(keys []uint64, seed uint64, workers int, absorb bool) (float64, lcds.DynamicStats, error) {
-	opts := []lcds.Option{lcds.WithSeed(seed)}
-	if absorb {
-		opts = append(opts, lcds.WithWriteAbsorption())
-	}
-	d, err := lcds.NewDynamic(keys, 0, opts...)
+// stats. Every writer count faces the identical schedule (same drive seed).
+func hotStormOpsPerSec(keys []uint64, seed uint64, workers int) (float64, lcds.DynamicStats, error) {
+	d, err := lcds.NewDynamic(keys, 0, lcds.WithSeed(seed))
 	if err != nil {
 		return 0, lcds.DynamicStats{}, err
 	}

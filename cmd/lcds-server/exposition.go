@@ -31,11 +31,6 @@ var requiredMetrics = []string{
 	"lcds_batch_latency_ns",
 	"lcds_events_total",
 	"lcds_events_dropped_total",
-	"lcds_absorbed_writes_total",
-	"lcds_phase_seals_total",
-	"lcds_phase_absorbed_total",
-	"lcds_phase_hot_keys",
-	"lcds_phase_split",
 }
 
 // writeMetrics renders a telemetry snapshot in the Prometheus text
@@ -83,29 +78,9 @@ func writeMetrics(w io.Writer, tel *lcds.Telemetry) {
 	}
 	counter("lcds_events_dropped_total", "Flight-recorder emissions refused on a full ring (counted exactly).", s.Events.Dropped)
 
-	// Two-phase write-absorption series: a header each, then one labeled
-	// sample per shard alongside the rebuild series.
-	header := func(name, help, typ string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	}
-	header("lcds_absorbed_writes_total", "Writes soaked wait-free by split-phase hot-key overlays.", "counter")
-	header("lcds_phase_seals_total", "Write-absorption phase boundaries sealed by epoch rebuilds.", "counter")
-	header("lcds_phase_absorbed_total", "Absorbed operations reconciled into snapshots at phase seals.", "counter")
-	header("lcds_phase_hot_keys", "Hot keys absorbed by the current phase's overlay.", "gauge")
-	header("lcds_phase_split", "1 while the shard runs a split phase (non-empty hot set).", "gauge")
-
 	for _, d := range s.Dynamic {
 		label := fmt.Sprintf("shard=\"%d\"", d.Shard)
 		sh := "{" + label + "}"
-		split := 0
-		if d.SplitPhase {
-			split = 1
-		}
-		fmt.Fprintf(w, "lcds_absorbed_writes_total%s %d\n", sh, d.AbsorbedWrites)
-		fmt.Fprintf(w, "lcds_phase_seals_total%s %d\n", sh, d.PhaseSeals)
-		fmt.Fprintf(w, "lcds_phase_absorbed_total%s %d\n", sh, d.PhaseAbsorbed)
-		fmt.Fprintf(w, "lcds_phase_hot_keys%s %d\n", sh, d.PhaseHotKeys)
-		fmt.Fprintf(w, "lcds_phase_split%s %d\n", sh, split)
 		fmt.Fprintf(w, "lcds_rebuilds_total%s %d\n", sh, d.Rebuilds)
 		fmt.Fprintf(w, "lcds_rebuild_keys_total%s %d\n", sh, d.RebuildKeys)
 		fmt.Fprintf(w, "lcds_rebuild_failures_total%s %d\n", sh, d.RebuildFails)

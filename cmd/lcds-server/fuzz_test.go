@@ -20,7 +20,7 @@ import (
 // dominate the fuzz loop. The fuzz targets never write, so its key set
 // stays workload.MemberKeys(256, 29).
 var fuzzServer = sync.OnceValues(func() (*server, *http.ServeMux) {
-	s, mux, err := newServer(256, 29, 1, 0.1, false, lcds.TelemetryConfig{Sample: 1, TopK: 10})
+	s, mux, err := newServer(256, 29, 1, 0.1, lcds.TelemetryConfig{Sample: 1, TopK: 10})
 	if err != nil {
 		panic(err)
 	}

@@ -76,7 +76,6 @@ type server struct {
 	seed    uint64
 	shards  int
 	epsilon float64
-	absorb  bool
 
 	stats []*endpointStats
 }
@@ -262,7 +261,6 @@ func (s *server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		"seed":    s.seed,
 		"shards":  s.shards,
 		"epsilon": s.epsilon,
-		"absorb":  s.absorb,
 	})
 }
 
@@ -286,7 +284,7 @@ func (s *server) handleIndex(w http.ResponseWriter, r *http.Request) {
 
 // newServer builds the dictionary and the handler mux; split from main so
 // tests and fuzz targets drive the exact production wiring.
-func newServer(n int, seed uint64, shards int, epsilon float64, absorb bool, tel lcds.TelemetryConfig) (*server, *http.ServeMux, error) {
+func newServer(n int, seed uint64, shards int, epsilon float64, tel lcds.TelemetryConfig) (*server, *http.ServeMux, error) {
 	keys := workload.MemberKeys(n, seed)
 	opts := []lcds.Option{
 		lcds.WithSeed(seed),
@@ -295,14 +293,11 @@ func newServer(n int, seed uint64, shards int, epsilon float64, absorb bool, tel
 	if shards > 1 {
 		opts = append(opts, lcds.WithShards(shards))
 	}
-	if absorb {
-		opts = append(opts, lcds.WithWriteAbsorption())
-	}
 	dd, err := lcds.NewDynamic(keys, epsilon, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &server{dd: dd, n: n, seed: seed, shards: shards, epsilon: epsilon, absorb: absorb}
+	s := &server{dd: dd, n: n, seed: seed, shards: shards, epsilon: epsilon}
 
 	contains := newEndpointStats("contains")
 	batch := newEndpointStats("batch")
@@ -363,7 +358,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "construction and key-derivation seed")
 	shards := flag.Int("shards", 1, "shard count (≥ 2 enables the sharded composite)")
 	epsilon := flag.Float64("epsilon", 0.1, "dynamic buffer fraction")
-	absorb := flag.Bool("absorb", false, "enable two-phase write absorption (hot keys soak into split-phase overlays)")
 	sample := flag.Int("sample", 1, "probe sampling rate: count 1 in k probes (rounded to a power of two)")
 	otlpEndpoint := flag.String("otlp", "", "export metrics and flight-recorder spans to this OTLP/HTTP endpoint, e.g. http://localhost:4318 (needs a binary built with -tags otlp)")
 	flag.Parse()
@@ -373,7 +367,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	s, mux, err := newServer(*n, *seed, *shards, *epsilon, *absorb, tel)
+	s, mux, err := newServer(*n, *seed, *shards, *epsilon, tel)
 	if err != nil {
 		fatal(err)
 	}
@@ -388,8 +382,8 @@ func main() {
 	}
 	// The first stdout line is the listen banner: harnesses parse the
 	// address out of it.
-	fmt.Printf("lcds-server: n=%d seed=%d shards=%d absorb=%v, serving http://%s/\n",
-		*n, *seed, *shards, *absorb, ln.Addr())
+	fmt.Printf("lcds-server: n=%d seed=%d shards=%d, serving http://%s/\n",
+		*n, *seed, *shards, ln.Addr())
 	if err := run(ctx, ln, mux); err != nil {
 		fatal(err)
 	}

@@ -25,7 +25,7 @@ var defaultTelemetry = lcds.TelemetryConfig{Sample: 1, TopK: 10}
 
 func newTestMux(t *testing.T, n int, seed uint64) (*server, *http.ServeMux) {
 	t.Helper()
-	s, mux, err := newServer(n, seed, 1, 0.1, false, defaultTelemetry)
+	s, mux, err := newServer(n, seed, 1, 0.1, defaultTelemetry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,8 +282,6 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	requireSeries(t, m,
 		`lcds_rebuilds_total{shard="0"}`,
-		`lcds_absorbed_writes_total{shard="0"}`,
-		`lcds_phase_split{shard="0"}`,
 		`lcds_http_request_ns_count{handler="all"}`)
 }
 
@@ -323,7 +321,7 @@ func insertFresh(t *testing.T, s *server, mux *http.ServeMux, n int, seed uint64
 // TestDynamicExposition: inserts through /insert that overflow the update
 // buffer move the per-shard rebuild series.
 func TestDynamicExposition(t *testing.T) {
-	s, mux, err := newServer(1000, 9, 1, 0.05, false, defaultTelemetry)
+	s, mux, err := newServer(1000, 9, 1, 0.05, defaultTelemetry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,50 +341,11 @@ func TestDynamicExposition(t *testing.T) {
 	}
 }
 
-// TestAbsorbedExposition: on an -absorb server, hot /delete+/insert churn
-// on 4 keys must move the rebuild, absorption and flight-recorder series.
-func TestAbsorbedExposition(t *testing.T) {
-	s, mux, err := newServer(2048, 13, 1, 0.1, true, defaultTelemetry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot := workload.MemberKeys(2048, 13)[:4]
-	for i := 0; i < 4096; i++ {
-		op := "insert"
-		if (i/len(hot))%2 == 0 {
-			op = "delete"
-		}
-		if rec := post(mux, fmt.Sprintf("/%s?key=%d", op, hot[i%len(hot)]), ""); rec.Code != 200 {
-			t.Fatalf("%s: status %d: %s", op, rec.Code, rec.Body)
-		}
-	}
-	s.dd.Quiesce()
-	m := scrape(t, mux)
-	for _, series := range []string{
-		`lcds_rebuilds_total{shard="0"}`,
-		`lcds_absorbed_writes_total{shard="0"}`,
-		`lcds_phase_seals_total{shard="0"}`,
-		`lcds_events_total{type="rebuild_end"}`,
-		`lcds_rebuild_ns{shard="0",quantile="0.999"}`,
-		`lcds_http_requests_total{handler="delete"}`,
-	} {
-		if m[series] == 0 {
-			t.Errorf("%s is zero or missing after hot churn", series)
-		}
-	}
-	requireSeries(t, m,
-		`lcds_writer_pause_ns{shard="0",quantile="0.5"}`,
-		`lcds_delta_high_water{shard="0"}`,
-		`lcds_phase_hot_keys{shard="0"}`,
-		`lcds_phase_split{shard="0"}`,
-		`lcds_events_dropped_total`)
-}
-
 // TestTimelineEndpoint: after inserts that force rebuilds, the server's
 // /debug/timeline pages through the flight recorder by cursor, rejects bad
 // queries with 400, and /metrics counts the recorded events exactly.
 func TestTimelineEndpoint(t *testing.T) {
-	s, mux, err := newServer(1000, 17, 1, 0.05, false, defaultTelemetry)
+	s, mux, err := newServer(1000, 17, 1, 0.05, defaultTelemetry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,13 +522,12 @@ func TestInfoAndHealth(t *testing.T) {
 		Seed    uint64  `json:"seed"`
 		Shards  int     `json:"shards"`
 		Epsilon float64 `json:"epsilon"`
-		Absorb  bool    `json:"absorb"`
 	}
 	rec := get(mux, "/info")
 	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
 		t.Fatal(err)
 	}
-	if info.N != 64 || info.Seed != 23 || info.Shards != 1 || info.Epsilon != 0.1 || info.Absorb {
+	if info.N != 64 || info.Seed != 23 || info.Shards != 1 || info.Epsilon != 0.1 {
 		t.Fatalf("/info answered %+v", info)
 	}
 }

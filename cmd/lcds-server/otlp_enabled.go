@@ -42,7 +42,7 @@ func newOTLPExport(endpoint string, tel *lcds.TelemetryConfig) (*otlpExport, err
 
 // run exports once per interval until ctx is cancelled: the telemetry
 // snapshot as OTLP metrics, the flight recorder's fresh window as spans
-// (rebuilds and split phases, behind a since-cursor so each event exports
+// (rebuilds, behind a since-cursor so each event exports
 // once), and the buffered query spans. Export errors go to stderr and the
 // loop keeps going.
 func (o *otlpExport) run(ctx context.Context, dd *lcds.DynamicDict, every time.Duration) {

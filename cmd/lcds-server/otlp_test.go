@@ -43,7 +43,7 @@ func TestOTLPExport(t *testing.T) {
 	if tel.TraceEvery != otlpTraceEvery || tel.Tracer == nil {
 		t.Fatalf("-otlp left query tracing unset: TraceEvery=%d Tracer=%v", tel.TraceEvery, tel.Tracer)
 	}
-	s, mux, err := newServer(256, 31, 1, 0.1, false, tel)
+	s, mux, err := newServer(256, 31, 1, 0.1, tel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,13 +160,13 @@ func driveScenario(t *testing.T, h http.Handler, sc *workload.Scenario, keys []u
 // sweepScenarios drives every registered scenario against its own fresh
 // server built the way main builds it. wrap, when non-nil, interposes on
 // a scenario's handler.
-func sweepScenarios(t *testing.T, shards int, absorb bool, ops int, wrap func(spec string, h http.Handler) http.Handler) map[string]scenarioRun {
+func sweepScenarios(t *testing.T, shards, ops int, wrap func(spec string, h http.Handler) http.Handler) map[string]scenarioRun {
 	t.Helper()
 	const n, seed = 4096, 1
 	keys := workload.MemberKeys(n, seed)
 	runs := map[string]scenarioRun{}
 	for _, spec := range workload.ScenarioNames() {
-		_, mux, err := newServer(n, seed, shards, 0.1, absorb, defaultTelemetry)
+		_, mux, err := newServer(n, seed, shards, 0.1, defaultTelemetry)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,18 +205,17 @@ func sweepProblems(runs map[string]scenarioRun) []string {
 
 // TestServiceScenarios drives every registered scenario, writes included,
 // through the real mux over a loopback listener, for the default server
-// and for a 4-shard server with write absorption, and checks every answer.
+// and for a 4-shard server, and checks every answer.
 func TestServiceScenarios(t *testing.T) {
 	for _, cfg := range []struct {
 		name   string
 		shards int
-		absorb bool
 	}{
-		{"default", 1, false},
-		{"shards4-absorb", 4, true},
+		{"default", 1},
+		{"shards4", 4},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			runs := sweepScenarios(t, cfg.shards, cfg.absorb, 4000, nil)
+			runs := sweepScenarios(t, cfg.shards, 4000, nil)
 			for _, spec := range workload.ScenarioNames() {
 				r := runs[spec]
 				t.Logf("%-16s ops=%d errors=%d p99=%v", spec, r.ops, r.errs, r.p99)
@@ -258,7 +257,7 @@ func flipAnswer(h http.Handler, nth int64) http.Handler {
 // failed op, and nothing else may.
 func TestServiceScenariosPlantedFault(t *testing.T) {
 	planted := map[string]bool{"uniform": true, "flood": true}
-	runs := sweepScenarios(t, 1, false, 200, func(spec string, h http.Handler) http.Handler {
+	runs := sweepScenarios(t, 1, 200, func(spec string, h http.Handler) http.Handler {
 		if planted[spec] {
 			return flipAnswer(h, 50)
 		}

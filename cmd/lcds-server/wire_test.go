@@ -205,7 +205,7 @@ func TestBatchCodecZeroAlloc(t *testing.T) {
 // benchmarks it gives the handler's self cost.
 func BenchmarkBatchHandler(b *testing.B) {
 	const n, seed, batch = 32768, 47, 1024
-	_, mux, err := newServer(n, seed, 1, 0.1, false, defaultTelemetry)
+	_, mux, err := newServer(n, seed, 1, 0.1, defaultTelemetry)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -23,20 +23,14 @@ import (
 // they load the current epoch — an immutable (static snapshot, update
 // buffer) pair published through an atomic pointer — and probe it without
 // writing any shared cache line. Insert and Delete are lock-free on the
-// fast path too: writers claim buffer slots directly with CAS (a monotone
-// empty → inserted/deleted → vacated state machine per packed slot word),
-// so update throughput scales with writer goroutines; the internal mutex is
+// fast path too: writers claim buffer slots directly with CAS (one packed
+// slot word per key and epoch, reused for every write of that key), so
+// update throughput scales with writer goroutines; the internal mutex is
 // taken only to coordinate epoch transitions. The ε·n global rebuild runs
 // in a background goroutine while the old epoch stays readable, so readers
 // never stall behind it; writers racing a rebuild either land in a
 // mutex-serialized delta log that is replayed before the epoch swap, or
 // retry against the freshly published epoch.
-//
-// With WithWriteAbsorption the dictionary additionally runs the two-phase
-// write protocol: keys the classifier detects as hot are absorbed wait-free
-// by a per-epoch overlay (split phase) instead of fighting over buffer
-// slots, and reconcile into the next snapshot at the phase boundary. See
-// Stats for the absorbed-write and phase figures.
 type DynamicDict struct {
 	inner   *dynamic.Dict      // unsharded (nil when sharded)
 	sharded *shard.DynamicDict // P-way composite (nil when unsharded)
@@ -46,7 +40,7 @@ type DynamicDict struct {
 	// probe/step counters, latency histograms and per-shard rebuild metrics,
 	// but no per-cell Φ̂ vector.
 	tel *telemetry.Telemetry
-	// events is the flight recorder the rebuild/phase lifecycle emits into:
+	// events is the flight recorder the rebuild lifecycle emits into:
 	// WithEventLog's log, or the telemetry layer's always-on log when only
 	// WithTelemetry was used. Never consulted on the query path.
 	events  *events.Log
@@ -87,20 +81,14 @@ func NewDynamic(initial []uint64, bufferFrac float64, opts ...Option) (*DynamicD
 	d := &DynamicDict{src: cfg.o.querySource(), tel: tel, events: elog}
 	d.scratch.New = func() any { return new(core.QueryScratch) }
 	if cfg.o.shards > 1 {
-		// Each shard gets its own metrics slot and — with WithWriteAbsorption
-		// — its own hot-key classifier, because shards seal and reconcile
-		// phases independently. All shards share one flight recorder; the
-		// shard hook labels their events with the shard index.
+		// Each shard gets its own metrics slot, because shards rebuild
+		// independently. All shards share one flight recorder; the shard
+		// hook labels their events with the shard index.
 		configure := func(i int, sp *dynamic.Params) {
 			if tel != nil {
 				sp.Metrics = tel.DynamicShard(i)
 			}
 			sp.Events = elog
-			if cfg.o.absorb {
-				hc := telemetry.NewHotKeyClassifier(telemetry.HotKeyConfig{})
-				hc.SetEventLog(elog, i)
-				sp.Hot = hc
-			}
 		}
 		sharded, err := shard.NewDynamicWithHooks(initial, cfg.o.shards, params, cfg.o.seed, configure)
 		if err != nil {
@@ -113,11 +101,6 @@ func NewDynamic(initial []uint64, bufferFrac float64, opts ...Option) (*DynamicD
 		params.Metrics = tel.DynamicShard(0)
 	}
 	params.Events = elog
-	if cfg.o.absorb {
-		hc := telemetry.NewHotKeyClassifier(telemetry.HotKeyConfig{})
-		hc.SetEventLog(elog, 0)
-		params.Hot = hc
-	}
 	inner, err := dynamic.New(initial, params, cfg.o.seed)
 	if err != nil {
 		return nil, err
@@ -273,10 +256,6 @@ type DynamicStats struct {
 	ReadProbes      uint64 // probes issued by Contains/ContainsBatch (static probes counted at MaxProbes)
 	WriteProbes     uint64 // probes + slot writes issued by the claim path
 	WriteCASRetries uint64 // claim CASes lost to racing writers
-	AbsorbedWrites  uint64 // writes soaked by split-phase overlays
-	PhaseSeals      int    // phase boundaries sealed (absorption enabled)
-	HotKeys         int    // absorbed-hot keys across current epochs
-	SplitPhase      bool   // whether any shard currently runs a split phase
 }
 
 // Stats reads the dictionary's dynamic statistics (summed over shards).
@@ -295,10 +274,6 @@ func (d *DynamicDict) Stats() DynamicStats {
 		ReadProbes:      st.ReadProbes,
 		WriteProbes:     st.WriteProbes,
 		WriteCASRetries: st.WriteCASRetries,
-		AbsorbedWrites:  st.AbsorbedWrites,
-		PhaseSeals:      st.PhaseSeals,
-		HotKeys:         st.HotKeys,
-		SplitPhase:      st.SplitPhase,
 	}
 }
 

@@ -75,15 +75,13 @@ func TestEventLogTelemetryImplied(t *testing.T) {
 
 // checkTimelineCoherence asserts the structural invariants of a drained
 // timeline: per shard, every RebuildStart is balanced by a RebuildEnd (after
-// Quiesce), epochs never decrease, PhaseSplit and PhaseJoined strictly
-// alternate, and OverflowDropped entries account for the log's drop counter
-// exactly. It returns the per-type totals observed.
+// Quiesce), epochs never decrease, and OverflowDropped entries account for
+// the log's drop counter exactly. It returns the per-type totals observed.
 func checkTimelineCoherence(t *testing.T, evs []Event, log *EventLog) map[EventType]int {
 	t.Helper()
 	starts := map[int32]int{}
 	ends := map[int32]int{}
 	lastEpoch := map[int32]uint64{}
-	split := map[int32]bool{}
 	counts := map[EventType]int{}
 	var droppedTotal, lastSeq uint64
 	for _, ev := range evs {
@@ -104,19 +102,6 @@ func checkTimelineCoherence(t *testing.T, evs []Event, log *EventLog) map[EventT
 				t.Fatalf("unexpected failed rebuild: %+v", ev)
 			}
 			ends[ev.Shard]++
-		case EventPhaseSplit:
-			if split[ev.Shard] {
-				t.Fatalf("shard %d split twice without a join", ev.Shard)
-			}
-			split[ev.Shard] = true
-			if ev.B == 0 {
-				t.Fatalf("PhaseSplit with empty hot set: %+v", ev)
-			}
-		case EventPhaseJoined:
-			if !split[ev.Shard] {
-				t.Fatalf("shard %d joined without a split", ev.Shard)
-			}
-			split[ev.Shard] = false
 		case EventOverflowDropped:
 			droppedTotal = ev.B
 		}
@@ -133,16 +118,16 @@ func checkTimelineCoherence(t *testing.T, evs []Event, log *EventLog) map[EventT
 }
 
 // TestEventLogDynamicTimeline churns a dynamic dictionary (unsharded,
-// sharded, and with write absorption under GOMAXPROCS concurrent writers)
-// and checks the recorded timeline is coherent: sealed epochs, balanced
-// rebuilds, shard labels within range.
+// sharded, and under GOMAXPROCS concurrent writers) and checks the recorded
+// timeline is coherent: sealed epochs, balanced rebuilds, shard labels
+// within range.
 func TestEventLogDynamicTimeline(t *testing.T) {
 	for _, tc := range []struct {
 		shards int
-		// absorb turns on write absorption and replaces the serial churn
-		// with hot churn on one key, then GOMAXPROCS writers, each flipping
-		// a disjoint fresh-key block for 8 rounds.
-		absorb bool
+		// concurrent replaces the serial churn with hot churn on one key,
+		// then GOMAXPROCS writers, each flipping a disjoint fresh-key block
+		// for 8 rounds.
+		concurrent bool
 	}{{1, false}, {4, false}, {1, true}} {
 		shards := tc.shards
 		keys := testKeys(1200, 64)
@@ -150,16 +135,13 @@ func TestEventLogDynamicTimeline(t *testing.T) {
 		if shards > 1 {
 			opts = append(opts, WithShards(shards))
 		}
-		if tc.absorb {
-			opts = append(opts, WithWriteAbsorption())
-		}
 		d, err := NewDynamic(keys[:600], 0.1, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tc.absorb {
-			// Hot churn on one key opens a split phase first; the
-			// concurrent flips then run through it and its seals.
+		if tc.concurrent {
+			// Hot churn on one key reuses its one buffer slot; the
+			// concurrent flips then fill the buffer through rebuild seals.
 			for i := 0; i < 4096 && err == nil; i++ {
 				if i%2 == 0 {
 					_, err = d.Delete(keys[0])
@@ -197,9 +179,6 @@ func TestEventLogDynamicTimeline(t *testing.T) {
 		}
 		if counts[EventEpochSealed] == 0 {
 			t.Fatalf("shards=%d: no sealed epochs recorded", shards)
-		}
-		if tc.absorb && counts[EventPhaseSplit] == 0 {
-			t.Fatal("hot churn with absorption recorded no split phase")
 		}
 		if shards > 1 && counts[EventShardRebuild] == 0 {
 			t.Fatal("sharded dictionary recorded no ShardRebuild events")
@@ -247,58 +226,4 @@ func flipConcurrently(t *testing.T, d *DynamicDict, fresh []uint64, rounds int) 
 		}(fresh[w*block : (w+1)*block])
 	}
 	wg.Wait()
-}
-
-// TestEventLogAbsorptionPhases hammers hot keys on an absorbing dictionary
-// until phases split, then lets them cool, and checks the split/join
-// transitions and hot-key promotions appear on the timeline with hashed
-// payloads.
-func TestEventLogAbsorptionPhases(t *testing.T) {
-	keys := testKeys(600, 65)
-	d, err := NewDynamic(keys, 0.1, WithSeed(65), WithWriteAbsorption(),
-		WithEventLog(EventLogConfig{TimelineCapacity: 1 << 14}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot := keys[0]
-	// Phase 1: concentrate churn on one key until it is promoted.
-	for i := 0; i < 6000 && !d.Stats().SplitPhase; i++ {
-		if _, err := d.Delete(hot); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.Insert(hot); err != nil {
-			t.Fatal(err)
-		}
-		if i%50 == 0 {
-			d.Quiesce()
-		}
-	}
-	d.Quiesce()
-	if !d.Stats().SplitPhase {
-		t.Skip("hot key never promoted under this schedule")
-	}
-	// Phase 2: cool traffic until the phase joins again.
-	for i := 1; i < 4000 && d.Stats().SplitPhase; i++ {
-		k := keys[i%len(keys)]
-		if _, err := d.Insert(k); err != nil {
-			t.Fatal(err)
-		}
-		if i%50 == 0 {
-			d.Quiesce()
-		}
-	}
-	d.Quiesce()
-	evs, _ := d.Timeline(0, 1<<20)
-	counts := checkTimelineCoherence(t, evs, d.EventLog())
-	if counts[EventPhaseSplit] == 0 {
-		t.Fatal("no PhaseSplit recorded despite a split phase")
-	}
-	if counts[EventHotKeyPromoted] == 0 {
-		t.Fatal("no HotKeyPromoted recorded")
-	}
-	for _, ev := range evs {
-		if ev.Type == EventHotKeyPromoted && ev.A == hot {
-			t.Fatal("promotion event leaked the raw key")
-		}
-	}
 }

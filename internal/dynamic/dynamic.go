@@ -24,20 +24,26 @@
 // and the buffer's slot words are single atomic loads.
 //
 // Writers are lock-free on the fast path. Each buffer slot is one packed
-// (tag, key) word driven through a monotone state machine by CAS — the
-// claim-slot protocol of lock-free linear probing (Attiya–Oshman–Schiller):
+// (tag, key) word driven through a state machine by CAS — the claim-slot
+// protocol of lock-free linear probing (Attiya–Oshman–Schiller). For a key x
+// outside the snapshot, and for a snapshot key x, the slot's word moves as
 //
-//	empty ──CAS──▶ inserted(x) ──CAS──▶ vacated(x)
-//	empty ──CAS──▶ deleted(x)  ──CAS──▶ vacated(x)
+//	empty ──CAS──▶ inserted(x) ◀──CAS──▶ vacated(x)
+//	empty ──CAS──▶ deleted(x)  ◀──CAS──▶ vacated(x)
 //
-// A slot word changes at most twice per epoch and never returns to a prior
-// state, so there is no ABA problem: a writer that loses a CAS re-reads the
-// slot, and the new word tells it exactly what happened (its own key won the
-// race, or another key claimed the slot and the probe chain continues).
-// Tombstones (deleted) mark snapshot keys as removed; vacated slots keep
-// probe chains intact and are never reused within an epoch. Occupancy is an
-// atomic counter that writers pre-reserve before claiming an empty slot, so
-// the buffer's load factor stays ≤ 1/2 without any lock.
+// Tombstones (deleted) mark snapshot keys as removed; vacated(x) means "x is
+// as the snapshot says". A slot never becomes empty again and never changes
+// key, so x holds at most one slot per epoch: the first slot of its chain
+// that is empty or holds x. Every writer of x meets at that slot and its CAS
+// serialises them; every later write of x reuses it, so churn on one key
+// never lengthens a chain. The slot can cycle vacated(x) → inserted(x) →
+// vacated(x), and a CAS may succeed against an equal word after writes in
+// between, but that is harmless: the word plus the epoch's frozen snapshot
+// set is all a write's decision depends on (see claim). Occupancy counts
+// claimed slots, live or vacated; writers pre-reserve it before claiming an
+// empty slot, so the buffer's load factor stays ≤ 1/2 without any lock.
+// Vacated slots of other keys still lengthen the chains that run past them,
+// which is why they keep counting toward the rebuild threshold.
 //
 // The writer mutex survives only to serialize epoch transitions: rebuild
 // publication and delta-log replay. The hand-off is fenced by epoch-scoped
@@ -60,25 +66,6 @@
 // lines — update throughput scales with writer goroutines instead of
 // flat-lining on a mutex.
 //
-// # Two-phase write absorption
-//
-// A skewed write storm defeats the claim path anyway: every writer of the
-// same hot key converges on the same slot words and the CAS loop degenerates
-// into a retry convoy while churned slots burn buffer capacity. With a
-// non-nil Params.Hot the dictionary runs a two-phase protocol (Doppel-style
-// phase reconciliation; see absorb.go): epochs whose classifier promoted
-// keys run a *split* phase, in which writes to those keys bypass the buffer
-// entirely — a wait-free Swap on the key's padded committed-state word plus
-// a per-core delta-log append — and epochs without hot keys run today's
-// *joined* phase unchanged. Contains consults the epoch's hot-key index
-// before the buffer walk, so absorbed writes are visible to readers
-// mid-phase. Phase boundaries coincide with rebuilds: the seal fence also
-// quiesces the absorber, the snapshot scan folds each hot key's final state
-// (last write wins, in phase-seal order) into the next key set, and the
-// classifier reclassifies before the next epoch publishes. With Params.Hot
-// nil (the default) none of this machinery exists and the update sequence
-// is bit-identical to the pure claim-slot implementation.
-//
 // Read contention stays within a constant of the static dictionary's: the
 // buffer's parameter row is replicated and its slot probes are spread by
 // hashing. Update contention is the interesting quantity the paper asks
@@ -86,8 +73,8 @@
 // package counts read and write probes separately (Stats.ReadProbes,
 // Stats.WriteProbes) so experiment X1 can quantify exactly that. With
 // Params.SyncRebuild and a single writer the whole update sequence is
-// deterministic: no CAS is ever contended and the probe accounting is
-// bit-identical to the historical mutex implementation.
+// deterministic: no CAS is ever contended, so the probe accounting is the
+// same on every run.
 package dynamic
 
 import (
@@ -173,16 +160,9 @@ type Params struct {
 	// the buffered-delta depth, and the per-claim probe/CAS-retry counts of
 	// the lock-free write path.
 	Metrics Metrics
-	// Hot, when non-nil, enables two-phase write absorption: the classifier
-	// observes every claim walk, signals promotion pressure, and is asked to
-	// reclassify the hot set at each phase boundary (rebuild). Nil — the
-	// default — keeps the pure claim-slot protocol, bit-identical to
-	// absorption-free builds.
-	Hot HotClassifier
 	// Events, when non-nil, receives the structured flight-recorder events
 	// of the epoch life cycle: EpochSealed at the rebuild fence,
-	// RebuildStart/RebuildEnd around each construction, and PhaseSplit/
-	// PhaseJoined at write-absorption phase transitions. Emission is
+	// and RebuildStart/RebuildEnd around each construction. Emission is
 	// lock-free and never blocks the rebuild path.
 	Events *events.Log
 	// EventShard labels emitted events with this shard index (the sharded
@@ -208,15 +188,6 @@ type Metrics interface {
 	// WriteClaim records one completed claim walk: the probes it issued and
 	// the CAS races it lost along the way.
 	WriteClaim(probes, casRetries uint64)
-	// WriteAbsorbed records one write soaked by the split-phase overlay
-	// instead of the claim path. Called lock-free, like WriteClaim.
-	WriteAbsorbed()
-	// PhaseSealed records one phase boundary: the sealed phase's hot-set
-	// size and the operations its absorber soaked.
-	PhaseSealed(hotKeys int, absorbedOps uint64)
-	// SetPhase publishes the freshly published epoch's hot-set size
-	// (0 = joined phase).
-	SetPhase(hotKeys int)
 }
 
 // emit records one flight-recorder event when a log is attached. Emission
@@ -277,10 +248,6 @@ type Stats struct {
 	WriteCASRetries uint64 // claim CASes lost to a racing writer (0 single-writer)
 	RebuildCells    int    // cells written by the last rebuild
 	StaticHashTries int    // hash draws of the last rebuild
-	AbsorbedWrites  uint64 // writes soaked by split-phase overlays (all phases)
-	PhaseSeals      int    // phase boundaries sealed with absorption enabled
-	HotKeys         int    // absorbed-hot keys in the current epoch
-	SplitPhase      bool   // whether the current epoch runs a split phase
 }
 
 // buffer is the update buffer of one epoch: an open-addressing table whose
@@ -323,8 +290,10 @@ func (b *buffer) seal() {
 	}
 }
 
-// find walks the probe chain for x. It returns the slot holding x
-// (found=true) or the first empty slot (found=false). Probes are recorded
+// find walks the probe chain for x. It returns x's slot whatever its tag
+// (found=true; vacated means "answer from the snapshot") or the first empty
+// slot (found=false). x holds at most one slot per epoch (see claim), so the
+// walk is as short as x's chain, however often x churned. Probes are recorded
 // at steps 1, 2, ... on the accounting table; callers already probed the
 // parameter row at step 0. A non-nil tally counts the probes in place of
 // the sink, like params.
@@ -338,7 +307,7 @@ func (b *buffer) find(x uint64, h hash.Pairwise, tally []uint64) (slot int, tag 
 		switch {
 		case t == slotEmpty:
 			return p, slotEmpty, false, probes, nil
-		case k == x && t != slotVacated:
+		case k == x:
 			return p, t, true, probes, nil
 		}
 		p = (p + 1) % b.width
@@ -355,12 +324,6 @@ type epoch struct {
 	buf      *buffer
 	baseKeys []uint64        // the snapshot's keys, in build order
 	baseSet  map[uint64]bool // the same keys, for O(1) membership checks
-	// hot is the epoch's split-phase absorber, or nil in a joined phase.
-	// Like the rest of the epoch it is frozen (index and key set) before
-	// publication; only its entries' committed-state words and per-core
-	// logs mutate during the phase, under the same writer fence as the
-	// buffer slots.
-	hot *absorber
 }
 
 // update is one buffered operation, logged for replay when a background
@@ -404,10 +367,9 @@ type Dict struct {
 	readProbes  *cellprobe.StripedCounter
 	writeProbes *cellprobe.StripedCounter
 	casRetries  *cellprobe.StripedCounter
-	absorbed    *cellprobe.StripedCounter // writes soaked by split-phase overlays
-	updates     atomic.Int64              // state-changing Insert/Delete calls
-	scratch     sync.Pool                 // *core.QueryScratch reused across Contains calls
-	batch       sync.Pool                 // *batchState reused across ContainsBatch calls
+	updates     atomic.Int64 // state-changing Insert/Delete calls
+	scratch     sync.Pool    // *core.QueryScratch reused across Contains calls
+	batch       sync.Pool    // *batchState reused across ContainsBatch calls
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -433,7 +395,6 @@ func New(initial []uint64, p Params, seed uint64) (*Dict, error) {
 		readProbes:  cellprobe.NewStripedCounter(),
 		writeProbes: cellprobe.NewStripedCounter(),
 		casRetries:  cellprobe.NewStripedCounter(),
-		absorbed:    cellprobe.NewStripedCounter(),
 	}
 	if ts, ok := p.Sink.(tallySink); ok && ts.TallyLen() > 0 {
 		d.tally = ts
@@ -512,11 +473,7 @@ func (d *Dict) newBuffer(n, ep int) *buffer {
 
 // snapshotKeys derives the current key set from an epoch whose buffer has
 // been sealed and drained: the snapshot's keys minus tombstones, plus the
-// buffer's live inserts, reconciled with the absorber's per-key final
-// states (last write wins, in phase-seal order). Hot keys never hold
-// buffer entries within their own epoch — the absorbed path bypasses the
-// claim protocol — so the two sources never conflict. The order (base
-// order, then slot order, then absorbed extras in seed order) is
+// buffer's live inserts. The order (base order, then slot order) is
 // deterministic given a deterministic update sequence. Callers hold d.mu.
 func snapshotKeys(e *epoch) []uint64 {
 	var inserted []uint64
@@ -530,25 +487,13 @@ func snapshotKeys(e *epoch) []uint64 {
 			deleted[key] = true
 		}
 	}
-	var absorbedIn []uint64
-	if e.hot != nil {
-		e.hot.finalStates(func(key uint64, present bool) {
-			switch {
-			case present && !e.baseSet[key]:
-				absorbedIn = append(absorbedIn, key)
-			case !present && e.baseSet[key]:
-				deleted[key] = true
-			}
-		})
-	}
-	keys := make([]uint64, 0, len(e.baseKeys)+len(inserted)+len(absorbedIn))
+	keys := make([]uint64, 0, len(e.baseKeys)+len(inserted))
 	for _, k := range e.baseKeys {
 		if !deleted[k] {
 			keys = append(keys, k)
 		}
 	}
-	keys = append(keys, inserted...)
-	return append(keys, absorbedIn...)
+	return append(keys, inserted...)
 }
 
 // startRebuild seals the current buffer, snapshots the key set and kicks off
@@ -561,22 +506,9 @@ func (d *Dict) startRebuild() {
 	// Fence: after seal returns, no lock-free writer is inside the buffer
 	// and none will enter again, so the slot scan below observes every
 	// committed claim. Later writers divert to the mutex path and land in
-	// the delta log. The same fence covers the absorber: its state words
-	// and logs are only touched between the writer count's increment and
-	// decrement, so the scan reads each hot key's final (phase-seal-order
-	// last) write.
+	// the delta log.
 	e.buf.seal()
 	d.emit(events.EpochSealed, uint64(ep), uint64(e.buf.buffered.Load()), 0)
-	if d.p.Hot != nil {
-		hotKeys, absorbedOps := 0, uint64(0)
-		if e.hot != nil {
-			hotKeys, absorbedOps = len(e.hot.keys), e.hot.ops()
-		}
-		d.stats.PhaseSeals++
-		if d.p.Metrics != nil {
-			d.p.Metrics.PhaseSealed(hotKeys, absorbedOps)
-		}
-	}
 	keys := snapshotKeys(e)
 	d.delta = nil
 	started := time.Now()
@@ -614,31 +546,14 @@ func (d *Dict) finishRebuild(base *core.Dict, err error, ep int, keys []uint64, 
 		set[k] = true
 	}
 	ne := &epoch{base: base, buf: d.newBuffer(n, ep), baseKeys: keys, baseSet: set}
-	if d.p.Hot != nil {
-		// Phase boundary: reclassify the hot set from the sealed phase's
-		// per-key absorbed-write counts, then seed the next absorber with
-		// each hot key's membership in the snapshot just built. Promotion
-		// and demotion happen only here — the published index is immutable —
-		// so an in-flight writer can never claim a buffer slot for a key
-		// the snapshot scan would also read from the overlay.
-		var current []uint64
-		writes := func(uint64) uint64 { return 0 }
-		if old := d.cur.Load(); old != nil && old.hot != nil {
-			current = old.hot.keys
-			writes = old.hot.writesOf
-		}
-		if hot := d.p.Hot.Reclassify(current, writes); len(hot) > 0 {
-			ne.hot = newAbsorber(hot, func(k uint64) bool { return set[k] }, 0)
-		}
-	}
 	// Replay the delta in log order. The ops were serialized by d.mu against
 	// the sealed old buffer, so replaying them one by one reconstructs the
 	// same membership on the new epoch; replay may exceed the hard cap (the
 	// trailing threshold check below rebuilds again rather than lose an op).
-	// Ops on keys hot in the new epoch route to its overlay instead of the
-	// buffer, keeping the no-buffer-entries invariant for hot keys.
+	// The ops were already committed and counted when they first ran against
+	// the sealed old epoch; ne is not yet published, so nothing races them.
 	for _, u := range d.delta {
-		if cerr := d.applyReplay(ne, u); cerr != nil {
+		if _, cerr := d.claim(ne, u.key, u.del, ne.buf.width); cerr != nil {
 			d.rebuildErr = fmt.Errorf("dynamic: rebuild %d replay: %w", ep, cerr)
 			return
 		}
@@ -654,36 +569,11 @@ func (d *Dict) finishRebuild(base *core.Dict, err error, ep int, keys []uint64, 
 	if d.p.Metrics != nil {
 		d.p.Metrics.RebuildDone(n, durNs)
 		d.p.Metrics.SetDeltaDepth(int(ne.buf.buffered.Load()))
-		if d.p.Hot != nil {
-			hotKeys := 0
-			if ne.hot != nil {
-				hotKeys = len(ne.hot.keys)
-			}
-			d.p.Metrics.SetPhase(hotKeys)
-		}
-	}
-	// Phase transitions are derived from the published states on either side
-	// of the swap, so PhaseSplit and PhaseJoined strictly alternate per
-	// dictionary (a split epoch followed by another split epoch is not a
-	// transition).
-	prevHot := 0
-	if old := d.cur.Load(); old != nil && old.hot != nil {
-		prevHot = len(old.hot.keys)
 	}
 	d.cur.Store(ne)
 	d.emit(events.RebuildEnd, uint64(ep), uint64(n), uint64(durNs))
 	if d.p.ShardEvents {
 		d.emit(events.ShardRebuild, uint64(ep), uint64(n), uint64(durNs))
-	}
-	newHot := 0
-	if ne.hot != nil {
-		newHot = len(ne.hot.keys)
-	}
-	switch {
-	case newHot > 0 && prevHot == 0:
-		d.emit(events.PhaseSplit, uint64(ep), uint64(newHot), 0)
-	case newHot == 0 && prevHot > 0:
-		d.emit(events.PhaseJoined, uint64(ep), 0, 0)
 	}
 	d.stats.Epoch = ep
 	d.stats.SnapshotN = n
@@ -697,27 +587,27 @@ func (d *Dict) finishRebuild(base *core.Dict, err error, ep int, keys []uint64, 
 	}
 }
 
-// applyReplay re-applies one delta-logged operation to the epoch being
-// built: keys hot in the new epoch land in its overlay (the op was already
-// committed and counted when it first ran against the sealed old epoch),
-// everything else claims a buffer slot. Callers hold d.mu; ne is not yet
-// published, so there is no concurrency to fence.
-func (d *Dict) applyReplay(ne *epoch, u update) error {
-	if h := ne.hot; h != nil {
-		if ent := h.entry(u.key); ent != nil {
-			h.absorb(ent, u.del)
-			return nil
-		}
-	}
-	_, err := d.claim(ne, u.key, u.del, ne.buf.width)
-	return err
-}
-
 // claim walks x's probe chain in e's buffer and publishes one update by CAS
 // — the lock-free write path. capLimit bounds the occupancy a fresh claim
 // may reach (hardCap for live writers, the full width for delta replay).
 // It is safe for any number of concurrent callers on an unsealed buffer;
 // the rebuild fence (writer accounting) is the caller's responsibility.
+//
+// x's slot is the first slot of its chain that is empty or holds x, and it
+// is reused for every write of x within the epoch, so churn on one key never
+// lengthens a chain. Why one CAS on that slot is a linearizable write:
+//
+//  1. x holds at most one slot per epoch. Slots never become empty again and
+//     a claimed slot never changes key, so every slot before x's slot in the
+//     chain holds another key for the rest of the epoch, and the walk stops
+//     at the same slot every time.
+//  2. Every writer of x therefore meets at that slot, and its CAS serialises
+//     them: a loser re-reads the word and decides again on what won.
+//  3. The slot may cycle vacated(x) → inserted(x) → vacated(x), so a CAS can
+//     succeed against a word equal to the one it read even though other
+//     writes landed in between. That is still right: the new word depends
+//     only on the word read and on the epoch's frozen baseSet, and the word
+//     alone (with baseSet) is x's membership.
 func (d *Dict) claim(e *epoch, x uint64, del bool, capLimit int) (claimOutcome, error) {
 	b := e.buf
 	seed := d.seed ^ x
@@ -733,6 +623,7 @@ func (d *Dict) claim(e *epoch, x uint64, del bool, capLimit int) (claimOutcome, 
 	var retries uint64
 	outcome := claimNoChange
 	var err error
+	inBase := e.baseSet[x]
 
 	p := int(h.Eval(x))
 walk:
@@ -744,80 +635,65 @@ walk:
 		b.acct.ProbeTo(step, bufSlotRow, p, unsunk[:])
 		w := b.slots[p].Load()
 		probes++
-	slot:
 		for {
 			tag, key := unpackSlot(w)
-			switch {
-			case tag == slotEmpty:
-				// End of the chain: x has no live entry. The membership
-				// verdict now rests on the immutable snapshot set.
-				if del != e.baseSet[x] {
-					// Insert of a snapshot key with no tombstone, or delete
-					// of a key that is nowhere: no change.
-					break walk
-				}
-				claimTag := slotInserted
-				if del {
-					claimTag = slotDeleted // tombstone a snapshot key
-				}
-				// Pre-reserve occupancy so concurrent claims can never push
-				// the load past capLimit (which keeps chains short and this
-				// walk's wrap bound unreachable).
-				if int(b.occupied.Add(1)) > capLimit {
-					b.occupied.Add(-1)
-					outcome = claimFull
-					break walk
-				}
-				nw, ok := packSlot(claimTag, x)
-				if !ok {
-					b.occupied.Add(-1)
-					err = fmt.Errorf("dynamic: key %d does not pack into a slot word", x)
-					break walk
-				}
-				if b.slots[p].CompareAndSwap(w, nw) {
-					probes++ // the publishing slot write
-					b.buffered.Add(1)
-					outcome = claimChanged
-					break walk
-				}
-				// Lost the slot to a racing writer. Re-read and re-analyze
-				// the same slot: it may now hold x itself.
-				b.occupied.Add(-1)
-				retries++
-				w = b.slots[p].Load()
-				probes++
-				continue slot
-			case key == x && tag == slotInserted:
-				if !del {
-					break walk // already a member (buffer insert)
-				}
-				if nw, _ := packSlot(slotVacated, x); b.slots[p].CompareAndSwap(w, nw) {
-					probes++
-					b.buffered.Add(-1)
-					outcome = claimChanged
-				} else {
-					// inserted(x) only ever transitions to vacated(x): a
-					// racing Delete won, so the membership change is theirs.
-					retries++
-				}
-				break walk
-			case key == x && tag == slotDeleted:
-				if del {
-					break walk // already tombstoned
-				}
-				// Re-inserting a tombstoned snapshot key: drop the
-				// tombstone; the static structure already holds the key.
-				if nw, _ := packSlot(slotVacated, x); b.slots[p].CompareAndSwap(w, nw) {
-					probes++
-					b.buffered.Add(-1)
-					outcome = claimChanged
-				} else {
-					retries++
-				}
-				break walk
-			default:
-				break slot // another key, or vacated: the chain continues
+			if tag != slotEmpty && key != x {
+				break // another key's slot: the chain continues
 			}
+			// x's slot. Its word decides x's membership: a live entry
+			// (inserted or deleted) answers directly; empty or vacated
+			// defers to the immutable snapshot set.
+			member := inBase
+			switch tag {
+			case slotInserted:
+				member = true
+			case slotDeleted:
+				member = false
+			}
+			if member != del {
+				break walk // membership already as requested
+			}
+			// The new word: vacated when the change returns x to its
+			// snapshot membership, else a live entry — an insert of a key
+			// outside the snapshot, or a tombstone for a snapshot key.
+			newTag := slotVacated
+			switch {
+			case del && inBase:
+				newTag = slotDeleted
+			case !del && !inBase:
+				newTag = slotInserted
+			}
+			nw, ok := packSlot(newTag, x)
+			if !ok {
+				err = fmt.Errorf("dynamic: key %d does not pack into a slot word", x)
+				break walk
+			}
+			// A fresh slot pre-reserves occupancy so concurrent claims can
+			// never push the load past capLimit (which keeps chains short
+			// and this walk's wrap bound unreachable).
+			if tag == slotEmpty && int(b.occupied.Add(1)) > capLimit {
+				b.occupied.Add(-1)
+				outcome = claimFull
+				break walk
+			}
+			if b.slots[p].CompareAndSwap(w, nw) {
+				probes++ // the publishing slot write
+				if newTag == slotVacated {
+					b.buffered.Add(-1)
+				} else {
+					b.buffered.Add(1)
+				}
+				outcome = claimChanged
+				break walk
+			}
+			// Lost the slot to a racing writer. Re-read and re-decide on
+			// the same slot: it may now hold x itself.
+			if tag == slotEmpty {
+				b.occupied.Add(-1)
+			}
+			retries++
+			w = b.slots[p].Load()
+			probes++
 		}
 		p = (p + 1) % b.width
 	}
@@ -827,9 +703,6 @@ walk:
 	}
 	if d.p.Metrics != nil {
 		d.p.Metrics.WriteClaim(probes, retries)
-	}
-	if d.p.Hot != nil {
-		d.p.Hot.ObserveClaim(x, probes, retries)
 	}
 	return outcome, err
 }
@@ -863,16 +736,8 @@ func (d *Dict) ContainsScratch(x uint64, r rng.Source, sc *core.QueryScratch) (b
 	return d.containsEpoch(d.cur.Load(), x, sc.Source(r), sc)
 }
 
-// containsEpoch answers membership against one pinned epoch. Absorbed-hot
-// keys resolve on the overlay's committed-state word before any buffer
-// probe, so a reader observes split-phase writes the instant they land.
+// containsEpoch answers membership against one pinned epoch.
 func (d *Dict) containsEpoch(e *epoch, x uint64, r rng.Source, sc *core.QueryScratch) (bool, error) {
-	if h := e.hot; h != nil {
-		if ent := h.entry(x); ent != nil {
-			d.readProbes.Add(1)
-			return ent.state.Load() == absorbPresent, nil
-		}
-	}
 	b := e.buf
 	bt := bufTally(sc.Tally(), e.base.MaxProbes())
 	h := b.params(r, bt)
@@ -920,13 +785,6 @@ func (c *batchCursor) NextQuery() (int, uint64, bool) {
 		i := c.pos
 		c.pos++
 		x := c.keys[i]
-		if h := c.e.hot; h != nil {
-			if ent := h.entry(x); ent != nil {
-				c.probes++
-				c.out[i] = ent.state.Load() == absorbPresent
-				continue
-			}
-		}
 		b := c.e.buf
 		h := b.params(c.r, c.tally)
 		_, tag, found, probes, err := b.find(x, h, c.tally)
@@ -1040,27 +898,10 @@ func (d *Dict) mutate(x uint64, del bool) (bool, error) {
 	b.writers.Add(1)
 	// The fence: writers increments before the sealed check, the sealer
 	// stores sealed before waiting on writers (both seq-cst), so either we
-	// see sealed here and retreat, or the sealer waits for our claim — a
-	// buffer slot or an absorbed overlay write alike.
+	// see sealed here and retreat, or the sealer waits for our claim.
 	if b.sealed.Load() {
 		b.writers.Add(-1)
 		return d.mutateSlow(x, del)
-	}
-	if h := e.hot; h != nil {
-		if ent := h.entry(x); ent != nil {
-			// Split-phase absorbed write: wait-free, no buffer traffic, no
-			// occupancy pre-reservation — hot keys cannot fill the buffer.
-			changed := h.absorb(ent, del)
-			b.writers.Add(-1)
-			d.absorbed.Add(1)
-			if d.p.Metrics != nil {
-				d.p.Metrics.WriteAbsorbed()
-			}
-			if changed {
-				d.commitChange(del)
-			}
-			return changed, nil
-		}
 	}
 	if int(b.occupied.Load()) >= b.hardCap {
 		b.writers.Add(-1)
@@ -1070,15 +911,6 @@ func (d *Dict) mutate(x uint64, del bool) (bool, error) {
 	b.writers.Add(-1)
 	if err != nil {
 		return false, err
-	}
-	if d.p.Hot != nil && d.p.Hot.Pressure() {
-		// The classifier wants a cool key promoted; promotion happens only
-		// at a phase boundary, so turn the phase by starting a rebuild.
-		d.mu.Lock()
-		if !d.rebuilding && d.rebuildErr == nil && d.cur.Load() == e {
-			d.startRebuild()
-		}
-		d.mu.Unlock()
 	}
 	if outcome == claimFull {
 		return d.mutateSlow(x, del)
@@ -1132,31 +964,6 @@ func (d *Dict) mutateSlow(x uint64, del bool) (bool, error) {
 		}
 		e := d.cur.Load()
 		b := e.buf
-		if h := e.hot; h != nil {
-			if ent := h.entry(x); ent != nil {
-				// Absorbed write under the mutex: the overlay of the still-
-				// published epoch must observe it (readers pin that epoch),
-				// and if its snapshot scan has already run the op is logged
-				// for replay into the next epoch's overlay or buffer.
-				changed := h.absorb(ent, del)
-				d.absorbed.Add(1)
-				if d.p.Metrics != nil {
-					d.p.Metrics.WriteAbsorbed()
-				}
-				endPause()
-				if !changed {
-					return false, nil
-				}
-				d.commitChange(del)
-				if b.sealed.Load() && d.rebuilding {
-					d.delta = append(d.delta, update{key: x, del: del})
-					if d.p.Metrics != nil {
-						d.p.Metrics.SetDeltaDepth(len(d.delta))
-					}
-				}
-				return true, nil
-			}
-		}
 		if int(b.occupied.Load()) < b.hardCap {
 			// Either a live (unsealed) buffer — our claim races only other
 			// claims, which CAS handles — or a sealed buffer mid-rebuild,
@@ -1235,11 +1042,6 @@ func (d *Dict) Stats() Stats {
 	s.ReadProbes = d.readProbes.Sum()
 	s.WriteProbes = d.writeProbes.Sum()
 	s.WriteCASRetries = d.casRetries.Sum()
-	s.AbsorbedWrites = d.absorbed.Sum()
-	if e.hot != nil {
-		s.HotKeys = len(e.hot.keys)
-		s.SplitPhase = true
-	}
 	return s
 }
 

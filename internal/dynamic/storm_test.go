@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/lincheck"
 	"repro/internal/rng"
 )
 
@@ -16,8 +17,9 @@ import (
 // enough to force at least three rebuild epochs while reader goroutines
 // continuously assert membership of a stable core set. A stable key going
 // missing — during a claim race, a seal, a delta replay or an epoch swap —
-// fails the test; run it under -race to also catch data races on the slot
-// words and epoch pointer.
+// fails the test. The readers also query the churned range, and the
+// history of those reads and every write must be linearizable. Run it
+// under -race to also catch data races on the slot words and epoch pointer.
 func TestContainsDuringWriteStorm(t *testing.T) {
 	writers := runtime.GOMAXPROCS(0)
 	if writers < 2 {
@@ -33,6 +35,7 @@ func TestContainsDuringWriteStorm(t *testing.T) {
 	d := mustNew(t, stable, 41)
 	src := rng.NewSharded(42, 0)
 	startEpoch := d.Stats().Epoch
+	logs := newOpLogs(d, lincheck.NewClock(), writers+readers)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -44,13 +47,7 @@ func TestContainsDuringWriteStorm(t *testing.T) {
 			r := rng.New(uint64(400 + g))
 			for !stop.Load() {
 				k := volatile[r.Intn(len(volatile))]
-				var err error
-				if r.Intn(2) == 0 {
-					_, err = d.Insert(k)
-				} else {
-					_, err = d.Delete(k)
-				}
-				if err != nil {
+				if _, err := logs[g].write(k, r.Intn(2) == 0); err != nil {
 					errc <- err
 					return
 				}
@@ -72,6 +69,10 @@ func TestContainsDuringWriteStorm(t *testing.T) {
 				}
 				if !ok {
 					errc <- fmt.Errorf("stable key %d reported absent mid-storm", k)
+					return
+				}
+				if _, err := logs[writers+g].contains(volatile[r.Intn(len(volatile))], src); err != nil {
+					errc <- err
 					return
 				}
 				checks.Add(1)
@@ -107,6 +108,7 @@ func TestContainsDuringWriteStorm(t *testing.T) {
 	}
 	t.Logf("%d writers, %d reader checks, %d epochs, %d CAS retries",
 		writers, checks.Load(), st.Epoch-startEpoch, st.WriteCASRetries)
+	checkHistory(t, logs, func(uint64) bool { return false })
 }
 
 // TestStatsDuringWriteStorm calls Stats and Len continuously while writers
@@ -189,7 +191,8 @@ func TestStatsDuringWriteStorm(t *testing.T) {
 // every op that reports "changed" is a real membership transition, so for
 // each key (initial membership) + (sum of +1 per changed insert, −1 per
 // changed delete) must equal its final membership — and never leave {0, 1}
-// in aggregate. Duplicate claims racing on one key would break this.
+// in aggregate. Duplicate claims racing on one key would break this. The
+// recorded history of every write must also be linearizable.
 func TestConcurrentWritersChangedCounts(t *testing.T) {
 	const contended = 64
 	writers, ops := 4, 3000
@@ -202,6 +205,7 @@ func TestConcurrentWritersChangedCounts(t *testing.T) {
 	// both the tombstone-first and insert-first claim paths are exercised.
 	initial := append(append([]uint64{}, filler...), hot[:contended/2]...)
 	d := mustNew(t, initial, 61)
+	logs := newOpLogs(d, lincheck.NewClock(), writers)
 
 	nets := make([][]int, writers) // nets[g][i]: writer g's net changed delta on hot[i]
 	var wg sync.WaitGroup
@@ -214,24 +218,17 @@ func TestConcurrentWritersChangedCounts(t *testing.T) {
 			r := rng.New(uint64(700 + g))
 			for i := 0; i < ops; i++ {
 				ki := r.Intn(contended)
-				if r.Intn(2) == 0 {
-					changed, err := d.Insert(hot[ki])
-					if err != nil {
-						errc <- err
-						return
-					}
-					if changed {
-						nets[g][ki]++
-					}
-				} else {
-					changed, err := d.Delete(hot[ki])
-					if err != nil {
-						errc <- err
-						return
-					}
-					if changed {
-						nets[g][ki]--
-					}
+				del := r.Intn(2) == 0
+				changed, err := logs[g].write(hot[ki], del)
+				if err != nil {
+					errc <- err
+					return
+				}
+				switch {
+				case changed && del:
+					nets[g][ki]--
+				case changed:
+					nets[g][ki]++
 				}
 			}
 		}(g)
@@ -270,4 +267,5 @@ func TestConcurrentWritersChangedCounts(t *testing.T) {
 			t.Fatalf("filler key %d lost (err %v)", k, err)
 		}
 	}
+	checkHistory(t, logs, inSet(initial))
 }

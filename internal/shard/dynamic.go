@@ -51,9 +51,8 @@ func NewDynamicWithMetrics(initial []uint64, shards int, p dynamic.Params, seed 
 
 // NewDynamicWithHooks is NewDynamic with a per-shard parameter hook: when
 // configure is non-nil it runs on a copy of p for each shard before the
-// shard is built, so per-shard state — metrics slots, hot-key classifiers
-// (each shard classifies and turns phases independently, matching its
-// independent rebuilds) — never crosses shard boundaries.
+// shard is built, so per-shard state such as metrics slots never crosses
+// shard boundaries.
 func NewDynamicWithHooks(initial []uint64, shards int, p dynamic.Params, seed uint64, configure func(i int, sp *dynamic.Params)) (*DynamicDict, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: shard count %d must be ≥ 1", shards)
@@ -305,8 +304,7 @@ func (d *DynamicDict) Rebuilds() int {
 }
 
 // Stats sums the dynamic statistics over all shards. Per-shard epoch
-// detail (SnapshotN, BufferSlots, rebuild cells) is aggregated additively;
-// SplitPhase reports whether any shard currently runs a split phase.
+// detail (SnapshotN, BufferSlots, rebuild cells) is aggregated additively.
 func (d *DynamicDict) Stats() dynamic.Stats {
 	var total dynamic.Stats
 	for _, s := range d.shards {
@@ -323,10 +321,6 @@ func (d *DynamicDict) Stats() dynamic.Stats {
 		total.WriteCASRetries += st.WriteCASRetries
 		total.RebuildCells += st.RebuildCells
 		total.StaticHashTries += st.StaticHashTries
-		total.AbsorbedWrites += st.AbsorbedWrites
-		total.PhaseSeals += st.PhaseSeals
-		total.HotKeys += st.HotKeys
-		total.SplitPhase = total.SplitPhase || st.SplitPhase
 	}
 	return total
 }

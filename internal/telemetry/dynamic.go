@@ -27,11 +27,6 @@ type DynamicMetrics struct {
 	claimProbes *cellprobe.StripedCounter // probes issued by claim walks
 	casRetries  *cellprobe.StripedCounter // claim CASes lost to racing writers
 
-	absorbed      *cellprobe.StripedCounter // writes soaked by split-phase overlays
-	phaseSeals    atomic.Uint64             // phase boundaries sealed (absorption enabled)
-	phaseAbsorbed atomic.Uint64             // absorbed ops across sealed phases
-	phaseHotKeys  atomic.Int64              // current epoch's hot-set size (0 = joined)
-
 	rebuildNs *LogHistogram // duration of each background/sync rebuild
 	pauseNs   *LogHistogram // writer stalls waiting at the buffer hard cap
 }
@@ -42,7 +37,6 @@ func NewDynamicMetrics(shard int) *DynamicMetrics {
 		shard:       shard,
 		claimProbes: cellprobe.NewStripedCounter(),
 		casRetries:  cellprobe.NewStripedCounter(),
-		absorbed:    cellprobe.NewStripedCounter(),
 		rebuildNs:   NewLogHistogram(),
 		pauseNs:     NewLogHistogram(),
 	}
@@ -78,22 +72,6 @@ func (m *DynamicMetrics) WriteClaim(probes, casRetries uint64) {
 	}
 }
 
-// WriteAbsorbed records one write soaked by a split-phase overlay instead
-// of the claim path. Called concurrently by every writer; the counter is
-// striped per goroutine.
-func (m *DynamicMetrics) WriteAbsorbed() { m.absorbed.Add(1) }
-
-// PhaseSealed records one phase boundary: the sealed phase ran with hotKeys
-// absorbed keys and its overlay soaked absorbedOps operations.
-func (m *DynamicMetrics) PhaseSealed(hotKeys int, absorbedOps uint64) {
-	m.phaseSeals.Add(1)
-	m.phaseAbsorbed.Add(absorbedOps)
-}
-
-// SetPhase publishes the freshly published epoch's hot-set size — the
-// current-phase gauge (0 means a joined phase).
-func (m *DynamicMetrics) SetPhase(hotKeys int) { m.phaseHotKeys.Store(int64(hotKeys)) }
-
 // SetDeltaDepth publishes the current buffered-delta depth and maintains
 // the high-water mark.
 func (m *DynamicMetrics) SetDeltaDepth(depth int) {
@@ -117,11 +95,6 @@ type DynamicSnapshot struct {
 	DeltaHighWater uint64            `json:"delta_high_water"`
 	ClaimProbes    uint64            `json:"claim_probes"`
 	CASRetries     uint64            `json:"cas_retries"`
-	AbsorbedWrites uint64            `json:"absorbed_writes"`
-	PhaseSeals     uint64            `json:"phase_seals"`
-	PhaseAbsorbed  uint64            `json:"phase_absorbed"`
-	PhaseHotKeys   int64             `json:"phase_hot_keys"`
-	SplitPhase     bool              `json:"split_phase"`
 	RebuildNs      HistogramSnapshot `json:"rebuild_ns"`
 	WriterPauseNs  HistogramSnapshot `json:"writer_pause_ns"`
 }
@@ -137,11 +110,6 @@ func (m *DynamicMetrics) Snapshot() DynamicSnapshot {
 		DeltaHighWater: m.deltaHigh.Load(),
 		ClaimProbes:    m.claimProbes.Sum(),
 		CASRetries:     m.casRetries.Sum(),
-		AbsorbedWrites: m.absorbed.Sum(),
-		PhaseSeals:     m.phaseSeals.Load(),
-		PhaseAbsorbed:  m.phaseAbsorbed.Load(),
-		PhaseHotKeys:   m.phaseHotKeys.Load(),
-		SplitPhase:     m.phaseHotKeys.Load() > 0,
 		RebuildNs:      m.rebuildNs.Snapshot(),
 		WriterPauseNs:  m.pauseNs.Snapshot(),
 	}

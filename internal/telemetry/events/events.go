@@ -1,14 +1,13 @@
 // Package events is the dictionary's flight recorder: an always-on,
 // lock-free record of the structural moments the gauge-style telemetry
 // cannot reconstruct after the fact — when an epoch's buffer sealed, how
-// long each rebuild ran and how many keys it carried, when a write-
-// absorption phase split or joined, and which (hashed) keys the classifier
-// promoted.
+// long each rebuild ran and how many keys it carried, and which shard of a
+// sharded composite rebuilt.
 //
 // # Design
 //
-// Emitters — the dynamic dictionary's rebuild path, the sharded composite,
-// the hot-key classifier — call Emit from whatever goroutine they run on;
+// Emitters — the dynamic dictionary's rebuild path and the sharded
+// composite — call Emit from whatever goroutine they run on;
 // Emit is wait-free for the common case and lock-free always (one CAS claim
 // on a bounded multi-producer ring in the style of Vyukov's bounded MPMC
 // queue, then plain payload stores released by the slot's sequence word). A full ring never blocks an emitter and
@@ -49,19 +48,6 @@ const (
 	// RebuildEnd: the rebuild published (or failed). A = epoch (failedBit
 	// set when the build errored), B = keys, C = duration in nanoseconds.
 	RebuildEnd
-	// PhaseSplit: the freshly published epoch runs a split phase.
-	// A = epoch, B = absorbed-hot key count.
-	PhaseSplit
-	// PhaseJoined: the freshly published epoch returned to a joined phase.
-	// A = epoch.
-	PhaseJoined
-	// HotKeyPromoted: the classifier promoted a key into the absorbed-hot
-	// set. A = hash of the key (never the key itself), B = its weighted
-	// claim count in the promotion window.
-	HotKeyPromoted
-	// HotKeyDemoted: the classifier demoted a cooled key. A = hash of the
-	// key.
-	HotKeyDemoted
 	// ShardRebuild: one shard of a sharded composite published a rebuild
 	// (emitted alongside RebuildEnd so composite-level consumers can watch
 	// shard churn without decoding per-shard streams). A = epoch, B = keys,
@@ -96,10 +82,6 @@ var typeNames = [NumTypes]string{
 	EpochSealed:     "epoch_sealed",
 	RebuildStart:    "rebuild_start",
 	RebuildEnd:      "rebuild_end",
-	PhaseSplit:      "phase_split",
-	PhaseJoined:     "phase_joined",
-	HotKeyPromoted:  "hot_key_promoted",
-	HotKeyDemoted:   "hot_key_demoted",
 	ShardRebuild:    "shard_rebuild",
 	OverflowDropped: "overflow_dropped",
 }
@@ -149,16 +131,6 @@ func (e Event) MarshalJSON() ([]byte, error) {
 		if failed {
 			m["failed"] = true
 		}
-	case PhaseSplit:
-		m["epoch"] = e.A
-		m["hot_keys"] = e.B
-	case PhaseJoined:
-		m["epoch"] = e.A
-	case HotKeyPromoted:
-		m["key_hash"] = e.A
-		m["weight"] = e.B
-	case HotKeyDemoted:
-		m["key_hash"] = e.A
 	case ShardRebuild:
 		m["epoch"] = e.A
 		m["keys"] = e.B

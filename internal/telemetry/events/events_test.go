@@ -237,7 +237,6 @@ func TestEventJSON(t *testing.T) {
 	}{
 		{Event{Seq: 1, Type: EpochSealed, A: 3, B: 17}, []string{`"type":"epoch_sealed"`, `"epoch":3`, `"buffered":17`}},
 		{Event{Seq: 2, Type: RebuildEnd, A: MarkFailed(4), B: 9, C: 55}, []string{`"type":"rebuild_end"`, `"failed":true`, `"epoch":4`, `"duration_ns":55`}},
-		{Event{Seq: 3, Type: HotKeyPromoted, A: 0xdead, B: 7}, []string{`"type":"hot_key_promoted"`, `"key_hash":57005`, `"weight":7`}},
 		{Event{Seq: 4, Type: ShardRebuild, A: 2, B: 8, C: 9}, []string{`"type":"shard_rebuild"`, `"epoch":2`, `"keys":8`, `"duration_ns":9`}},
 		{Event{Seq: 5, Type: OverflowDropped, A: 5, B: 12}, []string{`"dropped":5`, `"dropped_total":12`}},
 	}

@@ -1,8 +1,7 @@
 // Package otlp maps the telemetry layer and the flight recorder onto the
 // OpenTelemetry protocol: snapshot gauges, counters and log₂ latency
 // histograms become OTLP metrics, and flight-recorder events become OTLP
-// spans (a rebuild is a span from its RebuildStart to its RebuildEnd; a
-// split phase is a span from PhaseSplit to PhaseJoined), posted over
+// spans (a rebuild is a span from its RebuildStart to its RebuildEnd), posted over
 // OTLP/HTTP in the JSON encoding. The encoding is hand-rolled against the
 // stable OTLP 1.x JSON schema — no OpenTelemetry SDK — so the default build
 // pulls in no dependencies.

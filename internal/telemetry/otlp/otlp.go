@@ -277,16 +277,14 @@ func hex128(hi, lo uint64) string {
 }
 
 // BuildSpans converts a flight-recorder timeline into OTLP spans: every
-// RebuildStart/RebuildEnd pair on the same shard becomes a "rebuild" span
-// and every PhaseSplit/PhaseJoined pair a "split_phase" span. Identifiers
-// derive deterministically from (shard, epoch, kind), so re-exporting an
-// overlapping timeline window produces the same span IDs and collectors
-// deduplicate instead of double-counting. Unpaired starts (a rebuild or
-// phase still in flight) are held back until a later window closes them.
+// RebuildStart/RebuildEnd pair on the same shard becomes a "rebuild" span.
+// Identifiers derive deterministically from (shard, epoch), so re-exporting
+// an overlapping timeline window produces the same span IDs and collectors
+// deduplicate instead of double-counting. Unpaired starts (a rebuild still
+// in flight) are held back until a later window closes them.
 func BuildSpans(evs []events.Event) []Span {
 	var out []Span
 	openRebuild := map[int32]events.Event{}
-	openSplit := map[int32]events.Event{}
 	for _, ev := range evs {
 		switch ev.Type {
 		case events.RebuildStart:
@@ -313,36 +311,13 @@ func BuildSpans(evs []events.Event) []Span {
 					boolAttr("lcds.failed", failed),
 				},
 			})
-		case events.PhaseSplit:
-			openSplit[ev.Shard] = ev
-		case events.PhaseJoined:
-			start, ok := openSplit[ev.Shard]
-			if !ok {
-				continue
-			}
-			delete(openSplit, ev.Shard)
-			id := mix(uint64(ev.Shard)<<32 ^ start.A ^ 0x5b117)
-			out = append(out, Span{
-				TraceID:           hex128(mix(uint64(ev.Shard)+1), start.A),
-				SpanID:            hex64(id),
-				Name:              "split_phase",
-				Kind:              1,
-				StartTimeUnixNano: strconv.FormatInt(start.UnixNano, 10),
-				EndTimeUnixNano:   strconv.FormatInt(ev.UnixNano, 10),
-				Attributes: []keyValue{
-					intAttr("lcds.shard", int64(ev.Shard)),
-					intAttr("lcds.split_epoch", int64(start.A)),
-					intAttr("lcds.joined_epoch", int64(ev.A)),
-					intAttr("lcds.hot_keys", int64(start.B)),
-				},
-			})
 		}
 	}
 	return out
 }
 
 // ExportEvents posts the spans BuildSpans derives from a timeline window to
-// Endpoint/v1/traces. A window with no completed rebuilds or phases posts
+// Endpoint/v1/traces. A window with no completed rebuilds posts
 // nothing and returns nil.
 func (e *Exporter) ExportEvents(evs []events.Event) error {
 	spans := BuildSpans(evs)

@@ -89,36 +89,30 @@ func TestExportSnapshot(t *testing.T) {
 	}
 }
 
-// TestBuildSpans checks the event-to-span pairing: rebuilds and split
-// phases become spans with deterministic IDs; unpaired starts are held.
+// TestBuildSpans checks the event-to-span pairing: rebuilds become spans
+// with deterministic IDs; unpaired starts are held.
 func TestBuildSpans(t *testing.T) {
 	evs := []events.Event{
 		{Seq: 1, UnixNano: 1000, Type: events.RebuildStart, Shard: 0, A: 2, B: 100},
-		{Seq: 2, UnixNano: 1500, Type: events.PhaseSplit, Shard: 0, A: 2, B: 3},
 		{Seq: 3, UnixNano: 2000, Type: events.RebuildEnd, Shard: 0, A: 2, B: 100, C: 1000},
 		{Seq: 4, UnixNano: 2500, Type: events.RebuildStart, Shard: 1, A: 2, B: 50},
-		{Seq: 5, UnixNano: 3000, Type: events.PhaseJoined, Shard: 0, A: 3},
 		{Seq: 6, UnixNano: 3500, Type: events.RebuildEnd, Shard: 0, A: events.MarkFailed(3), B: 90},
 	}
 	spans := BuildSpans(evs)
-	// shard 0 rebuild epoch 2, split phase 2→3, failed rebuild 3 (started
-	// where? — no second start for shard 0, so the failed end is dropped);
-	// shard 1's start never ends.
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2: %+v", len(spans), spans)
+	// shard 0 rebuild epoch 2, failed rebuild 3 (no second start for shard
+	// 0, so the failed end is dropped); shard 1's start never ends.
+	if len(spans) != 1 {
+		t.Fatalf("got %d spans, want 1: %+v", len(spans), spans)
 	}
 	if spans[0].Name != "rebuild" || spans[0].StartTimeUnixNano != "1000" || spans[0].EndTimeUnixNano != "2000" {
 		t.Fatalf("rebuild span wrong: %+v", spans[0])
-	}
-	if spans[1].Name != "split_phase" || spans[1].StartTimeUnixNano != "1500" || spans[1].EndTimeUnixNano != "3000" {
-		t.Fatalf("split span wrong: %+v", spans[1])
 	}
 	if len(spans[0].SpanID) != 16 || len(spans[0].TraceID) != 32 {
 		t.Fatalf("span IDs not 8/16 bytes hex: %q %q", spans[0].SpanID, spans[0].TraceID)
 	}
 	// Determinism: same window re-exported produces identical IDs.
 	again := BuildSpans(evs)
-	if again[0].SpanID != spans[0].SpanID || again[1].TraceID != spans[1].TraceID {
+	if again[0].SpanID != spans[0].SpanID || again[0].TraceID != spans[0].TraceID {
 		t.Fatal("span IDs not deterministic across re-export")
 	}
 }

@@ -106,7 +106,6 @@ type options struct {
 	params   core.Params
 	shards   int
 	telem    *telemetry.Config // nil: telemetry off
-	absorb   bool              // two-phase write absorption (dynamic only)
 	eventlog *EventLogConfig   // nil: no explicit flight recorder
 }
 
@@ -233,20 +232,6 @@ func WithBatchGroup(g int) Option {
 		}
 		c.o.params.BatchGroup = g
 	}
-}
-
-// WithWriteAbsorption enables two-phase write absorption on a dynamic
-// dictionary (NewDynamic; static New ignores it): a per-shard hysteresis
-// classifier watches the lock-free claim path, and keys hot enough to
-// degrade it into a CAS-retry convoy are promoted at the next epoch
-// boundary into a split phase, where their writes are soaked wait-free by
-// a reader-visible overlay plus per-core delta logs and reconciled into
-// the following snapshot (last write wins) by the rebuild that ends the
-// phase. Linearizability is unchanged — readers observe absorbed writes
-// immediately — and cool keys keep the plain claim path. Off by default;
-// without it the update sequence is bit-identical to previous releases.
-func WithWriteAbsorption() Option {
-	return func(c *opterr) { c.o.absorb = true }
 }
 
 // New builds a dictionary over the given distinct keys (each < MaxKey).

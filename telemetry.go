@@ -57,10 +57,9 @@ func WithTelemetry(cfg TelemetryConfig) Option {
 }
 
 // Event is one entry of the flight-recorder timeline: a typed, timestamped
-// record of a structural transition (epoch seal, rebuild, phase split/join,
-// hot-key promotion, overflow). Payload words A/B/C are
-// decoded per type by its JSON encoding; key-carrying events store hashed
-// keys only.
+// record of a structural transition (epoch seal, rebuild, per-shard
+// rebuild, overflow). Payload words A/B/C are decoded per type by its JSON
+// encoding.
 type Event = events.Event
 
 // EventType discriminates flight-recorder events.
@@ -81,10 +80,6 @@ const (
 	EventEpochSealed     = events.EpochSealed
 	EventRebuildStart    = events.RebuildStart
 	EventRebuildEnd      = events.RebuildEnd
-	EventPhaseSplit      = events.PhaseSplit
-	EventPhaseJoined     = events.PhaseJoined
-	EventHotKeyPromoted  = events.HotKeyPromoted
-	EventHotKeyDemoted   = events.HotKeyDemoted
 	EventShardRebuild    = events.ShardRebuild
 	EventOverflowDropped = events.OverflowDropped
 )
@@ -113,8 +108,7 @@ type EventLogConfig struct {
 
 // WithEventLog enables the flight recorder on New, Read and NewDynamic: an
 // always-on, lock-free timeline of structural events — epoch seals, rebuild
-// start/end with durations, split-phase transitions, hot-key promotions and
-// demotions (hashed keys), per-shard rebuilds — queryable with Timeline and
+// start/end with durations, per-shard rebuilds — queryable with Timeline and
 // served by cmd/lcds-server at /debug/timeline. Emission is a single CAS
 // plus plain stores on the writer's claimed slot, off the query path
 // entirely; a dictionary with only an event log queries at the same speed as

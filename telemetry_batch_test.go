@@ -16,11 +16,10 @@ import (
 // no flush lost when many goroutines flush while the counters are scraped.
 
 // telemetryTwinOps drives one dictionary of a twin set through the same
-// deterministic write schedule: buffer inserts, tombstones for snapshot
-// keys and — with absorption on, before those — churn on a few hot keys
-// until they are promoted. It quiesces after every write, so no write ever lands on a
+// deterministic write schedule: buffer inserts, then tombstones for
+// snapshot keys. It quiesces after every write, so no write ever lands on a
 // sealed buffer and the final epoch is a pure function of the seed.
-func telemetryTwinOps(t *testing.T, d *DynamicDict, keys []uint64, absorb bool) {
+func telemetryTwinOps(t *testing.T, d *DynamicDict, keys []uint64) {
 	t.Helper()
 	write := func(k uint64, del bool) {
 		var err error
@@ -34,16 +33,6 @@ func telemetryTwinOps(t *testing.T, d *DynamicDict, keys []uint64, absorb bool) 
 		}
 		d.Quiesce()
 	}
-	if absorb {
-		// Promotion turns the phase with a rebuild, which folds the buffer
-		// into the snapshot: churn first, then fill the buffer.
-		for i := 0; i < 400 && d.Stats().HotKeys == 0; i++ {
-			for _, k := range keys[200:204] {
-				write(k, true)
-				write(k, false)
-			}
-		}
-	}
 	for _, k := range keys[3000:3200] {
 		write(k, false)
 	}
@@ -53,12 +42,11 @@ func telemetryTwinOps(t *testing.T, d *DynamicDict, keys []uint64, absorb bool) 
 }
 
 // telemetryReadStream is the read stream of the equivalence test: stored
-// keys, buffer inserts, tombstoned keys, the churned (absorbed) keys and
-// never-inserted keys — 1000 of those, so misses on empty buckets, which stop
+// keys, buffer inserts, tombstoned keys and never-inserted keys — 1000 of those, so misses on empty buckets, which stop
 // after the histogram probes, are all but certain — shuffled by a fixed seed.
 func telemetryReadStream(keys []uint64) []uint64 {
 	var s []uint64
-	s = append(s, keys[:600]...)      // tombstones, churned keys, plain members
+	s = append(s, keys[:600]...)      // tombstones and plain members
 	s = append(s, keys[3000:3200]...) // buffer inserts
 	s = append(s, keys[4000:5000]...) // misses
 	r := rng.New(77)
@@ -76,19 +64,17 @@ func telemetryReadStream(keys []uint64) []uint64 {
 // through a caller scratch without a tally, so each probe reaches the sink on its own — the
 // per-probe reference). Probes, step masses and read-probe counts must be
 // identical, across a small StepCap that sends static and buffer steps into
-// the overflow slot, write absorption and a 4-way sharded dictionary.
+// the overflow slot, and a 4-way sharded dictionary.
 func TestBatchTelemetryMatchesSequential(t *testing.T) {
 	keys := testKeys(5000, 41)
 	cases := []struct {
 		name    string
 		stepCap int
 		shards  int
-		absorb  bool
 	}{
 		{name: "default"},
 		{name: "stepcap4", stepCap: 4},
 		{name: "stepcap14", stepCap: 14}, // buffer parameter probe in range, slot probes clamped
-		{name: "absorb", absorb: true},
 		{name: "shards4", shards: 4},
 		{name: "shards4-stepcap4", shards: 4, stepCap: 4},
 	}
@@ -103,28 +89,22 @@ func TestBatchTelemetryMatchesSequential(t *testing.T) {
 				if tc.shards > 0 {
 					opts = append(opts, WithShards(tc.shards))
 				}
-				if tc.absorb {
-					opts = append(opts, WithWriteAbsorption())
-				}
 				d, err := NewDynamic(keys[:3000], 0.25, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				telemetryTwinOps(t, d, keys, tc.absorb)
+				telemetryTwinOps(t, d, keys)
 				return d
 			}
 			batch, seq, traced := build(false), build(false), build(true)
 			st := batch.Stats()
 			for _, d := range []*DynamicDict{seq, traced} {
-				if s := d.Stats(); s.Epochs != st.Epochs || s.Buffered != st.Buffered || s.HotKeys != st.HotKeys || s.Len != st.Len {
+				if s := d.Stats(); s.Epochs != st.Epochs || s.Buffered != st.Buffered || s.Len != st.Len {
 					t.Fatalf("twins diverged before reading: %+v vs %+v", s, st)
 				}
 			}
 			if st.Buffered == 0 {
 				t.Fatal("no buffer entries to read through")
-			}
-			if tc.absorb && st.HotKeys == 0 {
-				t.Fatal("no key was promoted to the absorbed set")
 			}
 
 			stream := telemetryReadStream(keys)
