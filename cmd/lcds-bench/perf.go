@@ -62,9 +62,9 @@ type perfReport struct {
 
 	// Dynamic batch path with Sample-1 telemetry against the same loop
 	// without it, per key answered, passes alternated and each side timed
-	// best-of-3. At Sample 1 a dynamic dictionary tallies a batch's probes
-	// in pooled scratch and flushes them once per batch, so the ratio is
-	// CI-gated at ≤ 1.15.
+	// best-of-3. A dynamic dictionary tallies a batch's probes in pooled
+	// scratch and flushes them once per batch, so the ratio is CI-gated at
+	// ≤ 1.15.
 	DynamicBatchNsPerKey          float64 `json:"dynamic_batch_ns_per_key"`
 	DynamicBatchTelemetryNsPerKey float64 `json:"dynamic_batch_telemetry_ns_per_key"`
 	DynamicBatchTelemetryRatio    float64 `json:"dynamic_batch_telemetry_ratio"`
@@ -167,7 +167,7 @@ func runPerfSuite(n int, seed uint64, outPath string, telemetrySample int) error
 	if err != nil {
 		return err
 	}
-	de, err := lcds.New(qkeys, lcds.WithSeed(seed), lcds.WithEventLog(lcds.EventLogConfig{}))
+	de, err := lcds.New(qkeys, lcds.WithSeed(seed), lcds.WithEventLog())
 	if err != nil {
 		return err
 	}

@@ -23,14 +23,12 @@ var requiredMetrics = []string{
 	"lcds_max_phi",
 	"lcds_max_phi_n",
 	"lcds_step_mass",
-	"lcds_sampling_k",
 	"lcds_cells",
 	"lcds_keys",
 	"lcds_uptime_seconds",
 	"lcds_latency_ns",
 	"lcds_batch_latency_ns",
 	"lcds_events_total",
-	"lcds_events_dropped_total",
 }
 
 // writeMetrics renders a telemetry snapshot in the Prometheus text
@@ -38,8 +36,7 @@ var requiredMetrics = []string{
 // is already a consistent point-in-time read, so exposition is pure
 // formatting. A dynamic dictionary keeps no per-cell counters, so
 // the snapshot's TopCells and Ranges are always empty and not rendered.
-func writeMetrics(w io.Writer, tel *lcds.Telemetry) {
-	s := tel.Snapshot()
+func writeMetrics(w io.Writer, s lcds.TelemetrySnapshot) {
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
@@ -51,12 +48,11 @@ func writeMetrics(w io.Writer, tel *lcds.Telemetry) {
 	counter("lcds_hits_total", "Queries answered true.", s.Hits)
 	counter("lcds_misses_total", "Queries answered false.", s.Misses)
 	counter("lcds_errors_total", "Queries that returned an error.", s.Errors)
-	counter("lcds_probes_total", "Cell probes (sampled counts scaled by lcds_sampling_k).", s.Probes)
+	counter("lcds_probes_total", "Cell probes, every one counted.", s.Probes)
 	gauge("lcds_probes_per_query", "Mean probes per query.", s.ProbesPerQuery)
 	gauge("lcds_max_phi", "Empirical per-cell contention max_j phi(j) (Definition 1).", s.MaxPhi)
 	gauge("lcds_max_phi_n", "max_j phi(j) * n, the paper's absolute contention headline.", s.MaxPhiN)
 	gauge("lcds_max_phi_cell", "Flat index of the hottest cell.", float64(s.MaxPhiCell))
-	gauge("lcds_sampling_k", "Probe sampling factor k (1 = every probe counted).", float64(s.Sample))
 	gauge("lcds_cells", "Cell-probe table size s.", float64(s.Cells))
 	gauge("lcds_keys", "Member key count n.", float64(s.N))
 	gauge("lcds_uptime_seconds", "Seconds since telemetry was attached.", s.UptimeSeconds)
@@ -70,13 +66,11 @@ func writeMetrics(w io.Writer, tel *lcds.Telemetry) {
 	summary(w, "lcds_batch_latency_ns", "ContainsBatch latency in nanoseconds per batch.", s.BatchLatency)
 
 	// Flight-recorder series: one counter per event type (all types always
-	// present, zero included, so dashboards never see a series appear late)
-	// plus the exact overflow-drop counter.
+	// present, zero included, so dashboards never see a series appear late).
 	fmt.Fprintf(w, "# HELP lcds_events_total Flight-recorder events recorded, by type.\n# TYPE lcds_events_total counter\n")
-	for ty := lcds.EventEpochSealed; ty <= lcds.EventOverflowDropped; ty++ {
+	for ty := lcds.EventEpochSealed; ty <= lcds.EventShardRebuild; ty++ {
 		fmt.Fprintf(w, "lcds_events_total{type=%q} %d\n", ty.String(), s.Events.ByType[ty.String()])
 	}
-	counter("lcds_events_dropped_total", "Flight-recorder emissions refused on a full ring (counted exactly).", s.Events.Dropped)
 
 	for _, d := range s.Dynamic {
 		label := fmt.Sprintf("shard=\"%d\"", d.Shard)
@@ -121,8 +115,6 @@ type timelineReport struct {
 	Events []lcds.Event `json:"events"`
 	// NextCursor is the value to pass as ?since= to read only newer events.
 	NextCursor uint64 `json:"next_cursor"`
-	// Dropped is the exact count of events refused on a full ring so far.
-	Dropped uint64 `json:"dropped"`
 }
 
 // Timeline page-size bounds: defaultTimelineMax when ?max= is absent,
@@ -172,7 +164,7 @@ func timelineHandler(dd *lcds.DynamicDict) http.HandlerFunc {
 		if evs == nil {
 			evs = []lcds.Event{}
 		}
-		rep := timelineReport{Events: evs, NextCursor: next, Dropped: dd.EventLog().Dropped()}
+		rep := timelineReport{Events: evs, NextCursor: next}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

@@ -27,7 +27,7 @@ func TestWriteMetricsContract(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	writeMetrics(&sb, d.Telemetry())
+	writeMetrics(&sb, d.Telemetry().Snapshot())
 	body := sb.String()
 	for _, name := range requiredMetrics {
 		if !strings.Contains(body, name) {

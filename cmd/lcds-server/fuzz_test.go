@@ -133,7 +133,7 @@ func FuzzBatchBody(f *testing.F) {
 func FuzzTimelineParams(f *testing.F) {
 	keys := workload.MemberKeys(200, 3)
 	dd, err := lcds.NewDynamic(keys[:128], 0.1, lcds.WithSeed(3),
-		lcds.WithEventLog(lcds.EventLogConfig{}))
+		lcds.WithEventLog())
 	if err != nil {
 		f.Fatal(err)
 	}

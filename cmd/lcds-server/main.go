@@ -220,9 +220,19 @@ func (s *server) handleWrite(w http.ResponseWriter, r *http.Request, del bool) i
 	return http.StatusOK
 }
 
+// snapshot reads the dictionary's telemetry with N set to the live key
+// count: the telemetry layer only knows the construction n, and inserts and
+// deletes move it. /metrics, /debug/telemetry and the OTLP loop all read
+// through here.
+func (s *server) snapshot() lcds.TelemetrySnapshot {
+	snap := s.dd.Telemetry().Snapshot()
+	snap.N = s.dd.Len()
+	return snap
+}
+
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	writeMetrics(w, s.dd.Telemetry())
+	writeMetrics(w, s.snapshot())
 	s.writeHTTPMetrics(w)
 }
 
@@ -252,7 +262,7 @@ func (s *server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(s.dd.Telemetry().Snapshot())
+	enc.Encode(s.snapshot())
 }
 
 func (s *server) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -358,11 +368,10 @@ func main() {
 	seed := flag.Uint64("seed", 1, "construction and key-derivation seed")
 	shards := flag.Int("shards", 1, "shard count (≥ 2 enables the sharded composite)")
 	epsilon := flag.Float64("epsilon", 0.1, "dynamic buffer fraction")
-	sample := flag.Int("sample", 1, "probe sampling rate: count 1 in k probes (rounded to a power of two)")
 	otlpEndpoint := flag.String("otlp", "", "export metrics and flight-recorder spans to this OTLP/HTTP endpoint, e.g. http://localhost:4318 (needs a binary built with -tags otlp)")
 	flag.Parse()
 
-	tel := lcds.TelemetryConfig{Sample: *sample, TopK: 10}
+	tel := lcds.TelemetryConfig{TopK: 10}
 	exp, err := newOTLPExport(*otlpEndpoint, &tel)
 	if err != nil {
 		fatal(err)
@@ -378,7 +387,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if exp != nil {
-		go exp.run(ctx, s.dd, otlpEvery)
+		go exp.run(ctx, s, otlpEvery)
 	}
 	// The first stdout line is the listen banner: harnesses parse the
 	// address out of it.

@@ -23,4 +23,4 @@ func newOTLPExport(endpoint string, tel *lcds.TelemetryConfig) (*otlpExport, err
 	return nil, nil
 }
 
-func (*otlpExport) run(ctx context.Context, dd *lcds.DynamicDict, every time.Duration) {}
+func (*otlpExport) run(ctx context.Context, s *server, every time.Duration) {}

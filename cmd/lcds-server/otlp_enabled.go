@@ -45,7 +45,7 @@ func newOTLPExport(endpoint string, tel *lcds.TelemetryConfig) (*otlpExport, err
 // (rebuilds, behind a since-cursor so each event exports
 // once), and the buffered query spans. Export errors go to stderr and the
 // loop keeps going.
-func (o *otlpExport) run(ctx context.Context, dd *lcds.DynamicDict, every time.Duration) {
+func (o *otlpExport) run(ctx context.Context, s *server, every time.Duration) {
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	var cursor uint64
@@ -55,9 +55,9 @@ func (o *otlpExport) run(ctx context.Context, dd *lcds.DynamicDict, every time.D
 			return
 		case <-ticker.C:
 		}
-		snapErr := o.exp.ExportSnapshot(dd.Telemetry().Snapshot())
+		snapErr := o.exp.ExportSnapshot(s.snapshot())
 		var evs []lcds.Event
-		evs, cursor = dd.Timeline(cursor, maxTimelineMax)
+		evs, cursor = s.dd.Timeline(cursor, maxTimelineMax)
 		err := errors.Join(snapErr, o.exp.ExportEvents(evs), o.tracer.Flush())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lcds-server: otlp:", err)

@@ -58,7 +58,7 @@ func TestOTLPExport(t *testing.T) {
 
 	done := make(chan struct{})
 	go func() {
-		exp.run(ctx, s.dd, 50*time.Millisecond)
+		exp.run(ctx, s, 50*time.Millisecond)
 		close(done)
 	}()
 	select {

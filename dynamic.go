@@ -1,6 +1,7 @@
 package lcds
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -44,12 +45,13 @@ type DynamicDict struct {
 	// WithEventLog's log, or the telemetry layer's always-on log when only
 	// WithTelemetry was used. Never consulted on the query path.
 	events  *events.Log
-	scratch sync.Pool // *core.QueryScratch for traced queries
+	scratch sync.Pool // *core.QueryScratch with a tally armed, for traced queries
 }
 
 // NewDynamic builds a dynamic dictionary over the initial keys. bufferFrac
 // is the paper-style ε ∈ (0, 1]: a global rebuild triggers after ε·n
-// buffered updates (pass 0 for the default 0.25).
+// buffered updates (pass 0 for the default 0.25). Dynamic telemetry counts
+// every read probe, so WithTelemetry's Sample must be 0 or 1.
 //
 // With WithShards(p ≥ 2), each of the p shards keeps its own update buffer,
 // epoch snapshot and background rebuild: an update storm concentrated on
@@ -62,6 +64,9 @@ func NewDynamic(initial []uint64, bufferFrac float64, opts ...Option) (*DynamicD
 	}
 	if cfg.err != nil {
 		return nil, cfg.err
+	}
+	if cfg.o.telem != nil && cfg.o.telem.Sample > 1 {
+		return nil, fmt.Errorf("lcds: dynamic telemetry counts every probe; sample %d must be 0 or 1", cfg.o.telem.Sample)
 	}
 	params := dynamic.Params{
 		Epsilon: bufferFrac,
@@ -79,7 +84,11 @@ func NewDynamic(initial []uint64, bufferFrac float64, opts ...Option) (*DynamicD
 		elog = tel.Events() // always-on log when none was configured
 	}
 	d := &DynamicDict{src: cfg.o.querySource(), tel: tel, events: elog}
-	d.scratch.New = func() any { return new(core.QueryScratch) }
+	d.scratch.New = func() any {
+		sc := new(core.QueryScratch)
+		sc.SetTally(make([]uint64, tel.TallyLen()))
+		return sc
+	}
 	if cfg.o.shards > 1 {
 		// Each shard gets its own metrics slot, because shards rebuild
 		// independently. All shards share one flight recorder; the shard

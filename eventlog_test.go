@@ -30,7 +30,7 @@ func TestEventLogOff(t *testing.T) {
 // structural transitions to record.
 func TestEventLogStatic(t *testing.T) {
 	keys := testKeys(2000, 62)
-	d, err := New(keys, WithSeed(62), WithEventLog(EventLogConfig{}))
+	d, err := New(keys, WithSeed(62), WithEventLog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +44,8 @@ func TestEventLogStatic(t *testing.T) {
 }
 
 // TestEventLogTelemetryImplied checks that WithTelemetry alone installs the
-// always-on log, that WithEventLog sizes the shared one, and that the
-// telemetry snapshot carries the log's stats.
+// always-on log, that an explicit WithEventLog log is the one the telemetry
+// layer shares, and that the telemetry snapshot carries the log's stats.
 func TestEventLogTelemetryImplied(t *testing.T) {
 	keys := testKeys(500, 63)
 	d, err := New(keys, WithSeed(63), WithTelemetry(TelemetryConfig{}))
@@ -64,7 +64,7 @@ func TestEventLogTelemetryImplied(t *testing.T) {
 	}
 
 	d2, err := New(keys, WithSeed(63),
-		WithTelemetry(TelemetryConfig{}), WithEventLog(EventLogConfig{RingCapacity: 64}))
+		WithTelemetry(TelemetryConfig{}), WithEventLog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,17 +73,16 @@ func TestEventLogTelemetryImplied(t *testing.T) {
 	}
 }
 
-// checkTimelineCoherence asserts the structural invariants of a drained
-// timeline: per shard, every RebuildStart is balanced by a RebuildEnd (after
-// Quiesce), epochs never decrease, and OverflowDropped entries account for
-// the log's drop counter exactly. It returns the per-type totals observed.
-func checkTimelineCoherence(t *testing.T, evs []Event, log *EventLog) map[EventType]int {
+// checkTimelineCoherence asserts the structural invariants of a timeline:
+// per shard, every RebuildStart is balanced by a RebuildEnd (after Quiesce)
+// and epochs never decrease. It returns the per-type totals observed.
+func checkTimelineCoherence(t *testing.T, evs []Event) map[EventType]int {
 	t.Helper()
 	starts := map[int32]int{}
 	ends := map[int32]int{}
 	lastEpoch := map[int32]uint64{}
 	counts := map[EventType]int{}
-	var droppedTotal, lastSeq uint64
+	var lastSeq uint64
 	for _, ev := range evs {
 		if ev.Seq <= lastSeq {
 			t.Fatalf("timeline seq not increasing: %d after %d", ev.Seq, lastSeq)
@@ -102,17 +101,12 @@ func checkTimelineCoherence(t *testing.T, evs []Event, log *EventLog) map[EventT
 				t.Fatalf("unexpected failed rebuild: %+v", ev)
 			}
 			ends[ev.Shard]++
-		case EventOverflowDropped:
-			droppedTotal = ev.B
 		}
 	}
 	for shard, n := range starts {
 		if ends[shard] != n {
 			t.Fatalf("shard %d: %d RebuildStart vs %d RebuildEnd", shard, n, ends[shard])
 		}
-	}
-	if got := log.Dropped(); droppedTotal != got {
-		t.Fatalf("OverflowDropped total %d, log dropped %d", droppedTotal, got)
 	}
 	return counts
 }
@@ -131,7 +125,7 @@ func TestEventLogDynamicTimeline(t *testing.T) {
 	}{{1, false}, {4, false}, {1, true}} {
 		shards := tc.shards
 		keys := testKeys(1200, 64)
-		opts := []Option{WithSeed(64), WithEventLog(EventLogConfig{})}
+		opts := []Option{WithSeed(64), WithEventLog()}
 		if shards > 1 {
 			opts = append(opts, WithShards(shards))
 		}
@@ -173,7 +167,7 @@ func TestEventLogDynamicTimeline(t *testing.T) {
 		if next != evs[len(evs)-1].Seq {
 			t.Fatalf("cursor %d != last seq %d", next, evs[len(evs)-1].Seq)
 		}
-		counts := checkTimelineCoherence(t, evs, d.EventLog())
+		counts := checkTimelineCoherence(t, evs)
 		if counts[EventRebuildStart] < shards {
 			t.Fatalf("shards=%d: only %d rebuilds recorded", shards, counts[EventRebuildStart])
 		}

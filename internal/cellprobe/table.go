@@ -34,10 +34,9 @@
 //
 // A caller that answers many probes of an all-dense table may read the
 // rows directly through DenseRows, the resolved cell view, but only while
-// nothing observes individual probes (no Recorder, trace or ForwardTo link,
-// and a sink only if the caller tallies for it). A view is not a probe
-// bypass: every probe is still tallied at its step, exactly as ProbeTo
-// would tally it.
+// nothing observes individual probes (no Recorder, trace, sink or ForwardTo
+// link). A view is not a probe bypass: every probe is still tallied at its
+// step, exactly as ProbeTo would tally it.
 package cellprobe
 
 import (
@@ -278,16 +277,15 @@ func (t *Table) PrefetchCell(row, col int) {
 
 // DenseRows returns the table's rows as plain cell slices — the resolved
 // cell view — when every row is dense and no probe observer needs to see
-// individual probes: no Recorder, trace or ForwardTo link is attached, and
-// a sink, if installed, is one the caller tallies for (tallied; see
-// ProbeTo). Otherwise, or before the first Set, it returns nil and probes
+// individual probes: no Recorder, trace, sink or ForwardTo link is
+// attached. Otherwise, or before the first Set, it returns nil and probes
 // must go through ProbeTo. A caller reading cell (row, col) through the
 // view as rows[row][col] must count the probe at its step exactly as
 // ProbeTo counts it into a tally, and must not write through the view or
 // keep it beyond the call that took it: dropping it is what lets a retired
 // table be collected.
-func (t *Table) DenseRows(tallied bool) [][]Cell {
-	if !t.allDense || t.rec != nil || t.trace != nil || t.fwd != nil || (t.sink != nil && !tallied) {
+func (t *Table) DenseRows() [][]Cell {
+	if !t.allDense || t.rec != nil || t.trace != nil || t.fwd != nil || t.sink != nil {
 		return nil
 	}
 	return t.dense
@@ -308,10 +306,8 @@ func (t *Table) Probe(step, row, col int) Cell { return t.ProbeTo(step, row, col
 // ProbeTo is Probe with a caller-owned per-step tally. A nil tally reports
 // the probe to the installed sink, exactly as Probe does. A non-nil tally
 // counts it at tally[min(step, len(tally)−1)] in place of the sink call, and
-// the caller later hands the counts to the sink in one go — one flush per
-// query or batch instead of one sink call per probe. The tally must then
-// carry exactly what the sink would have counted, so callers use one only
-// for a sink that keeps nothing but per-step totals of every probe. The
+// the caller hands the counts on in one go — how the dynamic dictionary,
+// whose tables carry no sink, feeds telemetry once per query or batch. The
 // recorder, trace and ForwardTo accounting see every probe either way.
 func (t *Table) ProbeTo(step, row, col int, tally []uint64) Cell {
 	i := t.Index(row, col)

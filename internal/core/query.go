@@ -88,7 +88,7 @@ type QueryScratch struct {
 	batchLog []*[]int32
 
 	// tally, when armed (SetTally), counts every probe of the queries this
-	// scratch answers per step in place of the table's probe sink.
+	// scratch answers per step.
 	tally []uint64
 
 	// rs is the scratch's own random stream (Source): a query or batch
@@ -126,7 +126,7 @@ func (sc *QueryScratch) openView(dict *Dict) {
 	if sc.capture || sc.batchCap || (sc.tally != nil && len(sc.tally) < steps) {
 		return
 	}
-	rows := dict.tab.DenseRows(sc.tally != nil)
+	rows := dict.tab.DenseRows()
 	if rows == nil {
 		return
 	}
@@ -169,10 +169,9 @@ func (sc *QueryScratch) prefetch(tab *cellprobe.Table, row, col int) {
 func (sc *QueryScratch) Source(r rng.Source) rng.Source { return rng.Local(r, &sc.rs) }
 
 // SetTally arms per-step probe tallying for the queries answered with this
-// scratch: each probe is counted at tally[min(step, len(tally)−1)] instead
-// of being reported to the table's probe sink (cellprobe.Table.ProbeTo), and
-// the caller flushes the counts to the sink itself. nil restores per-probe
-// sink reporting.
+// scratch: each probe is counted at tally[min(step, len(tally)−1)]
+// (cellprobe.Table.ProbeTo), and the caller hands the counts on itself — the
+// dynamic dictionary's read feed to telemetry. nil disarms it.
 func (sc *QueryScratch) SetTally(tally []uint64) { sc.tally = tally }
 
 // Tally returns the armed per-step tally, or nil.

@@ -53,7 +53,7 @@ func TestCellViewMatchesProbeTo(t *testing.T) {
 			t.Fatal(err)
 		}
 		steps := d.MaxProbes()
-		if got := d.Table().DenseRows(false) != nil; got != tc.wantView {
+		if got := d.Table().DenseRows() != nil; got != tc.wantView {
 			t.Fatalf("%s: DenseRows available = %v, want %v", tc.name, got, tc.wantView)
 		}
 		for _, path := range []string{"batch", "single"} {
@@ -203,7 +203,7 @@ func TestCompactHeapCellsUnchanged(t *testing.T) {
 	if got := d.Table().HeapCells(); got != want || got != 8508 {
 		t.Fatalf("compact HeapCells = %d, want %d (8508)", got, want)
 	}
-	if d.Table().DenseRows(false) != nil {
+	if d.Table().DenseRows() != nil {
 		t.Fatal("compact table handed out dense rows")
 	}
 }

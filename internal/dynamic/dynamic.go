@@ -143,18 +143,14 @@ type Params struct {
 	// for reproducible experiments (X1) at the cost of O(n) update-call
 	// latency at each rebuild.
 	SyncRebuild bool
-	// Sink, when non-nil, observes every read probe of the published
-	// epochs' tables (live telemetry): it is installed on each new epoch's
-	// static and buffer tables before the epoch is published, so readers
-	// never race the installation. Buffer probes are reported with their
-	// step offset by the static MaxProbes, keeping the two step ranges
-	// distinguishable in step-mass reports. Write probes (claim walks and
-	// delta replays) never reach the sink: they are counted exactly on
-	// Stats.WriteProbes and Metrics.WriteClaim. A sink whose TallyLen method
-	// reports a positive length (see tallySink) is handed each Contains
-	// call's or ContainsBatch call's probes as one per-step tally instead of
-	// one ProbeObserved call per probe; the counts are the same.
-	Sink cellprobe.ProbeSink
+	// Sink, when non-nil, receives the read probes of every Contains and
+	// ContainsBatch call as one per-step tally (live telemetry). It is never
+	// installed on a table. Buffer probes are counted with their step offset
+	// by the static MaxProbes, keeping the two step ranges distinguishable in
+	// step-mass reports. Write probes (claim walks and delta replays) never
+	// reach the sink: they are counted exactly on Stats.WriteProbes and
+	// Metrics.WriteClaim.
+	Sink Sink
 	// Metrics, when non-nil, receives the rebuild-side telemetry: epoch
 	// publishes, rebuild durations, writer pauses at the buffer hard cap,
 	// the buffered-delta depth, and the per-claim probe/CAS-retry counts of
@@ -162,8 +158,7 @@ type Params struct {
 	Metrics Metrics
 	// Events, when non-nil, receives the structured flight-recorder events
 	// of the epoch life cycle: EpochSealed at the rebuild fence,
-	// and RebuildStart/RebuildEnd around each construction. Emission is
-	// lock-free and never blocks the rebuild path.
+	// and RebuildStart/RebuildEnd around each construction.
 	Events *events.Log
 	// EventShard labels emitted events with this shard index (the sharded
 	// composite sets it per shard; 0 for unsharded dictionaries).
@@ -190,40 +185,30 @@ type Metrics interface {
 	WriteClaim(probes, casRetries uint64)
 }
 
-// emit records one flight-recorder event when a log is attached. Emission
-// is lock-free (one CAS claim on the bounded ring) and never blocks a
-// rebuild or a writer: a full ring drops the event onto an exact counter
-// that the log surfaces as an OverflowDropped timeline entry.
+// emit records one flight-recorder event when a log is attached. Every
+// emission is a rebuild-lifecycle event sent under d.mu, at most four per
+// rebuild.
 func (d *Dict) emit(typ events.Type, a, b, c uint64) {
 	if d.p.Events != nil {
 		d.p.Events.Emit(typ, d.p.EventShard, a, b, c)
 	}
 }
 
-// stepSink offsets every observed probe's step — the buffer table's sink,
-// so buffer steps land past the static dictionary's step range.
-type stepSink struct {
-	sink cellprobe.ProbeSink
-	off  int
-}
-
-func (s stepSink) ProbeObserved(step, cell int) { s.sink.ProbeObserved(step+s.off, cell) }
-
-// tallySink is the optional side of a Params.Sink that takes a read's probes
-// as per-step counts; *telemetry.Telemetry implements it. A positive TallyLen
-// means the sink keeps nothing but per-step totals of every probe, so the
-// read path counts into a tally of that length in its pooled scratch
-// (cellprobe.Table.ProbeTo) and calls FlushTally once per query or batch.
-// 0 means the sink needs every probe individually.
-type tallySink interface {
+// Sink takes a dynamic dictionary's read probes as per-step counts;
+// *telemetry.Telemetry with Sample ≤ 1 and no per-cell accounting
+// implements it. The read path counts a query's or a batch's probes into a
+// tally of TallyLen slots (which must be positive) in its pooled scratch
+// (cellprobe.Table.ProbeTo), clamping later steps into the last slot, and
+// hands it over with one FlushTally, which zeroes it.
+type Sink interface {
 	TallyLen() int
 	FlushTally(tally []uint64)
 }
 
 // bufTally returns the part of a read tally that buffer probes count into:
-// buffer steps sit past the static dictionary's off = MaxProbes steps, as
-// stepSink offsets them, and steps past the tally's end clamp into its last
-// slot. A nil tally stays nil.
+// buffer steps sit past the static dictionary's off = MaxProbes steps, and
+// steps past the tally's end clamp into its last slot. A nil tally (no
+// sink) stays nil.
 func bufTally(tally []uint64, off int) []uint64 {
 	if tally == nil {
 		return nil
@@ -295,8 +280,7 @@ func (b *buffer) seal() {
 // slot (found=false). x holds at most one slot per epoch (see claim), so the
 // walk is as short as x's chain, however often x churned. Probes are recorded
 // at steps 1, 2, ... on the accounting table; callers already probed the
-// parameter row at step 0. A non-nil tally counts the probes in place of
-// the sink, like params.
+// parameter row at step 0. A non-nil tally counts the probes, like params.
 func (b *buffer) find(x uint64, h hash.Pairwise, tally []uint64) (slot int, tag uint64, found bool, probes uint64, err error) {
 	p := int(h.Eval(x))
 	for step := 1; step <= b.width+1; step++ {
@@ -359,11 +343,6 @@ type Dict struct {
 	cur atomic.Pointer[epoch]
 	n   atomic.Int64 // current key count, mirrored for lock-free Len
 
-	// tally is p.Sink when it takes per-step tallies (see tallySink), else
-	// nil. When set, every pooled scratch carries a tally that Contains and
-	// ContainsBatch flush into it.
-	tally tallySink
-
 	readProbes  *cellprobe.StripedCounter
 	writeProbes *cellprobe.StripedCounter
 	casRetries  *cellprobe.StripedCounter
@@ -396,9 +375,6 @@ func New(initial []uint64, p Params, seed uint64) (*Dict, error) {
 		writeProbes: cellprobe.NewStripedCounter(),
 		casRetries:  cellprobe.NewStripedCounter(),
 	}
-	if ts, ok := p.Sink.(tallySink); ok && ts.TallyLen() > 0 {
-		d.tally = ts
-	}
 	d.scratch.New = func() any {
 		sc := new(core.QueryScratch)
 		sc.SetTally(d.newTally())
@@ -429,13 +405,13 @@ func New(initial []uint64, p Params, seed uint64) (*Dict, error) {
 	return d, nil
 }
 
-// newTally returns a zeroed read tally for a pooled scratch, or nil when the
-// sink takes probes one at a time (or there is no sink).
+// newTally returns a zeroed read tally for a pooled scratch, or nil without
+// a sink.
 func (d *Dict) newTally() []uint64 {
-	if d.tally == nil {
+	if d.p.Sink == nil {
 		return nil
 	}
-	return make([]uint64, d.tally.TallyLen())
+	return make([]uint64, d.p.Sink.TallyLen())
 }
 
 // newBuffer sizes and seeds the buffer of epoch ep for a snapshot of n keys.
@@ -559,12 +535,6 @@ func (d *Dict) finishRebuild(base *core.Dict, err error, ep int, keys []uint64, 
 		}
 	}
 	d.delta = nil
-	if d.p.Sink != nil {
-		// Installed before the epoch pointer is published: no reader has the
-		// new tables yet, so SetSink cannot race a probe.
-		base.Table().SetSink(d.p.Sink)
-		ne.buf.acct.SetSink(stepSink{sink: d.p.Sink, off: base.MaxProbes()})
-	}
 	durNs := time.Since(started).Nanoseconds()
 	if d.p.Metrics != nil {
 		d.p.Metrics.RebuildDone(n, durNs)
@@ -614,11 +584,9 @@ func (d *Dict) claim(e *epoch, x uint64, del bool, capLimit int) (claimOutcome, 
 	if del {
 		seed ^= 0xdead
 	}
-	// Write probes are counted on writeProbes and Metrics.WriteClaim, not on
-	// the read sink: they go into this local tally, which is dropped, so the
-	// sink never sees them while a recorder or trace still does.
-	var unsunk [1]uint64
-	h := b.params(rng.New(seed), unsunk[:])
+	// Write probes are counted on writeProbes and Metrics.WriteClaim, never
+	// on the read sink's tally.
+	h := b.params(rng.New(seed), nil)
 	probes := uint64(1) // the step-0 parameter probe
 	var retries uint64
 	outcome := claimNoChange
@@ -632,7 +600,7 @@ walk:
 			err = fmt.Errorf("dynamic: buffer scan wrapped (corrupt table?)")
 			break walk
 		}
-		b.acct.ProbeTo(step, bufSlotRow, p, unsunk[:])
+		b.acct.Probe(step, bufSlotRow, p)
 		w := b.slots[p].Load()
 		probes++
 		for {
@@ -711,16 +679,16 @@ walk:
 // buffer and the static tables of the current epoch. It takes no lock and
 // writes no shared cache line beyond the striped probe counters; its working
 // memory comes from a pooled scratch, so the steady-state read path
-// performs no heap allocation. With a tallying sink the query's probes are
-// flushed to it once, after the query. A shared rng.Sharded r is drawn from
+// performs no heap allocation. With a sink the query's probes are flushed
+// to it once, after the query. A shared rng.Sharded r is drawn from
 // once; the query's replica choices come from the scratch's own stream
 // (core.QueryScratch.Source).
 func (d *Dict) Contains(x uint64, r rng.Source) (bool, error) {
 	e := d.cur.Load()
 	sc := d.scratch.Get().(*core.QueryScratch)
 	ok, err := d.containsEpoch(e, x, sc.Source(r), sc)
-	if d.tally != nil {
-		d.tally.FlushTally(sc.Tally())
+	if d.p.Sink != nil {
+		d.p.Sink.FlushTally(sc.Tally())
 	}
 	d.scratch.Put(sc)
 	return ok, err
@@ -730,8 +698,8 @@ func (d *Dict) Contains(x uint64, r rng.Source) (bool, error) {
 // the current epoch for the single query. The facade's telemetry path uses
 // it with a capture-armed scratch to trace the static probes of a query
 // (buffer probes are not captured — their cell indices are epoch-local).
-// Probes go to the sink one at a time unless sc carries a tally, which the
-// caller then owns and flushes.
+// Probes are counted into sc's tally, if it carries one, which the caller
+// owns and flushes; the sink sees nothing of them.
 func (d *Dict) ContainsScratch(x uint64, r rng.Source, sc *core.QueryScratch) (bool, error) {
 	return d.containsEpoch(d.cur.Load(), x, sc.Source(r), sc)
 }
@@ -827,7 +795,7 @@ type batchState struct {
 // identical to a sequential loop over the batch. out must be at least as
 // long as keys. It stops at the first corrupt-buffer or corrupt-table
 // error (queries in flight at that point are abandoned). The batch's read
-// probes reach the shared counters — and a tallying sink — once per batch,
+// probes reach the shared counters — and the sink — once per batch,
 // and a shared rng.Sharded r is drawn from once per batch.
 func (d *Dict) ContainsBatch(keys []uint64, out []bool, r rng.Source) error {
 	if len(out) < len(keys) {
@@ -837,8 +805,8 @@ func (d *Dict) ContainsBatch(keys []uint64, out []bool, r rng.Source) error {
 	e := d.cur.Load()
 	st.cur = batchCursor{e: e, r: st.sc.Source(r), keys: keys, out: out, tally: bufTally(st.sc.Tally(), e.base.MaxProbes())}
 	err := d.answerBatch(&st.cur, &st.sc)
-	if d.tally != nil {
-		d.tally.FlushTally(st.sc.Tally())
+	if d.p.Sink != nil {
+		d.p.Sink.FlushTally(st.sc.Tally())
 	}
 	st.cur = batchCursor{} // drop epoch/slice references before pooling
 	d.batch.Put(st)

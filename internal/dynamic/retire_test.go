@@ -11,17 +11,10 @@ import (
 	"repro/internal/rng"
 )
 
-// stepTallySink is a sink that keeps only per-step totals, so the read path
-// hands it tallies (tallySink) rather than one call per probe.
+// stepTallySink is a Sink that sums the tallies it is handed per step.
 type stepTallySink struct {
 	mu    sync.Mutex
 	steps []uint64
-}
-
-func (s *stepTallySink) ProbeObserved(step, _ int) {
-	s.mu.Lock()
-	s.steps[min(step, len(s.steps)-1)]++
-	s.mu.Unlock()
 }
 
 func (s *stepTallySink) TallyLen() int { return len(s.steps) }
@@ -59,9 +52,9 @@ func TestPooledScratchesDropRetiredTable(t *testing.T) {
 	}
 	// The view holds row slices, not the Table, so watch the row arena too.
 	retired := weak.Make(d.BaseTable())
-	rows := d.BaseTable().DenseRows(true)
+	rows := d.BaseTable().DenseRows()
 	if rows == nil {
-		t.Fatal("the base table does not hand out its rows to a tallying reader")
+		t.Fatal("the base table does not hand out its rows")
 	}
 	retiredCells := weak.Make(&rows[0][0])
 	rows = nil

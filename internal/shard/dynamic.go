@@ -104,8 +104,9 @@ func (d *DynamicDict) Contains(x uint64, r rng.Source) (bool, error) {
 
 // ContainsTraced is Contains with caller-supplied scratch, reporting which
 // shard answered — the telemetry layer's traced-query entry point (arm the
-// scratch with StartCapture first). Captured cell indices are local to the
-// answering shard's current static snapshot.
+// scratch with StartCapture first; its tally, if any, is the caller's to
+// flush). Captured cell indices are local to the answering shard's current
+// static snapshot.
 func (d *DynamicDict) ContainsTraced(x uint64, r rng.Source, sc *core.QueryScratch) (bool, int, error) {
 	i := d.ShardOf(x)
 	ok, err := d.shards[i].ContainsScratch(x, r, sc)

@@ -7,15 +7,11 @@ import (
 	"testing"
 )
 
-// TestEmitTimelineSingle checks the basic emit → drain → cursor contract.
+// TestEmitTimelineSingle checks the basic emit → timeline → cursor contract.
 func TestEmitTimelineSingle(t *testing.T) {
-	l := NewLog(16, 64)
-	if !l.Emit(RebuildStart, 0, 1, 100, 0) {
-		t.Fatal("emit on an empty ring refused")
-	}
-	if !l.Emit(RebuildEnd, 0, 1, 100, 12345) {
-		t.Fatal("emit refused")
-	}
+	l := NewLog()
+	l.Emit(RebuildStart, 0, 1, 100, 0)
+	l.Emit(RebuildEnd, 0, 1, 100, 12345)
 	evs, next := l.Timeline(0, 0)
 	if len(evs) != 2 {
 		t.Fatalf("timeline returned %d events, want 2", len(evs))
@@ -38,7 +34,7 @@ func TestEmitTimelineSingle(t *testing.T) {
 
 // TestTimelinePagination checks the since-cursor contract page by page.
 func TestTimelinePagination(t *testing.T) {
-	l := NewLog(64, 256)
+	l := NewLog()
 	for i := 0; i < 10; i++ {
 		l.Emit(EpochSealed, 0, uint64(i), 0, 0)
 	}
@@ -65,50 +61,10 @@ func TestTimelinePagination(t *testing.T) {
 	}
 }
 
-// TestOverflowDroppedExact fills the ring with no reader, then checks drops
-// are counted exactly and surfaced as an OverflowDropped event whose totals
-// match Dropped().
-func TestOverflowDroppedExact(t *testing.T) {
-	l := NewLog(8, 64)
-	accepted, refused := 0, 0
-	for i := 0; i < 50; i++ {
-		if l.Emit(ShardRebuild, 0, 1, 2, 0) {
-			accepted++
-		} else {
-			refused++
-		}
-	}
-	if accepted != l.RingCapacity() {
-		t.Fatalf("accepted %d, want ring capacity %d", accepted, l.RingCapacity())
-	}
-	if got := l.Dropped(); got != uint64(refused) {
-		t.Fatalf("Dropped() = %d, want %d", got, refused)
-	}
-	evs, _ := l.Timeline(0, 0)
-	var overflow *Event
-	for i := range evs {
-		if evs[i].Type == OverflowDropped {
-			if overflow != nil {
-				t.Fatal("more than one OverflowDropped for one loss window")
-			}
-			overflow = &evs[i]
-		}
-	}
-	if overflow == nil {
-		t.Fatal("no OverflowDropped event synthesized")
-	}
-	if overflow.A != uint64(refused) || overflow.B != uint64(refused) {
-		t.Fatalf("OverflowDropped payload %d/%d, want %d/%d", overflow.A, overflow.B, refused, refused)
-	}
-	if overflow.B != l.Dropped() {
-		t.Fatalf("OverflowDropped total %d != ring counter %d", overflow.B, l.Dropped())
-	}
-}
-
 // TestTimelineWindowSkip checks that a cursor older than the retained
 // window skips forward instead of sticking.
 func TestTimelineWindowSkip(t *testing.T) {
-	l := NewLog(512, 16) // tiny retained window
+	l := newLog(16) // tiny retained window
 	for i := 0; i < 100; i++ {
 		l.Emit(EpochSealed, 0, uint64(i), 0, 0)
 	}
@@ -121,25 +77,20 @@ func TestTimelineWindowSkip(t *testing.T) {
 	}
 }
 
-// TestConcurrentEmitters is the satellite battery: GOMAXPROCS writers and
-// one reader under -race. It asserts (1) no event is torn — each event's
-// payload words are a self-consistent function of its emitter and per-
-// emitter index; (2) per-emitter ordering is monotone in the timeline;
-// (3) drops are counted exactly: accepted + refused == attempts and the
-// timeline delivers every accepted event.
+// TestConcurrentEmitters runs GOMAXPROCS emitters against one concurrent
+// reader under -race. Every emission must be recorded exactly once and
+// untorn (each event's payload is a self-consistent function of its emitter
+// and per-emitter index), the cursors must run from 1 without a gap, and
+// each emitter's events must appear in its own emission order.
 func TestConcurrentEmitters(t *testing.T) {
-	writers := runtime.GOMAXPROCS(0)
-	if writers < 2 {
-		writers = 2
-	}
+	writers := max(runtime.GOMAXPROCS(0), 2)
 	const perWriter = 2000
-	l := NewLog(256, writers*perWriter+writers)
+	l := newLog(writers * perWriter)
 
-	accepted := make([]uint64, writers)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
-	// One reader draining concurrently with the writers.
+	// One reader paging concurrently with the writers.
 	var readerWG sync.WaitGroup
 	readerWG.Add(1)
 	var collected []Event
@@ -164,41 +115,25 @@ func TestConcurrentEmitters(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var ok uint64
 			for i := 0; i < perWriter; i++ {
 				// Payload: A = writer, B = per-writer index, C = A ^ B — the
 				// torn-write detector.
 				a, b := uint64(w), uint64(i)
-				if l.Emit(EpochSealed, w, a, b, a^b) {
-					ok++
-				}
+				l.Emit(EpochSealed, w, a, b, a^b)
 			}
-			accepted[w] = ok
 		}(w)
 	}
 	wg.Wait()
 	close(stop)
 	readerWG.Wait()
 
-	var totalAccepted uint64
-	for _, a := range accepted {
-		totalAccepted += a
+	if len(collected) != writers*perWriter {
+		t.Fatalf("read %d events, want every one of %d emissions", len(collected), writers*perWriter)
 	}
-	totalRefused := uint64(writers*perWriter) - totalAccepted
-	if got := l.Dropped(); got != totalRefused {
-		t.Fatalf("Dropped() = %d, want exactly %d refused emissions", got, totalRefused)
-	}
-
-	perWriterSeen := make([]uint64, writers)
-	lastIdx := make([]int64, writers)
-	for w := range lastIdx {
-		lastIdx[w] = -1
-	}
-	var overflowTotal uint64
-	for _, ev := range collected {
-		if ev.Type == OverflowDropped {
-			overflowTotal = ev.B
-			continue
+	next := make([]uint64, writers) // each writer's next expected index
+	for i, ev := range collected {
+		if ev.Seq != uint64(i+1) {
+			t.Fatalf("event %d has cursor %d: cursors must run from 1 without a gap", i, ev.Seq)
 		}
 		if ev.Type != EpochSealed {
 			t.Fatalf("unexpected event type %v", ev.Type)
@@ -207,25 +142,13 @@ func TestConcurrentEmitters(t *testing.T) {
 		if w < 0 || w >= writers || ev.C != ev.A^ev.B || int32(w) != ev.Shard {
 			t.Fatalf("torn event: %+v", ev)
 		}
-		if int64(ev.B) <= lastIdx[w] {
-			t.Fatalf("writer %d order violated: index %d after %d", w, ev.B, lastIdx[w])
+		if ev.B != next[w] {
+			t.Fatalf("writer %d: index %d where %d was next", w, ev.B, next[w])
 		}
-		lastIdx[w] = int64(ev.B)
-		perWriterSeen[w]++
+		next[w]++
 	}
-	for w := range perWriterSeen {
-		if perWriterSeen[w] != accepted[w] {
-			t.Fatalf("writer %d: delivered %d, accepted %d", w, perWriterSeen[w], accepted[w])
-		}
-	}
-	if totalRefused > 0 && overflowTotal != totalRefused {
-		t.Fatalf("final OverflowDropped total %d, want %d", overflowTotal, totalRefused)
-	}
-	// Cursors of the collected stream are strictly increasing with no reuse.
-	for i := 1; i < len(collected); i++ {
-		if collected[i].Seq <= collected[i-1].Seq {
-			t.Fatalf("timeline cursors not monotone at %d: %d then %d", i, collected[i-1].Seq, collected[i].Seq)
-		}
+	if s := l.Stats(); s.Recorded != uint64(writers*perWriter) {
+		t.Fatalf("Stats().Recorded = %d, want %d", s.Recorded, writers*perWriter)
 	}
 }
 
@@ -238,7 +161,6 @@ func TestEventJSON(t *testing.T) {
 		{Event{Seq: 1, Type: EpochSealed, A: 3, B: 17}, []string{`"type":"epoch_sealed"`, `"epoch":3`, `"buffered":17`}},
 		{Event{Seq: 2, Type: RebuildEnd, A: MarkFailed(4), B: 9, C: 55}, []string{`"type":"rebuild_end"`, `"failed":true`, `"epoch":4`, `"duration_ns":55`}},
 		{Event{Seq: 4, Type: ShardRebuild, A: 2, B: 8, C: 9}, []string{`"type":"shard_rebuild"`, `"epoch":2`, `"keys":8`, `"duration_ns":9`}},
-		{Event{Seq: 5, Type: OverflowDropped, A: 5, B: 12}, []string{`"dropped":5`, `"dropped_total":12`}},
 	}
 	for _, c := range cases {
 		raw, err := json.Marshal(c.ev)
@@ -264,12 +186,12 @@ func contains(s, sub string) bool {
 
 // TestStats checks the snapshot-embedding summary.
 func TestStats(t *testing.T) {
-	l := NewLog(32, 64)
+	l := NewLog()
 	l.Emit(RebuildStart, 0, 1, 10, 0)
 	l.Emit(RebuildEnd, 0, 1, 10, 99)
 	l.Emit(RebuildEnd, 0, 2, 11, 98)
 	s := l.Stats()
-	if s.Recorded != 3 || s.Dropped != 0 || s.NextCursor != 3 {
+	if s.Recorded != 3 || s.NextCursor != 3 {
 		t.Fatalf("stats %+v", s)
 	}
 	if s.ByType["rebuild_end"] != 2 || s.ByType["rebuild_start"] != 1 {
@@ -279,12 +201,9 @@ func TestStats(t *testing.T) {
 
 // BenchmarkEmit measures the producer path (single goroutine).
 func BenchmarkEmit(b *testing.B) {
-	l := NewLog(1<<16, 1<<16)
+	l := NewLog()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		l.Emit(EpochSealed, 0, uint64(i), 0, 0)
-		if i&1023 == 0 {
-			l.Timeline(^uint64(0), 0) // keep the ring drained
-		}
 	}
 }

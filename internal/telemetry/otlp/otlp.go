@@ -234,7 +234,6 @@ func Metrics(s telemetry.Snapshot, nowUnixNano int64) []metric {
 		counterMetric("lcds.misses", s.Misses, now),
 		counterMetric("lcds.errors", s.Errors, now),
 		counterMetric("lcds.probes", s.Probes, now),
-		counterMetric("lcds.events.dropped", s.Events.Dropped, now),
 		histogramMetric("lcds.latency", s.Latency, now),
 		histogramMetric("lcds.batch_latency", s.BatchLatency, now),
 	}

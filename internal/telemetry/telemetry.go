@@ -6,9 +6,7 @@
 //
 // # Design
 //
-// A Telemetry value implements cellprobe.ProbeSink and is installed on a
-// dictionary's table (facade option lcds.WithTelemetry). Every recorded
-// probe lands on cache-line-striped counters (cellprobe.StripedVector, the
+// Probes land on cache-line-striped counters (cellprobe.StripedVector, the
 // vector generalization of StripedCounter): a per-step vector for the probe
 // mass of each query step and, for static dictionaries, a per-cell vector
 // for the empirical per-cell probe mass Φ̂(j). The counters inherit the
@@ -17,14 +15,19 @@
 // guarantees — and the striping removes the residual false sharing between
 // adjacent cells' counters.
 //
+// Probes arrive by one of two feeds. A static dictionary installs the
+// Telemetry value as its table's cellprobe.ProbeSink (facade option
+// lcds.WithTelemetry), which sees every probe with its cell; optional 1-in-k
+// probe sampling (Config.Sample) divides that counting cost, and Snapshot
+// scales the estimates back up. A dynamic dictionary's tables are replaced
+// on every rebuild, so its telemetry is cell-agnostic and installed on no
+// table: its read path tallies a query's or a batch's probes per step and
+// hands them over in one FlushTally.
+//
 // When telemetry is *off* nothing is installed: the query hot path pays one
 // predictable nil-check per probe (the same discipline as the pre-existing
 // Recorder and trace hooks) and performs zero atomic writes and zero
-// allocations. When on, optional 1-in-k probe sampling (Config.Sample)
-// divides the counting cost; Snapshot scales the estimates back up. A
-// cell-agnostic instance that counts every probe need not be called per
-// probe at all: the dynamic dictionary's read path tallies a query's or a
-// batch's probes per step itself and hands them over in one FlushTally.
+// allocations.
 //
 // # Self-check against theory
 //
@@ -55,7 +58,9 @@ import (
 type Config struct {
 	// Sample records 1 in Sample probes (rounded up to a power of two);
 	// 0 or 1 records every probe. Snapshot scales counts back up by the
-	// realized sampling factor, so estimates stay unbiased.
+	// realized sampling factor, so estimates stay unbiased. Only the
+	// per-probe sink feed samples; a tallying caller (see TallyLen) needs
+	// every probe counted.
 	Sample int
 	// TraceEvery traces roughly 1 in TraceEvery queries into Tracer
 	// (per-goroutine sampled, so concurrent tracers never contend on a
@@ -77,7 +82,7 @@ type Config struct {
 	// Events, when non-nil, is the flight recorder this instance emits into
 	// and reports from — the facade shares one log between the telemetry
 	// layer and the dynamic dictionary's rebuild path. Nil creates a
-	// private log with default capacities: the recorder is always on.
+	// private log: the recorder is always on.
 	Events *events.Log
 	// SketchSlots sizes each per-stripe reservoir of the (step, cell)
 	// sketch (default 256). The sketch needs per-cell accounting, so it
@@ -199,7 +204,7 @@ func New(cfg Config, cells, n int) *Telemetry {
 	}
 	t.events = cfg.Events
 	if t.events == nil {
-		t.events = events.NewLog(0, 0)
+		t.events = events.NewLog()
 	}
 	if cells > 0 {
 		t.perCell = cellprobe.NewStripedVector(cells, stripes)
@@ -306,9 +311,9 @@ func (t *Telemetry) FlushTally(tally []uint64) {
 // non-nil (a private log is created when the configuration supplies none).
 func (t *Telemetry) Events() *events.Log { return t.events }
 
-// Timeline drains the flight recorder and returns up to max events with
-// sequence numbers beyond since, oldest first, plus the cursor for the next
-// call — lcds-server's /debug/timeline pagination contract.
+// Timeline returns up to max flight-recorder events with sequence numbers
+// beyond since, oldest first, plus the cursor for the next call —
+// lcds-server's /debug/timeline pagination contract.
 func (t *Telemetry) Timeline(since uint64, max int) ([]events.Event, uint64) {
 	return t.events.Timeline(since, max)
 }
@@ -439,8 +444,8 @@ type Snapshot struct {
 
 	Dynamic []DynamicSnapshot `json:"dynamic,omitempty"`
 
-	// Events summarizes the flight recorder: per-type counts, the exact
-	// drop total, and the newest timeline cursor.
+	// Events summarizes the flight recorder: per-type counts and the
+	// newest timeline cursor.
 	Events events.Stats `json:"events"`
 
 	UptimeSeconds float64 `json:"uptime_seconds"`

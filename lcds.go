@@ -106,7 +106,7 @@ type options struct {
 	params   core.Params
 	shards   int
 	telem    *telemetry.Config // nil: telemetry off
-	eventlog *EventLogConfig   // nil: no explicit flight recorder
+	eventlog bool              // WithEventLog: an explicit flight recorder
 }
 
 // Option configures New.
@@ -283,12 +283,12 @@ func (d *Dict) finishOptions(o options) {
 	d.events = elog
 }
 
-// newEventLog creates the explicitly configured flight recorder, or nil.
+// newEventLog creates the explicitly requested flight recorder, or nil.
 func (o options) newEventLog() *events.Log {
-	if o.eventlog == nil {
+	if !o.eventlog {
 		return nil
 	}
-	return events.NewLog(o.eventlog.RingCapacity, o.eventlog.TimelineCapacity)
+	return events.NewLog()
 }
 
 // querySource resolves the configured query source, defaulting to a

@@ -13,8 +13,9 @@ import (
 )
 
 // TelemetryConfig configures the live observability layer (WithTelemetry):
-// probe sampling, query tracing, and snapshot shape. The zero value counts
-// every probe and traces nothing. See internal/telemetry for field docs.
+// probe sampling (static dictionaries only), query tracing, and snapshot
+// shape. The zero value counts every probe and traces nothing. See
+// internal/telemetry for field docs.
 type TelemetryConfig = telemetry.Config
 
 // Telemetry is the live telemetry handle of a dictionary built with
@@ -41,10 +42,11 @@ type TelemetryDrift = telemetry.Drift
 
 // WithTelemetry enables the live observability layer on New, Read and
 // NewDynamic: runtime Φ̂ estimation on striped per-cell/per-step counters,
-// optional 1-in-k probe sampling, log₂ latency histograms, sampled query
-// traces to a Tracer, and (dynamic dictionaries) per-shard rebuild metrics.
-// Without this option no sink is installed and the query path performs zero
-// additional atomic writes and zero additional allocations.
+// optional 1-in-k probe sampling (static dictionaries; NewDynamic refuses a
+// Sample above 1), log₂ latency histograms, sampled query traces to a
+// Tracer, and (dynamic dictionaries) per-shard rebuild metrics. Without this
+// option the query path performs zero additional atomic writes and zero
+// additional allocations.
 func WithTelemetry(cfg TelemetryConfig) Option {
 	return func(c *opterr) {
 		if cfg.Sample < 0 {
@@ -58,30 +60,27 @@ func WithTelemetry(cfg TelemetryConfig) Option {
 
 // Event is one entry of the flight-recorder timeline: a typed, timestamped
 // record of a structural transition (epoch seal, rebuild, per-shard
-// rebuild, overflow). Payload words A/B/C are decoded per type by its JSON
-// encoding.
+// rebuild). Payload words A/B/C are decoded per type by its JSON encoding.
 type Event = events.Event
 
 // EventType discriminates flight-recorder events.
 type EventType = events.Type
 
-// EventLog is the flight recorder itself: a lock-free multi-producer ring
-// drained into a bounded timeline. Obtain a dictionary's log with EventLog()
-// or share one across dictionaries via WithEventLog.
+// EventLog is the flight recorder itself: a mutex-guarded timeline of the
+// newest 4096 events. Obtain a dictionary's log with EventLog().
 type EventLog = events.Log
 
-// EventLogStats summarizes a flight recorder: events recorded and dropped,
-// per-type counts, and the next timeline cursor.
+// EventLogStats summarizes a flight recorder: events recorded, per-type
+// counts, and the next timeline cursor.
 type EventLogStats = events.Stats
 
 // Flight-recorder event types. See internal/telemetry/events for the payload
 // carried by each.
 const (
-	EventEpochSealed     = events.EpochSealed
-	EventRebuildStart    = events.RebuildStart
-	EventRebuildEnd      = events.RebuildEnd
-	EventShardRebuild    = events.ShardRebuild
-	EventOverflowDropped = events.OverflowDropped
+	EventEpochSealed  = events.EpochSealed
+	EventRebuildStart = events.RebuildStart
+	EventRebuildEnd   = events.RebuildEnd
+	EventShardRebuild = events.ShardRebuild
 )
 
 // EventFailedRebuild decodes a RebuildEnd event's A word into the epoch and
@@ -90,40 +89,17 @@ func EventFailedRebuild(a uint64) (epoch uint64, failed bool) {
 	return events.FailedRebuild(a)
 }
 
-// EventLogConfig sizes the flight recorder enabled by WithEventLog. Zero
-// values select the defaults (1024-slot ring, 4096-event timeline);
-// capacities round up to powers of two.
-type EventLogConfig struct {
-	// RingCapacity bounds the lock-free staging ring event emitters write
-	// into. Emission never blocks: when drains fall behind and the ring
-	// fills, events are dropped and counted exactly (an OverflowDropped
-	// event records each gap in the timeline).
-	RingCapacity int
-	// TimelineCapacity bounds the drained timeline Timeline() pages through;
-	// older events fall off. Reads (Timeline, Stats, lcds-server's
-	// /debug/timeline) drain the ring, so only the window between reads
-	// needs to fit in RingCapacity.
-	TimelineCapacity int
-}
-
 // WithEventLog enables the flight recorder on New, Read and NewDynamic: an
-// always-on, lock-free timeline of structural events — epoch seals, rebuild
-// start/end with durations, per-shard rebuilds — queryable with Timeline and
-// served by cmd/lcds-server at /debug/timeline. Emission is a single CAS
-// plus plain stores on the writer's claimed slot, off the query path
-// entirely; a dictionary with only an event log queries at the same speed as
-// a bare one. WithTelemetry implies an event log (its snapshot reports the
-// log's stats); use WithEventLog alongside it to size the log
-// explicitly or without it for events with zero query-path instrumentation.
-func WithEventLog(cfg EventLogConfig) Option {
-	return func(c *opterr) {
-		if cfg.RingCapacity < 0 || cfg.TimelineCapacity < 0 {
-			c.err = fmt.Errorf("lcds: negative event log capacity (%d, %d)", cfg.RingCapacity, cfg.TimelineCapacity)
-			return
-		}
-		cc := cfg
-		c.o.eventlog = &cc
-	}
+// always-on timeline of the newest 4096 structural events — epoch seals,
+// rebuild start/end with durations, per-shard rebuilds — queryable with
+// Timeline and served by cmd/lcds-server at /debug/timeline. Only the
+// rebuild path emits, at most four events per rebuild, so the query path
+// never touches the log; a dictionary with only an event log queries at the
+// same speed as a bare one. WithTelemetry implies an event log (its
+// snapshot reports the log's stats); use WithEventLog without it for events
+// with zero query-path instrumentation.
+func WithEventLog() Option {
+	return func(c *opterr) { c.o.eventlog = true }
 }
 
 // EventLog returns the dictionary's flight recorder, or nil when it was
@@ -341,7 +317,8 @@ func (d *Dict) lookupTelemetry(x uint64) (bool, error) {
 // containsTelemetry is the DynamicDict analogue of lookupTelemetry. Dynamic
 // telemetry is cell-agnostic (tables are replaced every epoch), so traces
 // carry the static snapshot's local cell indices for context, not stable
-// composite addresses.
+// composite addresses. A traced query counts its probes into the trace
+// scratch's tally and flushes it after the query, as an untraced one does.
 func (d *DynamicDict) containsTelemetry(x uint64) (bool, error) {
 	start := time.Now()
 	traced := d.tel.ShouldTrace()
@@ -362,6 +339,7 @@ func (d *DynamicDict) containsTelemetry(x uint64) (bool, error) {
 		log := sc.StopCapture()
 		cells = make([]int32, len(log))
 		copy(cells, log)
+		d.tel.FlushTally(sc.Tally())
 		d.scratch.Put(sc)
 	} else if d.sharded != nil {
 		ok, err = d.sharded.Contains(x, d.src)

@@ -6,14 +6,16 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cellprobe"
 	"repro/internal/rng"
 )
 
-// A dynamic dictionary with a Sample-1 telemetry sink counts read probes into
-// a per-step tally in its pooled scratch and flushes it once per Contains or
-// ContainsBatch call. These tests hold that shortcut to the per-probe sink it
-// replaces: the same probes at the same steps, overflow clamp included, and
-// no flush lost when many goroutines flush while the counters are scraped.
+// A dynamic dictionary with telemetry counts read probes into a per-step
+// tally in its pooled scratch and flushes it once per Contains or
+// ContainsBatch call. These tests hold that feed to a per-probe Recorder on
+// the same tables: the same probes at the same steps, overflow clamp
+// included, and no flush lost when many goroutines flush while the counters
+// are scraped.
 
 // telemetryTwinOps drives one dictionary of a twin set through the same
 // deterministic write schedule: buffer inserts, then tombstones for
@@ -59,12 +61,15 @@ func telemetryReadStream(keys []uint64) []uint64 {
 
 // TestBatchTelemetryMatchesSequential answers one read stream three ways on
 // dictionaries built from the same seed and driven through the same writes:
-// ContainsBatch and sequential Contains (both tallied), and traced
-// sequential Contains (TraceEvery 1 with a Tracer routes every query
-// through a caller scratch without a tally, so each probe reaches the sink on its own — the
-// per-probe reference). Probes, step masses and read-probe counts must be
+// ContainsBatch, sequential Contains, and traced sequential Contains
+// (TraceEvery 1 with a Tracer routes every query through the trace
+// scratch's tally). Probes, step masses and read-probe counts must be
 // identical, across a small StepCap that sends static and buffer steps into
-// the overflow slot, and a 4-way sharded dictionary.
+// the overflow slot, and a 4-way sharded dictionary. On the unsharded
+// cases, Recorders on the sequential twin's base and buffer tables are the
+// independent per-probe reference: their per-step totals, buffer steps
+// offset by the static MaxProbes and clamped at StepCap, must equal the
+// telemetry's step counts.
 func TestBatchTelemetryMatchesSequential(t *testing.T) {
 	keys := testKeys(5000, 41)
 	cases := []struct {
@@ -105,6 +110,15 @@ func TestBatchTelemetryMatchesSequential(t *testing.T) {
 			}
 			if st.Buffered == 0 {
 				t.Fatal("no buffer entries to read through")
+			}
+			var baseRec, bufRec *cellprobe.Recorder
+			if tc.shards == 0 {
+				base, buf := seq.inner.BaseTable(), seq.inner.BufferTable()
+				baseRec, bufRec = cellprobe.NewRecorder(base.Size()), cellprobe.NewRecorder(buf.Size())
+				base.Attach(baseRec)
+				buf.Attach(bufRec)
+				defer base.Detach()
+				defer buf.Detach()
 			}
 
 			stream := telemetryReadStream(keys)
@@ -150,6 +164,36 @@ func TestBatchTelemetryMatchesSequential(t *testing.T) {
 			}
 			if rb, rs, rr := batch.Stats().ReadProbes, seq.Stats().ReadProbes, traced.Stats().ReadProbes; rs == 0 || rb != rs || rr != rs {
 				t.Fatalf("read probes: batch %d, sequential %d, traced %d", rb, rs, rr)
+			}
+			if baseRec != nil {
+				last := seq.Telemetry().TallyLen() - 1 // the StepCap overflow slot
+				off := seq.inner.Base().MaxProbes()
+				steps := make([]uint64, last+1)
+				for step, row := range baseRec.PerStep {
+					for _, c := range row {
+						steps[min(step, last)] += c
+					}
+				}
+				for step, row := range bufRec.PerStep {
+					for _, c := range row {
+						steps[min(step+off, last)] += c
+					}
+				}
+				var total uint64
+				for _, c := range steps {
+					total += c
+				}
+				for steps[len(steps)-1] == 0 { // Snapshot trims trailing empty steps
+					steps = steps[:len(steps)-1]
+				}
+				mass := make([]float64, len(steps))
+				for i, c := range steps {
+					mass[i] = float64(c) / float64(ss.Queries)
+				}
+				if total != ss.Probes {
+					t.Fatalf("recorders saw %d probes, telemetry counted %d", total, ss.Probes)
+				}
+				requireSameStepMass(t, "recorder", mass, ss.StepMass)
 			}
 		})
 	}

@@ -356,35 +356,41 @@ func TestTelemetryDynamic(t *testing.T) {
 
 // TestTelemetryDynamicWritesUncounted: the live probe counters measure
 // reads, so write traffic cannot inflate probes per query. Claim walks and
-// delta replays are counted on WriteProbes and the claim-probe metric.
+// delta replays are counted on WriteProbes and the claim-probe metric. The
+// telemetry is fed by per-call tallies alone: no table carries a sink, and
+// NewDynamic refuses a sampling factor above 1.
 func TestTelemetryDynamicWritesUncounted(t *testing.T) {
 	keys := testKeys(3000, 27)
-	for _, cfg := range []TelemetryConfig{{}, {Sample: 2}} {
-		d, err := NewDynamic(keys[:2000], 0.1, WithSeed(27), WithTelemetry(cfg))
-		if err != nil {
+	if _, err := NewDynamic(keys[:2000], 0.1, WithTelemetry(TelemetryConfig{Sample: 2})); err == nil {
+		t.Fatal("NewDynamic accepted telemetry sample 2")
+	}
+	d, err := NewDynamic(keys[:2000], 0.1, WithSeed(27), WithTelemetry(TelemetryConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys[2000:] {
+		if _, err := d.Insert(k); err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range keys[2000:] {
-			if _, err := d.Insert(k); err != nil {
-				t.Fatal(err)
-			}
+	}
+	for _, k := range keys[:500] {
+		if _, err := d.Delete(k); err != nil {
+			t.Fatal(err)
 		}
-		for _, k := range keys[:500] {
-			if _, err := d.Delete(k); err != nil {
-				t.Fatal(err)
-			}
-		}
-		d.Quiesce()
-		s := d.Telemetry().Snapshot()
-		if st := d.Stats(); st.WriteProbes == 0 || st.Epochs < 2 {
-			t.Fatalf("writes did not run the claim path through rebuilds: %+v", st)
-		}
-		if s.Probes != 0 {
-			t.Fatalf("sample %d: %d write probes reached the read-probe counters", cfg.Sample, s.Probes)
-		}
-		if claims := s.Dynamic[0].ClaimProbes; claims == 0 {
-			t.Fatalf("claim probes uncounted: %+v", s.Dynamic[0])
-		}
+	}
+	d.Quiesce()
+	if d.inner.BaseTable().Sink() != nil || d.inner.BufferTable().Sink() != nil {
+		t.Fatal("dynamic telemetry installed a probe sink on a table")
+	}
+	s := d.Telemetry().Snapshot()
+	if st := d.Stats(); st.WriteProbes == 0 || st.Epochs < 2 {
+		t.Fatalf("writes did not run the claim path through rebuilds: %+v", st)
+	}
+	if s.Probes != 0 {
+		t.Fatalf("%d write probes reached the read-probe counters", s.Probes)
+	}
+	if claims := s.Dynamic[0].ClaimProbes; claims == 0 {
+		t.Fatalf("claim probes uncounted: %+v", s.Dynamic[0])
 	}
 }
 
