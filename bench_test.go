@@ -302,20 +302,6 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildParallel races GOMAXPROCS independent hash draws per round
-// during construction (WithParallelBuild). Deterministic per (seed, workers).
-func BenchmarkBuildParallel(b *testing.B) {
-	keys := benchKeys(b)
-	workers := runtime.GOMAXPROCS(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := New(keys, WithSeed(uint64(i+1)), WithParallelBuild(workers)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkContainsScratch measures the zero-allocation core fast path: an
 // explicit QueryScratch and a sequential RNG, no pools. Expect 0 allocs/op.
 func BenchmarkContainsScratch(b *testing.B) {
@@ -370,8 +356,9 @@ func BenchmarkContainsBatch(b *testing.B) {
 
 // BenchmarkContainsBatchSize separates the static batch path's compute from
 // its memory stalls: the same 1024-key batches of uniformly drawn members on
-// a table small enough to stay in L2 (n=512, 0.4 MiB) and on lcds-server's
-// 26 MiB table (n=32768). The gap between the two ns/key figures is what
+// a table small enough to stay in L2 (n=512, 66 KiB of heap) and on
+// lcds-server's (n=32768, 4.1 MiB: the two dense rows of s cells plus the
+// replicated rows' values). The gap between the two ns/key figures is what
 // the cache and TLB misses cost; the small table's figure is the work per
 // key itself.
 func BenchmarkContainsBatchSize(b *testing.B) {

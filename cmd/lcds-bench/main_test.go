@@ -54,7 +54,7 @@ func TestPerfReportSchema(t *testing.T) {
 	want := []string{
 		"batch_contains_mlp_ns_per_op", "batch_contains_ns_per_op",
 		"batch_group", "batch_speedup_vs_scalar",
-		"build_ms", "build_parallel_ms", "build_workers",
+		"build_ms",
 		"contains_allocs_per_op", "contains_eventlog_allocs_per_op",
 		"contains_eventlog_ns_per_op", "contains_ns_per_op",
 		"contains_telemetry_allocs_per_op", "contains_telemetry_ns_per_op",

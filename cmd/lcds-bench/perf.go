@@ -34,9 +34,7 @@ type perfReport struct {
 	QueryN int    `json:"query_n"`
 	Seed   uint64 `json:"seed"`
 
-	BuildMs         float64 `json:"build_ms"`
-	BuildParallelMs float64 `json:"build_parallel_ms"`
-	BuildWorkers    int     `json:"build_workers"`
+	BuildMs float64 `json:"build_ms"`
 
 	ContainsNsPerOp     float64 `json:"contains_ns_per_op"`
 	ContainsAllocsPerOp float64 `json:"contains_allocs_per_op"`
@@ -121,12 +119,11 @@ func runPerfSuite(n int, seed uint64, outPath string, telemetrySample int) error
 	}
 	workers := runtime.GOMAXPROCS(0)
 	rep := perfReport{
-		Date:         time.Now().Format("2006-01-02"),
-		GoVersion:    runtime.Version(),
-		GOMAXPROCS:   workers,
-		N:            n,
-		Seed:         seed,
-		BuildWorkers: workers,
+		Date:       time.Now().Format("2006-01-02"),
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: workers,
+		N:          n,
+		Seed:       seed,
 	}
 	// The query path is timed over its own prefix-stable key set of
 	// QueryN ≥ minQueryN keys, whose table leaves the cache; construction
@@ -144,17 +141,12 @@ func runPerfSuite(n int, seed uint64, outPath string, telemetrySample int) error
 	}
 	keys := qkeys[:n]
 
-	// Construction, serial and racing GOMAXPROCS draws per round.
+	// Construction.
 	start := time.Now()
 	if _, err := lcds.New(keys, lcds.WithSeed(seed)); err != nil {
 		return err
 	}
 	rep.BuildMs = msSince(start)
-	start = time.Now()
-	if _, err := lcds.New(keys, lcds.WithSeed(seed), lcds.WithParallelBuild(workers)); err != nil {
-		return err
-	}
-	rep.BuildParallelMs = msSince(start)
 
 	// The query-path dictionaries, all from the same seed over the same
 	// keys, so every loop probes the same table: plain, with the flight
@@ -373,8 +365,8 @@ func runPerfSuite(n int, seed uint64, outPath string, telemetrySample int) error
 		return err
 	}
 	fmt.Printf("wrote %s\n", outPath)
-	fmt.Printf("n=%d build %.1fms (parallel %.1fms), query_n=%d contains %.0fns/op %.2g allocs/op, batch %.0fns/op -> %.0fns/op (%.2fx at G=%d), exact %0.fms -> %.0fms (%.2fx on %d workers, GOMAXPROCS=%d)\n",
-		n, rep.BuildMs, rep.BuildParallelMs, rep.QueryN, rep.ContainsNsPerOp, rep.ContainsAllocsPerOp,
+	fmt.Printf("n=%d build %.1fms, query_n=%d contains %.0fns/op %.2g allocs/op, batch %.0fns/op -> %.0fns/op (%.2fx at G=%d), exact %0.fms -> %.0fms (%.2fx on %d workers, GOMAXPROCS=%d)\n",
+		n, rep.BuildMs, rep.QueryN, rep.ContainsNsPerOp, rep.ContainsAllocsPerOp,
 		rep.BatchContainsNsPerOp, rep.BatchContainsMlpNsPerOp, rep.BatchSpeedupVsScalar, rep.BatchGroup,
 		rep.ExactSerialMs, rep.ExactParallelMs, rep.ExactSpeedup, exactWorkers, workers)
 	fmt.Printf("eventlog: contains %.0fns/op (%.2fx overhead) %.2g allocs/op\n",

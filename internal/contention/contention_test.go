@@ -301,10 +301,14 @@ func TestMonteCarloErrorsSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the z row so Contains fails.
-	for j := 0; j < lc.Report().S; j++ {
-		lc.Table().Set(2*4, j, cellprobe.Cell{Lo: ^uint64(0)})
+	// Corrupt every z value so Contains fails. The z row is a block row of
+	// r values in blocks of ⌊s/r⌋ columns; Set on a block row panics.
+	rep := lc.Report()
+	bad := make([]cellprobe.Cell, rep.R)
+	for i := range bad {
+		bad[i] = cellprobe.Cell{Lo: ^uint64(0)}
 	}
+	lc.Table().SetBlockRow(2*4, bad, rep.S/rep.R)
 	if _, err := MonteCarlo(lc, dist.NewUniformSet(keys, ""), 100, rng.New(17)); err == nil {
 		t.Error("corrupt table did not surface through MonteCarlo")
 	}

@@ -20,6 +20,9 @@
 // the group base addresses GBAS (replicated s/m times), ρ = O(1) rows of
 // unary-coded group histograms (replicated s/m times), and per bucket a
 // pairwise perfect hash plus the bucket data in the ℓ² cells the bucket owns.
+// The model accounts for every replica; the Go heap stores each replicated
+// value once (cellprobe block rows), so only the perfect-hash and data rows
+// hold s cells each.
 //
 // # Query (§2.3)
 //
@@ -47,7 +50,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/cellprobe"
@@ -94,22 +96,6 @@ type Params struct {
 	// requires the block layout and panics for strided dictionaries —
 	// use Monte-Carlo contention measurement instead.
 	Strided bool
-	// Compact backs the replicated rows (coefficients, z, GBAS,
-	// histograms) with one stored value per replica block instead of
-	// materializing every copy, cutting the Go heap from ≈ 14·βn cells to
-	// ≈ 2·βn while leaving the model's space accounting — and every
-	// observable behaviour — unchanged. Incompatible with Strided.
-	Compact bool
-	// BuildWorkers races this many independent (f, g, z) draws per round
-	// of the §2.2 resampling loop, cutting the wall-clock of the geometric
-	// retry by the worker count. 0 or 1 selects the serial loop, which is
-	// byte-identical to historical builds. With k > 1 workers every round
-	// examines k candidates — each drawn from its own deterministically
-	// seeded stream — and accepts the success of lowest (round, worker)
-	// rank, so a given (seed, BuildWorkers) pair is fully reproducible;
-	// different worker counts may, however, select different (equally
-	// valid) hash functions.
-	BuildWorkers int
 	// BatchGroup is the wavefront width G of the batch query path
 	// (ContainsBatch): up to G queries are kept in flight, each evaluating
 	// the probe stage it prefetched on the previous round, so the dependent
@@ -188,9 +174,6 @@ func (p Params) validate() error {
 	if p.SlackGrowth <= 1 {
 		return fmt.Errorf("core: slack growth %v must exceed 1", p.SlackGrowth)
 	}
-	if p.BuildWorkers < 0 {
-		return fmt.Errorf("core: build workers %d must be ≥ 0", p.BuildWorkers)
-	}
 	if p.BatchGroup < 0 {
 		return fmt.Errorf("core: batch group %d must be ≥ 0", p.BatchGroup)
 	}
@@ -230,7 +213,6 @@ type Dict struct {
 	blkG    int // replica block width of GBAS/histogram rows: s/m
 	rho     int
 	strided bool // paper-literal residue-class replica layout
-	compact bool // block-backed replicated rows
 
 	batchGroup int // wavefront width G of the batch query path (0 = default)
 
@@ -290,14 +272,10 @@ func Build(keys []uint64, p Params, seed uint64) (*Dict, error) {
 	d := p.D
 	rand := rng.New(seed)
 
-	if p.Strided && p.Compact {
-		return nil, fmt.Errorf("core: compact backing requires the block layout")
-	}
 	dict := &Dict{
 		n: n, d: d, s: s, r: r, m: m,
 		blkZ: s / r, blkG: s / m,
 		strided:    p.Strided,
-		compact:    p.Compact,
 		batchGroup: p.BatchGroup,
 	}
 	if err := dict.drawHashes(keys, p, rand); err != nil {
@@ -306,15 +284,15 @@ func Build(keys []uint64, p Params, seed uint64) (*Dict, error) {
 	if err := dict.layout(keys, p, rand); err != nil {
 		return nil, err
 	}
-	// Self-check: every key must be retrievable through the real query path.
-	check := rng.New(seed ^ 0x5eed)
-	for _, k := range keys {
-		ok, err := dict.Contains(k, check)
-		if err != nil {
-			return nil, fmt.Errorf("core: self-check query failed: %w", err)
-		}
+	// Self-check: every key must be retrievable through the real query path,
+	// answered as one batch on its own random stream.
+	found := make([]bool, n)
+	if err := dict.ContainsBatch(keys, found, rng.New(seed^0x5eed), nil); err != nil {
+		return nil, fmt.Errorf("core: self-check query failed: %w", err)
+	}
+	for i, ok := range found {
 		if !ok {
-			return nil, fmt.Errorf("core: self-check lost key %d", k)
+			return nil, fmt.Errorf("core: self-check lost key %d", keys[i])
 		}
 	}
 	return dict, nil
@@ -334,8 +312,7 @@ type hashDraw struct {
 }
 
 // drawCandidate draws one (f, g, z) from rand and checks property P(S) at
-// slack c. It always consumes exactly 2d + r values from rand, whether or
-// not the checks pass, so candidate streams stay aligned.
+// slack c.
 func (dict *Dict) drawCandidate(keys []uint64, c float64, rand *rng.RNG) hashDraw {
 	n, s, r, m, d := dict.n, dict.s, dict.r, dict.m, dict.d
 	f := hash.NewPoly(rand, d, uint64(s))
@@ -372,76 +349,29 @@ func (dict *Dict) drawCandidate(keys []uint64, c float64, rand *rng.RNG) hashDra
 	return cand
 }
 
-// accept installs a successful draw and fills the build report.
-func (dict *Dict) accept(cand hashDraw, tries, esc int, c float64) {
-	dict.f, dict.g, dict.z, dict.hLoads = cand.f, cand.g, cand.z, cand.hLoads
-	dict.report = BuildReport{
-		N: dict.n, S: dict.s, R: dict.r, M: dict.m,
-		HashTries: tries, Escalations: esc, FinalC: c,
-		MaxBucketLoad: cand.maxBucket,
-		MaxGroupLoad:  cand.maxGroup,
-		MaxGLoad:      cand.maxG,
-		SumSquares:    cand.ss,
-	}
-}
-
 // drawHashes resamples (f, g, z) until property P(S) holds, escalating the
-// slack constant c if a slack level exhausts its budget. With
-// BuildWorkers > 1 the resampling races that many draws per round.
+// slack constant c if a slack level exhausts its budget, and fills the
+// build report from the accepted draw.
 func (dict *Dict) drawHashes(keys []uint64, p Params, rand *rng.RNG) error {
-	if p.BuildWorkers > 1 {
-		return dict.drawHashesParallel(keys, p, rand)
-	}
 	c := p.C
 	tries := 0
 	for esc := 0; esc <= p.MaxEscalations; esc++ {
 		for t := 0; t < p.MaxTriesPerSlack; t++ {
 			tries++
-			if cand := dict.drawCandidate(keys, c, rand); cand.ok {
-				dict.accept(cand, tries, esc, c)
-				return nil
+			cand := dict.drawCandidate(keys, c, rand)
+			if !cand.ok {
+				continue
 			}
-		}
-		c *= p.SlackGrowth
-	}
-	return fmt.Errorf("core: property P(S) not satisfied for n=%d after %d tries and %d escalations", dict.n, tries, p.MaxEscalations)
-}
-
-// drawHashesParallel is the §2.2 resampling loop with K = BuildWorkers
-// draws raced per round. Each worker owns a stream split deterministically
-// from the build RNG and draws one candidate per round whether or not it is
-// needed, so the accepted draw depends only on (seed, K): the winner is the
-// success of lowest (round, worker) rank, never the first to finish on the
-// clock. Each slack level examines ⌈MaxTriesPerSlack/K⌉ rounds, preserving
-// the serial loop's per-slack draw budget up to rounding.
-func (dict *Dict) drawHashesParallel(keys []uint64, p Params, rand *rng.RNG) error {
-	K := p.BuildWorkers
-	wrng := make([]*rng.RNG, K)
-	for k := range wrng {
-		wrng[k] = rand.Split()
-	}
-	c := p.C
-	rounds := (p.MaxTriesPerSlack + K - 1) / K
-	tries := 0
-	cands := make([]hashDraw, K)
-	for esc := 0; esc <= p.MaxEscalations; esc++ {
-		for t := 0; t < rounds; t++ {
-			var wg sync.WaitGroup
-			for k := 0; k < K; k++ {
-				wg.Add(1)
-				go func(k int) {
-					defer wg.Done()
-					cands[k] = dict.drawCandidate(keys, c, wrng[k])
-				}(k)
+			dict.f, dict.g, dict.z, dict.hLoads = cand.f, cand.g, cand.z, cand.hLoads
+			dict.report = BuildReport{
+				N: dict.n, S: dict.s, R: dict.r, M: dict.m,
+				HashTries: tries, Escalations: esc, FinalC: c,
+				MaxBucketLoad: cand.maxBucket,
+				MaxGroupLoad:  cand.maxGroup,
+				MaxGLoad:      cand.maxG,
+				SumSquares:    cand.ss,
 			}
-			wg.Wait()
-			for k := 0; k < K; k++ {
-				if cands[k].ok {
-					dict.accept(cands[k], tries+k+1, esc, c)
-					return nil
-				}
-			}
-			tries += K
+			return nil
 		}
 		c *= p.SlackGrowth
 	}
@@ -511,72 +441,53 @@ func (dict *Dict) layoutWith(keys []uint64, ph phSource) error {
 	tab := cellprobe.New(rows, s)
 	dict.tab = tab
 
-	// Rows 0..2d−1: hash coefficients, replicated across the full row.
-	// Row 2d: z replicas — blocks of width ⌊s/r⌋ (leftover cells repeat
-	// z[r−1]), or the paper's residue classes when strided.
-	// Row 2d+1: GBAS replicas.
-	// Rows 2d+2 .. 2d+1+ρ: group histograms (word pair w of group grp in
-	// histogram row w).
-	histCell := func(grp, w int) cellprobe.Cell {
+	// The replicated rows are block rows holding each distinct value once
+	// (cellprobe.Table.SetBlockRow); the model still accounts for s cells
+	// per row. Rows 0..2d−1: the hash coefficients, one value per row.
+	coef := make([]cellprobe.Cell, 2*d)
+	for i := 0; i < d; i++ {
+		coef[i].Lo, coef[d+i].Lo = dict.f.Coef[i], dict.g.Coef[i]
+	}
+	for i := range coef {
+		tab.SetBlockRow(i, coef[i:i+1:i+1], s)
+	}
+	// Row 2d: z, in blocks of width ⌊s/r⌋ (leftover cells repeat z[r−1]),
+	// or the paper's residue classes when strided. Rows 2d+1 .. 2d+1+ρ hold
+	// one value per group: GBAS, then the group histograms (word pair w of
+	// group grp in histogram row w); gvals[w·m + grp] is row 2d+1+w's.
+	replicate := func(row int, values []cellprobe.Cell, blk int) {
+		if dict.strided {
+			tab.SetResidueRow(row, values)
+		} else {
+			tab.SetBlockRow(row, values, blk)
+		}
+	}
+	zvals := make([]cellprobe.Cell, dict.r)
+	for i, v := range dict.z {
+		zvals[i].Lo = v
+	}
+	replicate(dict.zRow(), zvals, dict.blkZ)
+	gvals := make([]cellprobe.Cell, (1+rho)*m)
+	for grp, v := range gbas {
+		gvals[grp].Lo = v
 		words := groupWords[grp]
-		var c cellprobe.Cell
-		if 2*w < len(words) {
-			c.Lo = words[2*w]
-		}
-		if 2*w+1 < len(words) {
-			c.Hi = words[2*w+1]
-		}
-		return c
-	}
-	if dict.compact {
-		for i := 0; i < d; i++ {
-			tab.SetBlockRow(i, []cellprobe.Cell{{Lo: dict.f.Coef[i]}}, s)
-			tab.SetBlockRow(d+i, []cellprobe.Cell{{Lo: dict.g.Coef[i]}}, s)
-		}
-		zvals := make([]cellprobe.Cell, dict.r)
-		for i, v := range dict.z {
-			zvals[i] = cellprobe.Cell{Lo: v}
-		}
-		tab.SetBlockRow(dict.zRow(), zvals, dict.blkZ)
-		gvals := make([]cellprobe.Cell, m)
-		for i, v := range gbas {
-			gvals[i] = cellprobe.Cell{Lo: v}
-		}
-		tab.SetBlockRow(dict.gbasRow(), gvals, dict.blkG)
-		for w := 0; w < rho; w++ {
-			hvals := make([]cellprobe.Cell, m)
-			for grp := 0; grp < m; grp++ {
-				hvals[grp] = histCell(grp, w)
+		for i, word := range words {
+			c := &gvals[(1+i/2)*m+grp]
+			if i%2 == 0 {
+				c.Lo = word
+			} else {
+				c.Hi = word
 			}
-			tab.SetBlockRow(dict.histRow()+w, hvals, dict.blkG)
 		}
 	}
-	// The perfect-hash row is written, and probed, only on the bucket spans,
-	// which end at pos; declare its tail cold before the first dense write
-	// so that huge pages never fault it in.
+	for w := 0; w <= rho; w++ {
+		replicate(dict.gbasRow()+w, gvals[w*m:(w+1)*m:(w+1)*m], dict.blkG)
+	}
+	// Only the perfect-hash and data rows are dense. The perfect-hash row
+	// is written, and probed, only on the bucket spans, which end at pos;
+	// declare its tail cold before the first dense write so that huge pages
+	// never fault it in.
 	tab.ColdTail(dict.phRow(), pos)
-	if !dict.compact {
-		for i := 0; i < d; i++ {
-			for j := 0; j < s; j++ {
-				tab.Set(i, j, cellprobe.Cell{Lo: dict.f.Coef[i]})
-				tab.Set(d+i, j, cellprobe.Cell{Lo: dict.g.Coef[i]})
-			}
-		}
-		zRow := dict.zRow()
-		for j := 0; j < s; j++ {
-			tab.Set(zRow, j, cellprobe.Cell{Lo: dict.z[dict.zReplicaIndex(j)]})
-		}
-		gbasRow := dict.gbasRow()
-		for j := 0; j < s; j++ {
-			tab.Set(gbasRow, j, cellprobe.Cell{Lo: gbas[dict.groupReplicaIndex(j)]})
-		}
-		for w := 0; w < rho; w++ {
-			row := dict.histRow() + w
-			for j := 0; j < s; j++ {
-				tab.Set(row, j, histCell(dict.groupReplicaIndex(j), w))
-			}
-		}
-	}
 	// Last two rows: per-bucket perfect hashes and data.
 	phRow, dataRow := dict.phRow(), dict.dataRow()
 	for j := 0; j < s; j++ {
@@ -614,26 +525,6 @@ func (dict *Dict) layoutWith(keys []uint64, ph phSource) error {
 	dict.report.Cells = tab.Size()
 	dict.report.PerfectTries = perfectTries
 	return nil
-}
-
-// zReplicaIndex maps a z-row column to the z entry it replicates.
-func (dict *Dict) zReplicaIndex(col int) int {
-	if dict.strided {
-		return col % dict.r
-	}
-	idx := col / dict.blkZ
-	if idx >= dict.r {
-		idx = dict.r - 1
-	}
-	return idx
-}
-
-// groupReplicaIndex maps a GBAS/histogram-row column to its group.
-func (dict *Dict) groupReplicaIndex(col int) int {
-	if dict.strided {
-		return col % dict.m
-	}
-	return col / dict.blkG
 }
 
 // zReplicaCol returns the column of the k-th replica of z[idx].

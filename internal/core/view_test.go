@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/cellprobe"
@@ -19,6 +21,24 @@ func recorderStepTotals(rec *cellprobe.Recorder, steps int) []uint64 {
 	return out
 }
 
+// valueIndex is the index of the value that cell (row, col) of d's table
+// replicates: the column itself on the dense perfect-hash and data rows.
+func valueIndex(d *Dict, row, col int) int {
+	switch {
+	case row < 2*d.d:
+		return 0
+	case row == d.zRow() && d.strided:
+		return col % d.r
+	case row == d.zRow():
+		return min(col/d.blkZ, d.r-1)
+	case row < d.phRow() && d.strided:
+		return col % d.m
+	case row < d.phRow():
+		return col / d.blkG
+	}
+	return col
+}
+
 // viewQueries returns 384 members and 128 fresh keys, interleaved.
 func viewQueries(keys []uint64) []uint64 {
 	fresh := distinctKeys(rng.New(74), 128)
@@ -34,27 +54,42 @@ func viewQueries(keys []uint64) []uint64 {
 // table hands its rows out) and once with a Recorder attached, which forces
 // every probe through Table.ProbeTo. Answers must agree, the view's per-step
 // tally must equal the recorder's per-step totals, and the view must have
-// been taken exactly where every row is dense — on both the wavefront and
-// the single-query path.
+// been taken on both the wavefront and the single-query path, for the block
+// and the strided layout. Every cell of the view, read at the index its
+// column replicates, must be the value At (and so ProbeTo) returns —
+// including the trailing z columns, which repeat z[r−1].
 func TestCellViewMatchesProbeTo(t *testing.T) {
 	keys := distinctKeys(rng.New(71), 2048)
 	qs := viewQueries(keys)
 	for _, tc := range []struct {
-		name     string
-		p        Params
-		wantView bool
+		name string
+		p    Params
 	}{
-		{"dense", Params{}, true},
-		{"compact", Params{Compact: true}, false},
-		{"strided", Params{Strided: true}, true},
+		{"block", Params{}},
+		{"strided", Params{Strided: true}},
 	} {
 		d, err := Build(keys, tc.p, 72)
 		if err != nil {
 			t.Fatal(err)
 		}
 		steps := d.MaxProbes()
-		if got := d.Table().DenseRows() != nil; got != tc.wantView {
-			t.Fatalf("%s: DenseRows available = %v, want %v", tc.name, got, tc.wantView)
+		view := d.Table().CellView()
+		if view == nil {
+			t.Fatalf("%s: the unobserved table has no cell view", tc.name)
+		}
+		for row := range view {
+			for col := 0; col < d.s; col++ {
+				if got, want := view[row][valueIndex(d, row, col)], d.Table().At(row, col); got != want {
+					t.Fatalf("%s: view cell (%d, %d) = %+v, At = %+v", tc.name, row, col, got, want)
+				}
+			}
+		}
+		// The block layout leaves s mod r trailing z columns past the last
+		// block; they repeat z[r−1].
+		if !tc.p.Strided && d.r*d.blkZ < d.s {
+			if got := d.Table().At(d.zRow(), d.s-1).Lo; got != d.z[d.r-1] {
+				t.Fatalf("%s: trailing z column holds %d, want z[r−1] = %d", tc.name, got, d.z[d.r-1])
+			}
 		}
 		for _, path := range []string{"batch", "single"} {
 			run := func(sc *QueryScratch) []bool {
@@ -106,14 +141,8 @@ func TestCellViewMatchesProbeTo(t *testing.T) {
 			if recSc.spill != nil {
 				t.Fatalf("%s: view taken with a Recorder attached", label)
 			}
-			if !tc.wantView {
-				if viewSc.spill != nil {
-					t.Fatalf("%s: view taken on a table with compact rows", label)
-				}
-				continue
-			}
 			if viewSc.spill == nil {
-				t.Fatalf("%s: view not taken on a dense, unobserved table", label)
+				t.Fatalf("%s: view not taken on an unobserved table", label)
 			}
 			if !slices.Equal(viewSc.spill, want) {
 				t.Fatalf("%s: view tally %v != recorder per-step totals %v", label, viewSc.spill, want)
@@ -170,9 +199,7 @@ func TestCellViewArmedTally(t *testing.T) {
 func TestCellViewClearedOnError(t *testing.T) {
 	keys := distinctKeys(rng.New(78), 512)
 	d := mustBuild(t, keys, 79)
-	for j := 0; j < d.s; j++ {
-		d.tab.Set(d.zRow(), j, cellprobe.Cell{Lo: uint64(d.s)}) // z outside [0, s)
-	}
+	corruptRow(d, d.zRow(), cellprobe.Cell{Lo: uint64(d.s)}) // z outside [0, s)
 	var sc QueryScratch
 	out := make([]bool, len(keys))
 	if err := d.ContainsBatch(keys, out, rng.New(80), &sc); err == nil {
@@ -189,21 +216,74 @@ func TestCellViewClearedOnError(t *testing.T) {
 	}
 }
 
-// TestCompactHeapCellsUnchanged: the row arena holds only the rows that are
-// dense when it is carved, so a Compact dictionary's heap stays the two
-// dense rows (perfect hash, data) plus one value per block of each
-// replicated row — 8508 cells for this build, as before the arena.
-func TestCompactHeapCellsUnchanged(t *testing.T) {
-	keys := distinctKeys(rng.New(35), 1024)
-	d, err := Build(keys, Params{Compact: true}, 36)
-	if err != nil {
+// TestHeapCellsPinned: only the perfect-hash and data rows are dense; every
+// replicated row stores each distinct value once, so the heap is
+// 2s + 2d + r + (1+ρ)m cells whatever the layout — 8508 for the first
+// build here, against (2d+4+ρ)·s cells in the model.
+func TestHeapCellsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		seed uint64
+		p    Params
+		want int // 0: checked against the formula only
+	}{
+		{1024, 0, Params{}, 8508},
+		{0, 1, Params{}, 0},
+		{1, 2, Params{}, 0},
+		{3000, 3, Params{Strided: true}, 0},
+		{4096, 4, Params{D: 5}, 0},
+	} {
+		keys := distinctKeys(rng.New(35+tc.seed), tc.n)
+		d, err := Build(keys, tc.p, 36+tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 2*d.s + 2*d.d + d.r + (1+d.rho)*d.m
+		got := d.Table().HeapCells()
+		if got != want || (tc.want != 0 && got != tc.want) {
+			t.Fatalf("n=%d %+v: HeapCells = %d, want 2s+2d+r+(1+ρ)m = %d (pinned %d)", tc.n, tc.p, got, want, tc.want)
+		}
+	}
+}
+
+// TestCellViewConcurrentContainsBatch: the cell view is resolved when the
+// table is built, so concurrent batches on one table share it with no
+// per-call setup to race on. Run under the race detector.
+func TestCellViewConcurrentContainsBatch(t *testing.T) {
+	keys := distinctKeys(rng.New(82), 4096)
+	d := mustBuild(t, keys, 83)
+	absent := distinctKeys(rng.New(84), 1024)
+	qs := append(append([]uint64(nil), keys[:1024]...), absent...)
+	r := rng.NewSharded(85, 0)
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sc QueryScratch
+			out := make([]bool, len(qs))
+			for round := 0; round < 8; round++ {
+				if err := d.ContainsBatch(qs, out, r, &sc); err != nil {
+					errs <- err
+					return
+				}
+				for i, ok := range out {
+					if ok != (i < 1024) {
+						errs <- fmt.Errorf("key %d answered %v", qs[i], ok)
+						return
+					}
+				}
+				if sc.spill == nil {
+					errs <- fmt.Errorf("batch did not read through the cell view")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
 		t.Fatal(err)
-	}
-	want := 2*d.s + 2*d.d + d.r + d.m + d.rho*d.m
-	if got := d.Table().HeapCells(); got != want || got != 8508 {
-		t.Fatalf("compact HeapCells = %d, want %d (8508)", got, want)
-	}
-	if d.Table().DenseRows() != nil {
-		t.Fatal("compact table handed out dense rows")
 	}
 }

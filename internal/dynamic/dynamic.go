@@ -434,16 +434,13 @@ func (d *Dict) newBuffer(n, ep int) *buffer {
 		threshold: threshold,
 		hardCap:   width / 2,
 	}
-	// The slot row only accounts for probes (its data lives in the atomic
-	// slot words), so it takes a one-value compact backing and the row arena
-	// holds just the parameter row.
-	b.acct.SetBlockRow(bufSlotRow, []cellprobe.Cell{{}}, width)
+	// Both rows are one-value block rows: the parameter row replicates the
+	// probe hash across its width, and the slot row only accounts for probes
+	// (its data lives in the atomic slot words).
 	r := rng.New(d.seed ^ uint64(ep)<<32)
 	h := hash.NewPairwise(r, uint64(width))
-	params := cellprobe.Cell{Lo: h.A, Hi: h.B}
-	for j := 0; j < width; j++ {
-		b.acct.Set(bufParamRow, j, params)
-	}
+	b.acct.SetBlockRow(bufParamRow, []cellprobe.Cell{{Lo: h.A, Hi: h.B}}, width)
+	b.acct.SetBlockRow(bufSlotRow, []cellprobe.Cell{{}}, width)
 	return b
 }
 

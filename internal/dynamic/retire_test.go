@@ -52,11 +52,11 @@ func TestPooledScratchesDropRetiredTable(t *testing.T) {
 	}
 	// The view holds row slices, not the Table, so watch the row arena too.
 	retired := weak.Make(d.BaseTable())
-	rows := d.BaseTable().DenseRows()
+	rows := d.BaseTable().CellView()
 	if rows == nil {
 		t.Fatal("the base table does not hand out its rows")
 	}
-	retiredCells := weak.Make(&rows[0][0])
+	retiredCells := weak.Make(&rows[len(rows)-1][0]) // the data row, in the arena
 	rows = nil
 	r := rng.NewSharded(86, 0)
 	out := make([]bool, 1024)

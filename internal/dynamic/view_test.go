@@ -37,7 +37,7 @@ func TestDynamicCellViewMatchesProbeTo(t *testing.T) {
 	qs := keys[:2600] // tombstoned, static, buffered and absent keys
 	base := d.BaseTable()
 	steps := d.Base().MaxProbes()
-	if base.DenseRows() == nil {
+	if base.CellView() == nil {
 		t.Fatal("the unobserved base table does not hand out its rows")
 	}
 	tallyLen := steps + 8 // buffer steps land past the static ones

@@ -226,7 +226,6 @@ func Metrics(s telemetry.Snapshot, nowUnixNano int64) []metric {
 		gaugeMetric("lcds.max_phi", s.MaxPhi, now),
 		gaugeMetric("lcds.max_phi_n", s.MaxPhiN, now),
 		gaugeMetric("lcds.probes_per_query", s.ProbesPerQuery, now),
-		gaugeMetric("lcds.sampling_k", float64(s.Sample), now),
 		gaugeMetric("lcds.keys", float64(s.N), now),
 		gaugeMetric("lcds.cells", float64(s.Cells), now),
 		counterMetric("lcds.queries", s.Queries, now),

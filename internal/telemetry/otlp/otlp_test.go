@@ -70,7 +70,7 @@ func TestExportSnapshot(t *testing.T) {
 		names[m.Name] = m
 	}
 	for _, want := range []string{"lcds.queries", "lcds.probes", "lcds.max_phi_n",
-		"lcds.sampling_k", "lcds.latency", "lcds.events"} {
+		"lcds.latency", "lcds.events"} {
 		if _, ok := names[want]; !ok {
 			t.Errorf("metrics missing %s", want)
 		}

@@ -168,32 +168,6 @@ func WithSlack(slack float64) Option {
 	return func(c *opterr) { c.o.params.C = slack }
 }
 
-// WithParallelBuild races workers ≥ 1 independent (f, g, z) draws per round
-// of the construction's resampling loop, dividing the wall-clock of the
-// expected-O(1) geometric retry by the worker count. Builds remain fully
-// deterministic for a given (seed, workers) pair — the accepted draw is the
-// success of lowest (round, worker) rank, not the first to finish on the
-// clock — but different worker counts may select different (equally valid)
-// hash functions. The default (1) reproduces historical builds byte for
-// byte.
-func WithParallelBuild(workers int) Option {
-	return func(c *opterr) {
-		if workers < 1 {
-			c.err = fmt.Errorf("lcds: parallel build workers %d must be ≥ 1", workers)
-			return
-		}
-		c.o.params.BuildWorkers = workers
-	}
-}
-
-// WithCompact backs the replicated table rows with one stored value per
-// replica block instead of materializing every copy, cutting the heap
-// footprint ≈ 7× with no observable behaviour change. Recommended for
-// dictionaries beyond ~10^5 keys.
-func WithCompact() Option {
-	return func(c *opterr) { c.o.params.Compact = true }
-}
-
 // WithShards hash-partitions the dictionary over p independent
 // sub-dictionaries behind a replicated routing row (internal/shard). Reads
 // stay low-contention — the composite's exact contention is the analytic

@@ -170,37 +170,6 @@ func TestContentionSummary(t *testing.T) {
 	}
 }
 
-func TestWithCompact(t *testing.T) {
-	keys := testKeys(2000, 30)
-	dense, err := New(keys, WithSeed(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	compact, err := New(keys, WithSeed(31), WithCompact())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dense.SpaceCells() != compact.SpaceCells() {
-		t.Errorf("model space differs: %d vs %d", dense.SpaceCells(), compact.SpaceCells())
-	}
-	for _, k := range keys[:300] {
-		if !compact.Contains(k) {
-			t.Fatalf("compact dictionary lost key %d", k)
-		}
-	}
-	cd, err := dense.ContentionSummary(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc, err := compact.ContentionSummary(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cd != cc {
-		t.Errorf("contention differs between backings: %+v vs %+v", cd, cc)
-	}
-}
-
 func TestSerializationFacadeRoundTrip(t *testing.T) {
 	keys := testKeys(800, 40)
 	d, err := New(keys, WithSeed(41))

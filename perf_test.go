@@ -118,28 +118,3 @@ func TestDynamicContainsBatchFacade(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelBuildFacade: WithParallelBuild must be deterministic per
-// (seed, workers) and build a correct dictionary.
-func TestParallelBuildFacade(t *testing.T) {
-	keys := testKeys(3000, 12)
-	a, err := New(keys, WithSeed(12), WithParallelBuild(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(keys, WithSeed(12), WithParallelBuild(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Stats() != b.Stats() {
-		t.Fatalf("parallel facade build not reproducible: %+v != %+v", a.Stats(), b.Stats())
-	}
-	for _, k := range keys {
-		if !a.Contains(k) {
-			t.Fatalf("lost key %d", k)
-		}
-	}
-	if _, err := New(keys, WithParallelBuild(0)); err == nil {
-		t.Error("WithParallelBuild(0) accepted")
-	}
-}
