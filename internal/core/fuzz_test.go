@@ -28,6 +28,7 @@ func FuzzRead(f *testing.F) {
 	mut := append([]byte(nil), good...)
 	mut[20] ^= 0xff
 	f.Add(mut)
+	f.Add(emptyDictBytes(4, 10, 4, 1)) // trailing z columns span a whole block
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
