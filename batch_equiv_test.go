@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cellprobe"
 	"repro/internal/core"
 	"repro/internal/dynamic"
 	"repro/internal/rng"
@@ -23,10 +24,10 @@ import (
 
 // captureScalar answers each key sequentially with per-query capture on,
 // returning answers and per-query probe logs.
-func captureScalar(t *testing.T, contains func(x uint64, sc *core.QueryScratch) (bool, error), keys []uint64) ([]bool, [][]int32) {
+func captureScalar(t *testing.T, contains func(x uint64, sc *core.QueryScratch) (bool, error), keys []uint64) ([]bool, [][]cellprobe.StepCell) {
 	t.Helper()
 	ans := make([]bool, len(keys))
-	logs := make([][]int32, len(keys))
+	logs := make([][]cellprobe.StepCell, len(keys))
 	sc := new(core.QueryScratch)
 	for i, x := range keys {
 		sc.StartCapture()
@@ -35,28 +36,28 @@ func captureScalar(t *testing.T, contains func(x uint64, sc *core.QueryScratch) 
 			t.Fatalf("scalar query %d (key %d): %v", i, x, err)
 		}
 		ans[i] = ok
-		logs[i] = append([]int32(nil), sc.StopCapture()...)
+		logs[i] = append([]cellprobe.StepCell(nil), sc.StopCaptureProbes()...)
 	}
 	return ans, logs
 }
 
 // requireSameLogs asserts per-query probe-cell equality between the scalar
 // and batch captures.
-func requireSameLogs(t *testing.T, scalar, batch [][]int32, label string) {
+func requireSameLogs(t *testing.T, scalar, batch [][]cellprobe.StepCell, label string) {
 	t.Helper()
 	if len(batch) < len(scalar) {
 		// Queries a batch never admitted (buffer-resolved) may be absent
 		// from the tail; pad the view.
-		batch = append(append([][]int32(nil), batch...), make([][]int32, len(scalar)-len(batch))...)
+		batch = append(append([][]cellprobe.StepCell(nil), batch...), make([][]cellprobe.StepCell, len(scalar)-len(batch))...)
 	}
 	for i := range scalar {
 		a, b := scalar[i], batch[i]
 		if len(a) != len(b) {
-			t.Fatalf("%s: query %d probed %d steps scalar vs %d batch", label, i, len(a), len(b))
+			t.Fatalf("%s: query %d probed %d cells scalar vs %d batch", label, i, len(a), len(b))
 		}
 		for s := range a {
 			if a[s] != b[s] {
-				t.Fatalf("%s: query %d step %d probed cell %d scalar vs %d batch", label, i, s, a[s], b[s])
+				t.Fatalf("%s: query %d probe %d was %+v scalar vs %+v batch", label, i, s, a[s], b[s])
 			}
 		}
 	}

@@ -273,19 +273,21 @@ func benchContainsTelemetry(b *testing.B, extra ...Option) {
 }
 
 // BenchmarkContainsTelemetryOff guards the telemetry-off overhead contract:
-// no sink is installed, so this must track BenchmarkPublicContains within
-// noise (< 3% vs the committed BENCH_*.json baseline) at 0 allocs/op.
+// nothing is fed, so this must track BenchmarkPublicContains within noise
+// at 0 allocs/op.
 func BenchmarkContainsTelemetryOff(b *testing.B) { benchContainsTelemetry(b) }
 
 // BenchmarkContainsTelemetryOn measures the worst-case telemetry cost:
-// every probe counted (sampling 1) on the striped per-cell and per-step
-// vectors, plus latency/outcome accounting per query.
+// every query's cells folded (sampling 1) into the striped per-cell vector
+// and the sketch, its per-step tally flushed, plus latency/outcome
+// accounting per query.
 func BenchmarkContainsTelemetryOn(b *testing.B) {
 	benchContainsTelemetry(b, WithTelemetry(TelemetryConfig{Sample: 1}))
 }
 
-// BenchmarkContainsTelemetrySampled measures the 1-in-64 sampling point —
-// the configuration meant for always-on production telemetry.
+// BenchmarkContainsTelemetrySampled measures the 1-in-64 query sampling
+// point — the configuration meant for always-on production telemetry:
+// every query's steps tallied, 1 in 64 queries' cells folded.
 func BenchmarkContainsTelemetrySampled(b *testing.B) {
 	benchContainsTelemetry(b, WithTelemetry(TelemetryConfig{Sample: 64}))
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -43,8 +44,10 @@ type perfReport struct {
 	// built with WithEventLog only. The recorder hangs off the write and
 	// rebuild paths, never the query path, so the acceptance contract
 	// (gated in CI via the ratio below) is ≤ 1.05× the uninstrumented
-	// number with 0 allocs/op — both loops are timed best-of-3 so the
-	// ratio measures the code path, not scheduler noise.
+	// number with 0 allocs/op — both loops are timed in the same alternated
+	// rounds and report their median round (gateRounds), and the ratio is
+	// the median of the per-round ratios, so it measures the code path, not
+	// scheduler noise.
 	ContainsEventlogNsPerOp float64 `json:"contains_eventlog_ns_per_op"`
 	ContainsEventlogAllocs  float64 `json:"contains_eventlog_allocs_per_op"`
 	EventlogOverheadRatio   float64 `json:"eventlog_overhead_ratio"`
@@ -59,10 +62,10 @@ type perfReport struct {
 	BatchSpeedupVsScalar    float64 `json:"batch_speedup_vs_scalar"`
 
 	// Dynamic batch path with Sample-1 telemetry against the same loop
-	// without it, per key answered, passes alternated and each side timed
-	// best-of-3. A dynamic dictionary tallies a batch's probes in pooled
-	// scratch and flushes them once per batch, so the ratio is CI-gated at
-	// ≤ 1.15.
+	// without it, per key answered, each side the median of gateRounds
+	// alternated rounds and the ratio the median per-round ratio. A dynamic
+	// dictionary tallies a batch's probes in pooled scratch and flushes them
+	// once per batch, so the ratio is CI-gated at ≤ 1.15.
 	DynamicBatchNsPerKey          float64 `json:"dynamic_batch_ns_per_key"`
 	DynamicBatchTelemetryNsPerKey float64 `json:"dynamic_batch_telemetry_ns_per_key"`
 	DynamicBatchTelemetryRatio    float64 `json:"dynamic_batch_telemetry_ratio"`
@@ -91,7 +94,8 @@ type perfReport struct {
 
 	// Telemetry overhead, measured only when -telemetry k is given: the
 	// same Contains loop against a dictionary built with
-	// WithTelemetry(Sample: k), and its ratio to the uninstrumented number.
+	// WithTelemetry(Sample: k), timed in the plain loop's alternated rounds,
+	// and its ratio to the uninstrumented number.
 	TelemetrySample          int     `json:"telemetry_sample,omitempty"`
 	ContainsTelemetryNsPerOp float64 `json:"contains_telemetry_ns_per_op,omitempty"`
 	ContainsTelemetryAllocs  float64 `json:"contains_telemetry_allocs_per_op,omitempty"`
@@ -108,6 +112,68 @@ type perfReport struct {
 
 // minQueryN is the smallest query-path dictionary the suite times.
 const minQueryN = 32768
+
+// gateRounds is how many alternated rounds time each CI-gated figure, and
+// roundOps how many queries one round of a loop answers. Every round times
+// each loop of a group once, and each figure is its median round: both
+// sides of a gate see the same machine state, and no single noisy round
+// moves either.
+const (
+	gateRounds = 31
+	roundOps   = 1 << 15
+)
+
+// loopTimer times one pass of a measured loop into a report field.
+type loopTimer struct {
+	into *float64
+	time func() (float64, error)
+}
+
+// timeAlternated runs gateRounds rounds of the timers, odd rounds in
+// reverse order so that a drift in machine speed during the run charges
+// every timer alike, stores each timer's median round, and returns every
+// timer's rounds. A non-nil setup runs before every round.
+func timeAlternated(setup func(round int) error, timers []loopTimer) ([][]float64, error) {
+	rounds := make([][]float64, len(timers))
+	for round := 0; round < gateRounds; round++ {
+		if setup != nil {
+			if err := setup(round); err != nil {
+				return nil, err
+			}
+		}
+		for k := range timers {
+			i := k
+			if round%2 == 1 {
+				i = len(timers) - 1 - k
+			}
+			ns, err := timers[i].time()
+			if err != nil {
+				return nil, err
+			}
+			rounds[i] = append(rounds[i], ns)
+		}
+	}
+	for i, m := range timers {
+		*m.into = median(slices.Clone(rounds[i]))
+	}
+	return rounds, nil
+}
+
+// medianRatio is the median over rounds of num/den: each round's two loops
+// ran back to back, so the ratio cancels what the machine did between
+// rounds. The CI gates compare loops through these ratios.
+func medianRatio(num, den []float64) float64 {
+	r := make([]float64, len(num))
+	for i := range num {
+		r[i] = num[i] / den[i]
+	}
+	return median(r)
+}
+
+func median(v []float64) float64 {
+	slices.Sort(v)
+	return v[len(v)/2]
+}
 
 // runPerfSuite measures the perf-critical paths at key count n and writes
 // the JSON record. seed 0 selects the default seed 1. telemetrySample > 0
@@ -154,14 +220,32 @@ func runPerfSuite(n int, seed uint64, outPath string, telemetrySample int) error
 	// the CI-gated proof the query path stayed untouched), and with a
 	// width-1 wavefront, which answers one query at a time and keeps
 	// batch_contains_ns_per_op comparable with records from before the
-	// scheduler existed.
-	d, err := lcds.New(qkeys, lcds.WithSeed(seed))
-	if err != nil {
-		return err
-	}
-	de, err := lcds.New(qkeys, lcds.WithSeed(seed), lcds.WithEventLog())
-	if err != nil {
-		return err
+	// scheduler existed. The plain and flight-recorder twins are rebuilt
+	// before every timing round, in alternating order: two identical tables
+	// can read 10% apart for the life of a process (their arenas land on
+	// different pages), and fresh twins each round turn that placement into
+	// noise the median absorbs.
+	var d, de *lcds.Dict
+	twins := func(round int) error {
+		d, de = nil, nil
+		var err error
+		for i := range 2 {
+			if (i+round)%2 == 0 {
+				d, err = lcds.New(qkeys, lcds.WithSeed(seed))
+			} else {
+				de, err = lcds.New(qkeys, lcds.WithSeed(seed), lcds.WithEventLog())
+			}
+			if err != nil {
+				return err
+			}
+		}
+		runtime.GC() // collect the previous twins before the loops, not during
+		for _, t := range []*lcds.Dict{d, de} {
+			if _, err := containsNsPerOp(t, qkeys, roundOps); err != nil { // warm, untimed
+				return err
+			}
+		}
+		return nil
 	}
 	d1, err := lcds.New(qkeys, lcds.WithSeed(seed), lcds.WithBatchGroup(1))
 	if err != nil {
@@ -169,30 +253,31 @@ func runPerfSuite(n int, seed uint64, outPath string, telemetrySample int) error
 	}
 
 	// Every CI-gated pair (batch wavefront vs scalar Contains, flight
-	// recorder vs plain) is timed best-of-3 with passes alternated, so
-	// both sides of a gate see the same machine state.
-	const queryOps = 1 << 18
-	for pass := 0; pass < 3; pass++ {
-		for _, m := range []struct {
-			into *float64
-			time func() (float64, error)
-		}{
-			{&rep.ContainsNsPerOp, func() (float64, error) { return containsNsPerOp(d, qkeys, queryOps) }},
-			{&rep.ContainsEventlogNsPerOp, func() (float64, error) { return containsNsPerOp(de, qkeys, queryOps) }},
-			{&rep.BatchContainsNsPerOp, func() (float64, error) { return batchNsPerKey(d1, qkeys, queryOps) }},
-			{&rep.BatchContainsMlpNsPerOp, func() (float64, error) { return batchNsPerKey(d, qkeys, queryOps) }},
-		} {
-			ns, err := m.time()
-			if err != nil {
-				return err
-			}
-			if pass == 0 || ns < *m.into {
-				*m.into = ns
-			}
-		}
+	// recorder vs plain) and the telemetry loop are timed in the same
+	// alternated rounds (timeAlternated).
+	timers := []loopTimer{
+		{&rep.ContainsNsPerOp, func() (float64, error) { return containsNsPerOp(d, qkeys, roundOps) }},
+		{&rep.ContainsEventlogNsPerOp, func() (float64, error) { return containsNsPerOp(de, qkeys, roundOps) }},
+		{&rep.BatchContainsNsPerOp, func() (float64, error) { return batchNsPerKey(d1, qkeys, roundOps) }},
+		{&rep.BatchContainsMlpNsPerOp, func() (float64, error) { return batchNsPerKey(d, qkeys, roundOps) }},
 	}
-	rep.EventlogOverheadRatio = rep.ContainsEventlogNsPerOp / rep.ContainsNsPerOp
-	rep.BatchSpeedupVsScalar = rep.BatchContainsNsPerOp / rep.BatchContainsMlpNsPerOp
+	var dt *lcds.Dict
+	if telemetrySample > 0 {
+		rep.TelemetrySample = telemetrySample
+		if dt, err = lcds.New(qkeys, lcds.WithSeed(seed),
+			lcds.WithTelemetry(lcds.TelemetryConfig{Sample: telemetrySample})); err != nil {
+			return err
+		}
+		timers = append(timers, loopTimer{&rep.ContainsTelemetryNsPerOp, func() (float64, error) {
+			return containsNsPerOp(dt, qkeys, roundOps)
+		}})
+	}
+	rounds, err := timeAlternated(twins, timers)
+	if err != nil {
+		return err
+	}
+	rep.EventlogOverheadRatio = medianRatio(rounds[1], rounds[0])
+	rep.BatchSpeedupVsScalar = medianRatio(rounds[2], rounds[3])
 
 	// Allocations on the facade fast path. GC stays off during the alloc
 	// counts so pool refills cannot inflate them.
@@ -203,28 +288,15 @@ func runPerfSuite(n int, seed uint64, outPath string, telemetrySample int) error
 	rep.ContainsEventlogAllocs = testing.AllocsPerRun(1000, func() {
 		de.Contains(qkeys[0])
 	})
-	debug.SetGCPercent(gc)
-
-	if telemetrySample > 0 {
-		rep.TelemetrySample = telemetrySample
-		dt, err := lcds.New(qkeys, lcds.WithSeed(seed),
-			lcds.WithTelemetry(lcds.TelemetryConfig{Sample: telemetrySample}))
-		if err != nil {
-			return err
-		}
-		start = time.Now()
-		for i := 0; i < queryOps; i++ {
-			if !dt.Contains(qkeys[i%len(qkeys)]) {
-				return fmt.Errorf("lost key %d under telemetry", qkeys[i%len(qkeys)])
-			}
-		}
-		rep.ContainsTelemetryNsPerOp = float64(time.Since(start).Nanoseconds()) / queryOps
-		gc = debug.SetGCPercent(-1)
+	if dt != nil {
 		rep.ContainsTelemetryAllocs = testing.AllocsPerRun(1000, func() {
 			dt.Contains(qkeys[0])
 		})
-		debug.SetGCPercent(gc)
-		rep.TelemetryOverheadRatio = rep.ContainsTelemetryNsPerOp / rep.ContainsNsPerOp
+	}
+	debug.SetGCPercent(gc)
+
+	if dt != nil {
+		rep.TelemetryOverheadRatio = medianRatio(rounds[4], rounds[0])
 		snap := dt.Telemetry().Snapshot()
 		rep.TelemetryMaxPhiN = snap.MaxPhiN
 		rep.TelemetryProbesPerQuery = snap.ProbesPerQuery
@@ -239,23 +311,13 @@ func runPerfSuite(n int, seed uint64, outPath string, telemetrySample int) error
 	if err != nil {
 		return err
 	}
-	for pass := 0; pass < 3; pass++ {
-		bare, err := dynamicBatchNsPerKey(ddBare, keys, queryOps)
-		if err != nil {
-			return err
-		}
-		tel, err := dynamicBatchNsPerKey(ddTel, keys, queryOps)
-		if err != nil {
-			return err
-		}
-		if pass == 0 || bare < rep.DynamicBatchNsPerKey {
-			rep.DynamicBatchNsPerKey = bare
-		}
-		if pass == 0 || tel < rep.DynamicBatchTelemetryNsPerKey {
-			rep.DynamicBatchTelemetryNsPerKey = tel
-		}
+	if rounds, err = timeAlternated(nil, []loopTimer{
+		{&rep.DynamicBatchNsPerKey, func() (float64, error) { return dynamicBatchNsPerKey(ddBare, keys, roundOps) }},
+		{&rep.DynamicBatchTelemetryNsPerKey, func() (float64, error) { return dynamicBatchNsPerKey(ddTel, keys, roundOps) }},
+	}); err != nil {
+		return err
 	}
-	rep.DynamicBatchTelemetryRatio = rep.DynamicBatchTelemetryNsPerKey / rep.DynamicBatchNsPerKey
+	rep.DynamicBatchTelemetryRatio = medianRatio(rounds[1], rounds[0])
 
 	// Dynamic update path. Sequential inserts first: build over half the
 	// keys, insert the rest, Quiesce inside the timed window so triggered

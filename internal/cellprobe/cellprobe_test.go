@@ -178,10 +178,6 @@ func TestSetResidueRow(t *testing.T) {
 	}
 }
 
-type nopSink struct{}
-
-func (nopSink) ProbeObserved(step, cell int) {}
-
 // TestCellView: the view is each row's backing — dense cells by column,
 // block values by block, residue values by residue — and exists only once
 // every row is backed and while nothing observes single probes.
@@ -221,7 +217,6 @@ func TestCellView(t *testing.T) {
 	}{
 		{"recorder", func() { tab.Attach(NewRecorder(tab.Size())) }, tab.Detach},
 		{"trace", func() { tab.SetTrace(func(int, int) {}) }, func() { tab.SetTrace(nil) }},
-		{"sink", func() { tab.SetSink(nopSink{}) }, func() { tab.SetSink(nil) }},
 		{"forward", func() { tab.ForwardTo(parent, 0, 0) }, func() { tab.ForwardTo(nil, 0, 0) }},
 	} {
 		observe.on()

@@ -94,17 +94,11 @@ func (v *StripedVector) Add(i int) {
 	v.stripes[s][vecPad+i].Add(1)
 }
 
-// AddStripe increments counter i on the given stripe (masked into range).
-// Callers that already hold a per-goroutine stripe identity — the telemetry
-// probe sink fetches one handle per probe and charges several vectors with
-// it — use this to skip the per-vector pool round trip.
-func (v *StripedVector) AddStripe(stripe uint64, i int) {
-	v.stripes[stripe&v.mask][vecPad+i].Add(1)
-}
-
-// AddStripeN adds n to counter i on the given stripe. Telemetry flushes a
-// caller's per-step probe tally with it: one add per step, whatever the
-// number of probes tallied.
+// AddStripeN adds n to counter i on the given stripe (masked into range).
+// Callers that already hold a per-goroutine stripe identity — telemetry
+// fetches one handle per call and charges several vectors with it — use
+// this to skip the per-vector pool round trip: a flushed tally adds once
+// per step, whatever the number of probes tallied.
 func (v *StripedVector) AddStripeN(stripe uint64, i int, n uint64) {
 	v.stripes[stripe&v.mask][vecPad+i].Add(n)
 }
@@ -145,22 +139,3 @@ func (v *StripedVector) Sums() []uint64 {
 	v.SumInto(dst)
 	return dst
 }
-
-// ProbeSink observes the live probe stream of a table: one callback per
-// recorded probe, from however many goroutines are querying concurrently.
-// Implementations must therefore be safe for concurrent use and cheap —
-// internal/telemetry's implementation lands every count on a
-// cache-line-striped counter. Unlike a Recorder (sequential, exact,
-// measurement-mode) a sink is an always-on production hook; unlike a trace
-// callback it has no exclusivity caveat.
-type ProbeSink interface {
-	ProbeObserved(step, cell int)
-}
-
-// SetSink installs (or with nil removes) the table's probe sink. Installing
-// must not race with probes — do it before the table is shared, as the
-// facade's WithTelemetry and the dynamic dictionary's epoch publication do.
-func (t *Table) SetSink(s ProbeSink) { t.sink = s }
-
-// Sink returns the installed probe sink, or nil.
-func (t *Table) Sink() ProbeSink { return t.sink }

@@ -39,9 +39,9 @@ func TestStripedVectorAddStripe(t *testing.T) {
 	v := NewStripedVector(3, 2)
 	// Explicit stripe identities, including out-of-range ones that must be
 	// masked into [0, Stripes).
-	v.AddStripe(0, 1)
-	v.AddStripe(1, 1)
-	v.AddStripe(7, 1) // masked to stripe 1
+	v.AddStripeN(0, 1, 1)
+	v.AddStripeN(1, 1, 1)
+	v.AddStripeN(7, 1, 1) // masked to stripe 1
 	if got := v.Sum(1); got != 3 {
 		t.Fatalf("Sum(1) = %d, want 3", got)
 	}
@@ -90,62 +90,24 @@ func TestStripedVectorConcurrent(t *testing.T) {
 	}
 }
 
-// TestTableSink checks the ProbeSink hook fires for direct and forwarded
-// probes with the forwarded coordinates.
-func TestTableSink(t *testing.T) {
-	type probe struct{ step, cell int }
-	var got []probe
-	sinkFn := sinkFunc(func(step, cell int) { got = append(got, probe{step, cell}) })
-
-	tab := New(2, 4)
-	tab.SetSink(sinkFn)
-	tab.Probe(0, 1, 2)
-	tab.ProbeIndex(3, 5)
-	if len(got) != 2 || got[0] != (probe{0, 6}) || got[1] != (probe{3, 5}) {
-		t.Fatalf("direct probes recorded %v", got)
-	}
-	if tab.Sink() == nil {
-		t.Fatal("Sink() lost the installed sink")
-	}
-
-	// Forwarded probes: child probes must reach the parent's sink at
-	// translated coordinates.
-	got = nil
-	parent := New(1, 100)
-	parent.SetSink(sinkFn)
-	child := New(1, 4)
-	child.ForwardTo(parent, 10, 5)
-	child.Probe(1, 0, 3)
-	if len(got) != 1 || got[0] != (probe{6, 13}) {
-		t.Fatalf("forwarded probe recorded %v, want {6 13}", got)
-	}
-}
-
-// TestProbeToTally: a tallied probe skips the sink and lands at its step,
-// clamped into the tally's last slot, while the recorder still sees it; a
-// nil tally behaves as Probe.
+// TestProbeToTally: a tallied probe lands at its step, clamped into the
+// tally's last slot, while the recorder still sees it; a nil tally behaves
+// as Probe.
 func TestProbeToTally(t *testing.T) {
-	sunk := 0
 	tab := New(2, 4)
-	tab.SetSink(sinkFunc(func(step, cell int) { sunk++ }))
 	rec := NewRecorder(tab.Size())
 	tab.Attach(rec)
 	tally := make([]uint64, 3)
 	tab.ProbeTo(0, 0, 1, tally)
 	tab.ProbeTo(2, 1, 2, tally)
 	tab.ProbeTo(7, 1, 3, tally)
-	if sunk != 0 || tally[0] != 1 || tally[1] != 0 || tally[2] != 2 {
-		t.Fatalf("tallied probes: sink saw %d, tally %v; want 0 and [1 0 2]", sunk, tally)
+	if tally[0] != 1 || tally[1] != 0 || tally[2] != 2 {
+		t.Fatalf("tallied probes: tally %v, want [1 0 2]", tally)
 	}
 	if rec.probes != 3 || rec.Total[6] != 1 {
 		t.Fatalf("recorder saw %d probes (cell 6: %d), want 3 (1)", rec.probes, rec.Total[6])
 	}
-	tab.ProbeTo(1, 0, 0, nil)
-	if sunk != 1 || rec.probes != 4 {
-		t.Fatalf("untallied probe: sink saw %d, recorder %d; want 1 and 4", sunk, rec.probes)
+	if c := tab.ProbeTo(1, 0, 0, nil); c != tab.At(0, 0) || rec.probes != 4 {
+		t.Fatalf("untallied probe: read %+v, recorder %d; want %+v and 4", c, rec.probes, tab.At(0, 0))
 	}
 }
-
-type sinkFunc func(step, cell int)
-
-func (f sinkFunc) ProbeObserved(step, cell int) { f(step, cell) }

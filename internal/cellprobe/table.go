@@ -9,9 +9,11 @@
 //   - a ProbeSpec describes a query's exact per-step probe distribution as
 //     a set of uniform spans, from which package contention computes the
 //     exact Φ_t = q·P_t of Definition 1 without sampling;
-//   - a ProbeSink observes the live probe stream concurrently — the
-//     production telemetry hook (internal/telemetry), counting on striped
-//     counters instead of the Recorder's sequential dense matrices.
+//   - a per-call tally (ProbeTo) counts a live query's probes by step in
+//     the caller's own memory, and a capture lists a query's probes as
+//     StepCell pairs; the caller hands both to the production telemetry
+//     (internal/telemetry) once per call, on striped counters instead of
+//     the Recorder's sequential dense matrices.
 //
 // Cells are 128 bits (b = Θ(log N) for the 2^61-key universe; wide enough
 // that one cell holds a full pairwise hash function, preserving the paper's
@@ -34,7 +36,7 @@
 //
 // A caller that answers many probes may read each row's backing directly
 // through CellView, the resolved cell view, but only while nothing observes
-// individual probes (no Recorder, trace, sink or ForwardTo link). A view is
+// individual probes (no Recorder, trace or ForwardTo link). A view is
 // not a probe bypass: every probe is still tallied at its step, exactly as
 // ProbeTo would tally it.
 package cellprobe
@@ -63,7 +65,6 @@ type Table struct {
 	unbacked int      // rows whose view is still nil (dense rows before the arena)
 	rec      *Recorder
 	trace    func(step, cell int)
-	sink     ProbeSink
 	fwd      *forward
 }
 
@@ -90,9 +91,6 @@ func (f *forward) record(step, cell int) {
 	}
 	if f.parent.trace != nil {
 		f.parent.trace(step, cell)
-	}
-	if f.parent.sink != nil {
-		f.parent.sink.ProbeObserved(step, cell)
 	}
 	if f.parent.fwd != nil {
 		f.parent.fwd.record(step, cell)
@@ -278,8 +276,8 @@ func (t *Table) PrefetchCell(row, col int) {
 }
 
 // CellView returns every row's backing — the resolved cell view — when no
-// probe observer needs to see individual probes: no Recorder, trace, sink
-// or ForwardTo link is attached. Otherwise, or while a dense row has no
+// probe observer needs to see individual probes: no Recorder, trace or
+// ForwardTo link is attached. Otherwise, or while a dense row has no
 // storage yet (before the first Set), it returns nil and probes must go
 // through ProbeTo. Row r of the view is indexed by what its backing stores:
 // a dense row by column, a block row (SetBlockRow) by column/blk, a residue
@@ -291,7 +289,7 @@ func (t *Table) PrefetchCell(row, col int) {
 // retired table be collected. The view itself is maintained as rows are
 // installed, so taking it allocates nothing.
 func (t *Table) CellView() [][]Cell {
-	if t.unbacked > 0 || t.rec != nil || t.trace != nil || t.fwd != nil || t.sink != nil {
+	if t.unbacked > 0 || t.rec != nil || t.trace != nil || t.fwd != nil {
 		return nil
 	}
 	return t.view
@@ -309,12 +307,11 @@ func PrefetchRowCell(row []Cell, col int) {
 // 0-based step number and returns the cell contents.
 func (t *Table) Probe(step, row, col int) Cell { return t.ProbeTo(step, row, col, nil) }
 
-// ProbeTo is Probe with a caller-owned per-step tally. A nil tally reports
-// the probe to the installed sink, exactly as Probe does. A non-nil tally
-// counts it at tally[min(step, len(tally)−1)] in place of the sink call, and
-// the caller hands the counts on in one go — how the dynamic dictionary,
-// whose tables carry no sink, feeds telemetry once per query or batch. The
-// recorder, trace and ForwardTo accounting see every probe either way.
+// ProbeTo is Probe with a caller-owned per-step tally: a non-nil tally
+// counts the probe at tally[min(step, len(tally)−1)], and the caller hands
+// the counts on in one go — how every dictionary feeds telemetry once per
+// query or batch. The recorder, trace and ForwardTo accounting see every
+// probe either way.
 func (t *Table) ProbeTo(step, row, col int, tally []uint64) Cell {
 	i := t.Index(row, col)
 	if t.rec != nil {
@@ -325,8 +322,6 @@ func (t *Table) ProbeTo(step, row, col int, tally []uint64) Cell {
 	}
 	if tally != nil {
 		tally[min(step, len(tally)-1)]++
-	} else if t.sink != nil {
-		t.sink.ProbeObserved(step, i)
 	}
 	if t.fwd != nil {
 		t.fwd.record(step, i)
@@ -344,9 +339,6 @@ func (t *Table) ProbeIndex(step, i int) Cell {
 	}
 	if t.trace != nil {
 		t.trace(step, i)
-	}
-	if t.sink != nil {
-		t.sink.ProbeObserved(step, i)
 	}
 	if t.fwd != nil {
 		t.fwd.record(step, i)
@@ -370,8 +362,16 @@ func (t *Table) ForwardTo(parent *Table, cellOffset, stepOffset int) {
 
 // SetTrace installs a per-probe callback invoked with (step, flat cell
 // index) on every Probe/ProbeIndex. Pass nil to remove it. The memory
-// simulator uses it to capture the exact probe sequence of a query.
+// simulator uses it to capture the exact probe sequence of a query, and
+// sequential telemetry drives to capture each query's StepCell pairs.
 func (t *Table) SetTrace(f func(step, cell int)) { t.trace = f }
+
+// StepCell is one captured probe: the query step it was made at and the
+// flat index of the cell it read — the unit a query capture records and
+// telemetry folds into its per-cell counts.
+type StepCell struct {
+	Step, Cell int32
+}
 
 // Attach installs a recorder that accumulates probe counts until Detach.
 // Attaching replaces any previous recorder.

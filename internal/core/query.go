@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/cellprobe"
@@ -40,20 +41,20 @@ const (
 // within-query order the sequential path consumes — so interleaving queries
 // never changes which cells any individual query probes.
 type wfSlot struct {
-	x     uint64   // the queried key
-	fsum  uint64   // f(x), computed from the coefficient cells
-	uSpan uint64   // raw 64-bit draw for the perfect-hash replica choice
-	idx   int      // batch index: out[idx] receives the answer
-	stage int8     // next stage to evaluate
-	kz    int      // replica choice within the z block
-	kb    int      // replica choice within the GBAS block
-	gx    int      // z index g(x) (set by wfCoef)
-	hp    int      // group index h′(x)
-	pos   int      // position of bucket h(x) within its group
-	col   int      // column the next single-cell stage probes
-	off   int      // bucket span start (set by wfGroup)
-	span  int      // bucket span width ℓ² (set by wfGroup)
-	log   *[]int32 // per-step capture destination, nil when off
+	x     uint64                // the queried key
+	fsum  uint64                // f(x), computed from the coefficient cells
+	uSpan uint64                // raw 64-bit draw for the perfect-hash replica choice
+	idx   int                   // batch index: out[idx] receives the answer
+	stage int8                  // next stage to evaluate
+	kz    int                   // replica choice within the z block
+	kb    int                   // replica choice within the GBAS block
+	gx    int                   // z index g(x) (set by wfCoef)
+	hp    int                   // group index h′(x)
+	pos   int                   // position of bucket h(x) within its group
+	col   int                   // column the next single-cell stage probes
+	off   int                   // bucket span start (set by wfGroup)
+	span  int                   // bucket span width ℓ² (set by wfGroup)
+	log   *[]cellprobe.StepCell // capture destination, nil when off
 }
 
 // QueryScratch holds the per-query working memory of Contains: the f and g
@@ -75,24 +76,23 @@ type QueryScratch struct {
 	wfHist []int32
 	src    sliceSource // ContainsBatch's feed, embedded so no interface allocation
 
-	// capture arms per-probe trace capture (StartCapture): probeLog[t]
-	// records the flat cell index probed at step t of the next query. A
-	// scratch serves one query at a time by construction, so capture needs
-	// no synchronization; un-armed queries pay one predictable untaken
-	// branch per probe.
-	capture  bool
-	probeLog []int32
+	// capture arms capture of the next query (StartCapture), and sampler
+	// (last, below) picks the queries a batch captures (SetSampler): a
+	// captured query appends each probe's (step, flat cell) pair to probes.
+	// Uncaptured queries pay one predictable untaken branch per probe.
+	capture bool
+	probes  []cellprobe.StepCell
 
 	// batchCap arms per-query capture across a whole batch (StartBatch-
-	// Capture): batchLog[i] records the per-step cells of the query at
-	// batch index i. Each log lives in its own heap box so the pointer a
-	// slot holds stays valid while batchLog itself grows with later
-	// admissions. A test/measurement mode — it allocates.
+	// Capture): batchLog[i] records the probes of the query at batch index
+	// i. Each log lives in its own heap box so the pointer a slot holds
+	// stays valid while batchLog itself grows with later admissions. A
+	// test/measurement mode — it allocates.
 	batchCap bool
-	batchLog []*[]int32
+	batchLog []*[]cellprobe.StepCell
 
 	// tally, when armed (SetTally), counts every probe of the queries this
-	// scratch answers per step.
+	// scratch answers per step, shifted by nest (Nest), as captures are.
 	tally []uint64
 
 	// rs is the scratch's own random stream (Source): a query or batch
@@ -105,6 +105,9 @@ type QueryScratch struct {
 	// counted into, never read by the query path.
 	view  cellView
 	spill []uint64
+
+	sampler Sampler
+	nest    cellprobe.StepCell
 }
 
 // cellView is the resolved cell view a call reads its cells through when
@@ -113,8 +116,8 @@ type QueryScratch struct {
 // idx is the index of the value the column replicates — 0 on a coefficient
 // row, g(x) on the z row, h′(x) on the GBAS and histogram rows, the column
 // itself on the dense perfect-hash and data rows. An empty view (nil rows)
-// sends every probe through Table.ProbeTo and every prefetch through
-// Table.PrefetchCell.
+// sends every probe through Table.ProbeTo into tally (nil when none is
+// armed) and every prefetch through Table.PrefetchCell.
 type cellView struct {
 	rows  [][]cellprobe.Cell
 	tally []uint64
@@ -122,22 +125,24 @@ type cellView struct {
 
 // openView resets the scratch's view for one ContainsScratch or
 // ContainsWavefront call on dict. It takes the table's rows when the table
-// hands them out and no capture mode is armed (capture records through
-// ProbeTo), and when the armed tally, if any, has a slot for every step
-// (ProbeTo clamps later steps into the last slot; the view does not). The
-// call clears the view again before it returns, so a pooled scratch never
-// keeps a retired table reachable.
+// hands them out and the armed tally, if any, has a slot for every step
+// past the nest (ProbeTo clamps later steps into the last slot; the view
+// does not). The call clears the view again before it returns, so a pooled
+// scratch never keeps a retired table reachable.
 func (sc *QueryScratch) openView(dict *Dict) {
-	sc.view = cellView{}
+	var tally []uint64
+	if sc.tally != nil {
+		tally = sc.tally[sc.nest.Step:]
+	}
+	sc.view = cellView{tally: tally}
 	steps := dict.MaxProbes()
-	if sc.capture || sc.batchCap || (sc.tally != nil && len(sc.tally) < steps) {
+	if tally != nil && len(tally) < steps {
 		return
 	}
 	rows := dict.tab.CellView()
 	if rows == nil {
 		return
 	}
-	tally := sc.tally
 	if tally == nil {
 		if cap(sc.spill) < steps {
 			sc.spill = make([]uint64, steps)
@@ -155,7 +160,7 @@ func (sc *QueryScratch) probe(tab *cellprobe.Table, step, row, col, idx int) cel
 		sc.view.tally[step]++
 		return rows[row][idx]
 	}
-	return tab.ProbeTo(step, row, col, sc.tally)
+	return tab.ProbeTo(step, row, col, sc.view.tally)
 }
 
 // prefetch hints cell (row, col) of one of tab's dense rows, through the
@@ -178,32 +183,71 @@ func (sc *QueryScratch) Source(r rng.Source) rng.Source { return rng.Local(r, &s
 
 // SetTally arms per-step probe tallying for the queries answered with this
 // scratch: each probe is counted at tally[min(step, len(tally)−1)]
-// (cellprobe.Table.ProbeTo), and the caller hands the counts on itself — the
-// dynamic dictionary's read feed to telemetry. nil disarms it.
+// (cellprobe.Table.ProbeTo), and the caller hands the counts on itself —
+// the read feed to telemetry. nil disarms it.
 func (sc *QueryScratch) SetTally(tally []uint64) { sc.tally = tally }
 
 // Tally returns the armed per-step tally, or nil.
 func (sc *QueryScratch) Tally() []uint64 { return sc.tally }
 
-// StartCapture arms per-probe capture for the next ContainsScratch call on
-// this scratch. The telemetry layer uses it to build per-query traces.
-func (sc *QueryScratch) StartCapture() {
-	sc.capture = true
-	sc.probeLog = sc.probeLog[:0]
+// Nest makes the scratch count and capture the next queries' probes in a
+// composite's coordinates (internal/shard): step t as steps+t, cell c as
+// cells+c. Nest(0, 0) restores local coordinates.
+func (sc *QueryScratch) Nest(steps, cells int) {
+	sc.nest = cellprobe.StepCell{Step: int32(steps), Cell: int32(cells)}
 }
 
-// StopCapture disarms capture and returns the per-step flat cell indices
-// recorded since StartCapture (aliasing scratch memory: valid until the
-// next StartCapture).
+// StartCapture arms capture of the next query answered with this scratch:
+// its probes are appended to the capture log as (step, flat cell) pairs,
+// in probe order — for a traced or a cell-sampled query.
+func (sc *QueryScratch) StartCapture() { sc.capture = true }
+
+// CaptureProbe logs (step, cell) while capture is armed: a probe a
+// composite makes for the next query itself (internal/shard's routing).
+func (sc *QueryScratch) CaptureProbe(step, cell int) {
+	if sc.capture {
+		sc.probes = append(sc.probes, cellprobe.StepCell{Step: int32(step), Cell: int32(cell)})
+	}
+}
+
+// Sampler picks the queries a batch captures, asked once per query as the
+// wavefront admits it.
+type Sampler interface{ ShouldFold() bool }
+
+// SetSampler makes batches answered with this scratch capture the queries
+// s picks, gathering the whole call in the capture log; nil disarms it.
+func (sc *QueryScratch) SetSampler(s Sampler) { sc.sampler = s }
+
+// ReserveCapture makes room in the capture log for n more pairs, so that a
+// call capturing at most n probes allocates nothing.
+func (sc *QueryScratch) ReserveCapture(n int) { sc.probes = slices.Grow(sc.probes, n) }
+
+// StopCapture disarms capture, empties the log and returns a copy of its
+// flat cells in probe order: for one query of this dictionary, cells[t] is
+// the cell probed at step t.
 func (sc *QueryScratch) StopCapture() []int32 {
+	probes := sc.StopCaptureProbes()
+	cells := make([]int32, len(probes))
+	for i, p := range probes {
+		cells[i] = p.Cell
+	}
+	return cells
+}
+
+// StopCaptureProbes is StopCapture returning the logged (step, cell) pairs
+// themselves, aliasing scratch memory: valid until the next query is
+// captured.
+func (sc *QueryScratch) StopCaptureProbes() []cellprobe.StepCell {
 	sc.capture = false
-	return sc.probeLog
+	log := sc.probes
+	sc.probes = sc.probes[:0]
+	return log
 }
 
 // StartBatchCapture arms per-query capture for the next batch answered with
-// this scratch: every admitted query records its per-step flat cell indices
-// under its batch index. The equivalence battery uses it to check that the
-// wavefront probes exactly the cells the sequential path would; unlike the
+// this scratch: every admitted query records its probes under its batch
+// index. The equivalence battery uses it to check that the wavefront
+// probes exactly the cells the sequential path would; unlike the
 // steady-state batch path it allocates (one log per query).
 func (sc *QueryScratch) StartBatchCapture() {
 	sc.batchCap = true
@@ -214,9 +258,9 @@ func (sc *QueryScratch) StartBatchCapture() {
 // indexed by batch position (nil for queries that never reached this
 // dictionary — e.g. resolved by a dynamic dictionary's buffer). The slices
 // alias scratch memory: valid until the next StartBatchCapture.
-func (sc *QueryScratch) StopBatchCapture() [][]int32 {
+func (sc *QueryScratch) StopBatchCapture() [][]cellprobe.StepCell {
 	sc.batchCap = false
-	out := make([][]int32, len(sc.batchLog))
+	out := make([][]cellprobe.StepCell, len(sc.batchLog))
 	for i, box := range sc.batchLog {
 		if box != nil {
 			out[i] = *box
@@ -225,12 +269,9 @@ func (sc *QueryScratch) StopBatchCapture() [][]int32 {
 	return out
 }
 
-// logCell records cell as the probe target of the given step.
-func logCell(log *[]int32, step, cell int) {
-	for len(*log) <= step {
-		*log = append(*log, -1)
-	}
-	(*log)[step] = int32(cell)
+// logProbe appends (step, cell), nested, to a captured query's log.
+func (sc *QueryScratch) logProbe(log *[]cellprobe.StepCell, step, cell int) {
+	*log = append(*log, cellprobe.StepCell{Step: int32(step) + sc.nest.Step, Cell: int32(cell) + sc.nest.Cell})
 }
 
 // ensure sizes the buffers for a dictionary with degree d and rho histogram
@@ -378,17 +419,19 @@ func (dict *Dict) wfAdmitKey(sc *QueryScratch, slot, idx int, x uint64, r rng.So
 	}
 	s.stage = wfCoef
 	s.log = nil
-	if sc.batchCap {
+	switch {
+	case sc.batchCap:
 		for len(sc.batchLog) <= idx {
 			sc.batchLog = append(sc.batchLog, nil)
 		}
 		if sc.batchLog[idx] == nil {
-			sc.batchLog[idx] = new([]int32)
+			sc.batchLog[idx] = new([]cellprobe.StepCell)
 		}
 		*sc.batchLog[idx] = (*sc.batchLog[idx])[:0]
 		s.log = sc.batchLog[idx]
-	} else if sc.capture {
-		s.log = &sc.probeLog
+	case sc.capture || (sc.sampler != nil && sc.sampler.ShouldFold()):
+		sc.capture = false
+		s.log = &sc.probes
 	}
 }
 
@@ -412,8 +455,8 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 			sc.fc[i] = sc.probe(tab, i, i, cf, 0).Lo
 			sc.gc[i] = sc.probe(tab, d+i, d+i, cg, 0).Lo
 			if s.log != nil {
-				logCell(s.log, i, tab.Index(i, cf))
-				logCell(s.log, d+i, tab.Index(d+i, cg))
+				sc.logProbe(s.log, i, tab.Index(i, cf))
+				sc.logProbe(s.log, d+i, tab.Index(d+i, cg))
 			}
 		}
 		s.gx = int(hash.EvalFromCoef(sc.gc, uint64(dict.r), s.x))
@@ -426,7 +469,7 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 		// histogram columns become known.
 		zv := sc.probe(tab, 2*d, dict.zRow(), s.col, s.gx).Lo
 		if s.log != nil {
-			logCell(s.log, 2*d, tab.Index(dict.zRow(), s.col))
+			sc.logProbe(s.log, 2*d, tab.Index(dict.zRow(), s.col))
 		}
 		if zv >= uint64(dict.s) {
 			return false, false, fmt.Errorf("core: corrupt table: z value %d outside [0, %d)", zv, dict.s)
@@ -448,7 +491,7 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 		step := 2*d + 1
 		gbas := sc.probe(tab, step, dict.gbasRow(), s.col, s.hp).Lo
 		if s.log != nil {
-			logCell(s.log, step, tab.Index(dict.gbasRow(), s.col))
+			sc.logProbe(s.log, step, tab.Index(dict.gbasRow(), s.col))
 		}
 		if gbas > uint64(dict.s) {
 			return false, false, fmt.Errorf("core: corrupt table: group base address %d outside [0, %d]", gbas, dict.s)
@@ -459,7 +502,7 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 			ch := int(sc.wfHist[hbase+w])
 			c := sc.probe(tab, step, dict.histRow()+w, ch, s.hp)
 			if s.log != nil {
-				logCell(s.log, step, tab.Index(dict.histRow()+w, ch))
+				sc.logProbe(s.log, step, tab.Index(dict.histRow()+w, ch))
 			}
 			sc.words[2*w], sc.words[2*w+1] = c.Lo, c.Hi
 		}
@@ -489,7 +532,7 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 		step := 2*d + 2 + dict.rho
 		phc := sc.probe(tab, step, dict.phRow(), s.col, s.col)
 		if s.log != nil {
-			logCell(s.log, step, tab.Index(dict.phRow(), s.col))
+			sc.logProbe(s.log, step, tab.Index(dict.phRow(), s.col))
 		}
 		hstar := hash.Pairwise{A: phc.Lo, B: phc.Hi, M: uint64(s.span)}
 		s.col = s.off + int(hstar.Eval(s.x))
@@ -503,7 +546,7 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 		step := 2*d + 3 + dict.rho
 		dc := sc.probe(tab, step, dict.dataRow(), s.col, s.col)
 		if s.log != nil {
-			logCell(s.log, step, tab.Index(dict.dataRow(), s.col))
+			sc.logProbe(s.log, step, tab.Index(dict.dataRow(), s.col))
 		}
 		return true, dc.Hi == occupiedTag && dc.Lo == s.x, nil
 	}

@@ -9,13 +9,16 @@ import (
 	"repro/internal/dist"
 	"repro/internal/memsim"
 	"repro/internal/rng"
+	"repro/internal/scheme"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
 // A8 — live telemetry self-check: the runtime Φ̂ estimator agrees with the
-// exact analysis. Every roster scheme is instrumented with a telemetry sink
-// (sampling 1, so every probe is counted) and driven with queries
+// exact analysis. Every roster scheme feeds a telemetry instance through a
+// capture (sampling 1, so every query's cells are folded): the table trace
+// records each query's probes and the capture hands them over after the
+// query returns. Each scheme is driven with queries
 // round-robin over the member keys — the deterministic realization of the
 // uniform positive distribution, so each key contributes exactly Q/n
 // queries and the empirical per-cell probe mass converges to the analytic
@@ -27,11 +30,11 @@ import (
 //
 // The last three columns close the loop with the execution model: a batch
 // of simulated processors replays captured probe sequences through
-// internal/memsim with the SAME telemetry estimator attached as the
-// simulator's probe sink, so one Φ̂ pipeline measures both the live and the
-// simulated stream, and the simulated queueing delay (avg cycles waiting in
-// module queues) and slowdown appear next to the live contention figures
-// they are supposed to explain.
+// internal/memsim, and the SAME telemetry estimator folds those sequences,
+// so one Φ̂ pipeline measures both the live and the simulated stream, and
+// the simulated queueing delay (avg cycles waiting in module queues) and
+// slowdown appear next to the live contention figures they are supposed to
+// explain.
 func A8(cfg Config) (*Table, error) {
 	n := cfg.FixedN
 	keys := Keys(n, cfg.Seed)
@@ -55,10 +58,10 @@ func A8(cfg Config) (*Table, error) {
 			"maxΦ̂·n(live)", "maxΦ·n(exact)", "ratio", "stepMassL∞",
 			"maxΦ̂·n(sim)", "simQdelay", "simSlowdown"},
 		Notes: []string{
-			"live numbers come from the runtime telemetry sink (internal/telemetry) attached to each structure's cell-probe table — the same estimator Dict.Telemetry().Snapshot() reports as maxΦ̂·n",
+			"live numbers come from the runtime telemetry (internal/telemetry), fed each query's probes by a capture on the structure's cell-probe table — the same estimator Dict.Telemetry().Snapshot() reports as maxΦ̂·n",
 			"ratio = maxΦ̂·n(live) / maxΦ·n(exact); deterministic schemes land on 1.000 exactly, replicated ones wander by the extreme-value noise of their random replica draws",
 			"stepMassL∞ is the largest absolute gap between the measured and exact per-step probe mass vectors — 0 for schemes whose probe count is input-independent",
-			fmt.Sprintf("sim columns replay %d captured probe sequences through internal/memsim (one module per cell) with the same telemetry estimator attached as the simulator's probe sink: maxΦ̂·n(sim) is the estimator's reading of the simulated stream, simQdelay the mean cycles each probe waited in a module queue (0 = served on issue), simSlowdown the makespan over the conflict-free ideal", simProcs),
+			fmt.Sprintf("sim columns replay %d captured probe sequences through internal/memsim (one module per cell), and the same telemetry estimator folds those sequences: maxΦ̂·n(sim) is the estimator's reading of the simulated stream, simQdelay the mean cycles each probe waited in a module queue (0 = served on issue), simSlowdown the makespan over the conflict-free ideal", simProcs),
 		},
 	}
 	for _, name := range names {
@@ -68,31 +71,33 @@ func A8(cfg Config) (*Table, error) {
 		}
 		s := st[0]
 		tel := telemetry.New(telemetry.Config{Sample: 1}, s.Table().Size(), s.N())
-		s.Table().SetSink(tel)
-		r := rng.New(cfg.Seed ^ 0xa8)
-		for i := 0; i < queries; i++ {
-			if _, err := s.Contains(keys[i%n], r); err != nil {
-				return nil, fmt.Errorf("A8 %s: %w", name, err)
-			}
-			tel.ObserveQuery(true, false, 0)
+		i := 0
+		next := func() uint64 { i++; return keys[(i-1)%n] }
+		if err := driveTelemetry(s, tel, queries, next, rng.New(cfg.Seed^0xa8)); err != nil {
+			return nil, fmt.Errorf("A8 %s: %w", name, err)
 		}
-		s.Table().SetSink(nil)
 		ex, err := contention.Exact(s, q.Support())
 		if err != nil {
 			return nil, fmt.Errorf("A8 %s: %w", name, err)
 		}
 		drift := tel.Snapshot().CompareExact(ex)
 
-		// Simulated execution: capture simProcs probe sequences and replay
-		// them through the memory simulator with a fresh instance of the
-		// same estimator as the probe sink.
+		// Simulated execution: capture simProcs probe sequences, replay
+		// them through the memory simulator, and fold them into a fresh
+		// instance of the same estimator, step i being a probe's index in
+		// its sequence.
 		seqs, err := memsim.Sequences(s, q, simProcs, rng.New(cfg.Seed^0xa8^0x51))
 		if err != nil {
 			return nil, fmt.Errorf("A8 %s: %w", name, err)
 		}
+		sim := memsim.Run(seqs, memsim.Config{})
 		simTel := telemetry.New(telemetry.Config{Sample: 1}, s.Table().Size(), s.N())
-		sim := memsim.Run(seqs, memsim.Config{Sink: simTel})
-		for i := 0; i < simProcs; i++ {
+		simFeed := simTel.NewCapture()
+		for _, seq := range seqs {
+			for i, cell := range seq {
+				simFeed.Probe(i, cell)
+			}
+			simFeed.Flush()
 			simTel.ObserveQuery(true, false, 0)
 		}
 		simDrift := simTel.Snapshot().CompareExact(ex)
@@ -105,6 +110,22 @@ func A8(cfg Config) (*Table, error) {
 		})
 	}
 	return t, nil
+}
+
+// driveTelemetry answers queries keys drawn from next on s, feeding tel
+// each query's probes through a capture installed as s's table trace.
+func driveTelemetry(s scheme.Scheme, tel *telemetry.Telemetry, queries int, next func() uint64, r rng.Source) error {
+	feed := tel.NewCapture()
+	s.Table().SetTrace(feed.Probe)
+	defer s.Table().SetTrace(nil)
+	for i := 0; i < queries; i++ {
+		if _, err := s.Contains(next(), r); err != nil {
+			return err
+		}
+		feed.Flush()
+		tel.ObserveQuery(true, false, 0)
+	}
+	return nil
 }
 
 // sketchDrift summarizes how well the reservoir (step, cell) sketch tracks
@@ -200,7 +221,7 @@ func sketchAgreement(rows []telemetry.StepCellView, rec *cellprobe.Recorder, top
 // (telemetry.StepCellSketch, the table behind Snapshot.StepCells and
 // /debug/telemetry) agrees with the exact per-step × per-cell probe matrix.
 // Each structure is driven with a skewed weighted schedule while BOTH a
-// sequential cellprobe.Recorder (exact, dense) and the telemetry sink with
+// sequential cellprobe.Recorder (exact, dense) and a telemetry capture with
 // the sketch enabled (sampling 1) are attached to the same table, so the
 // estimate and the ground truth observe the identical probe stream. The
 // table reports, per structure and distribution, how often the sketch's
@@ -239,7 +260,7 @@ func A10(cfg Config) (*Table, error) {
 		Columns: []string{"structure", "dist", "steps", "probes/q", "retained",
 			"top1", "overlap@3", "shareΔmax", "hotShare(exact)"},
 		Notes: []string{
-			"the sketch is telemetry.StepCellSketch — the always-on reservoir behind Snapshot.StepCells — fed here at sampling 1 alongside a sequential cellprobe.Recorder on the same table, so both see the identical probe stream",
+			"the sketch is telemetry.StepCellSketch — the always-on reservoir behind Snapshot.StepCells — fed here at sampling 1 by a per-query capture alongside a sequential cellprobe.Recorder on the same table, so both see the identical probe stream",
 			"top1 = steps where the sketch's hottest cell ties the exact per-step argmax / steps compared; overlap@3 = mean fraction of the sketch's top-3 cells inside the exact top-3; shareΔmax = worst |sketch hot-share − exact hot-share| over top-1 cells; hotShare(exact) = the exact hottest cell's worst-case probe share",
 			"point (every query hits one key) makes deterministic-probe schemes (fks, cuckoo, bsearch) probe one cell per step — top1 must be perfect; the core lcds dictionary randomizes every intermediate probe, so only its terminal key-read steps keep a stable hot cell and the sketch's low top1 across the rest IS the low-contention property (hotShare reports the worst step, which for lcds/point is that deterministic terminal read)",
 			"retained = reservoir samples surviving across all steps (bounded by slots × stripes regardless of query volume — the sketch's whole point)",
@@ -260,16 +281,10 @@ func A10(cfg Config) (*Table, error) {
 			s.Table().Attach(rec)
 			tel := telemetry.New(telemetry.Config{Sample: 1, SketchSlots: 512, SketchTopK: topK},
 				s.Table().Size(), s.N())
-			s.Table().SetSink(tel)
-			r := rng.New(cfg.Seed ^ 0xa10)
-			for i := 0; i < queries; i++ {
-				if _, err := s.Contains(drive.Next().Key, r); err != nil {
-					return nil, fmt.Errorf("A10 %s/%s: %w", name, q.label, err)
-				}
-				rec.EndQuery()
-				tel.ObserveQuery(true, false, 0)
+			next := func() uint64 { rec.EndQuery(); return drive.Next().Key } // rec counts queries as drawn
+			if err := driveTelemetry(s, tel, queries, next, rng.New(cfg.Seed^0xa10)); err != nil {
+				return nil, fmt.Errorf("A10 %s/%s: %w", name, q.label, err)
 			}
-			s.Table().SetSink(nil)
 			s.Table().Detach()
 			rows := tel.Snapshot().StepCells
 			var retained uint64
@@ -342,15 +357,10 @@ func A9(cfg Config) (*Table, error) {
 				return nil, fmt.Errorf("A9 %s/%s: %w", name, q.label, err)
 			}
 			tel := telemetry.New(telemetry.Config{Sample: 1}, s.Table().Size(), s.N())
-			s.Table().SetSink(tel)
-			r := rng.New(cfg.Seed ^ 0xa9)
-			for i := 0; i < queries; i++ {
-				if _, err := s.Contains(drive.Next().Key, r); err != nil {
-					return nil, fmt.Errorf("A9 %s/%s: %w", name, q.label, err)
-				}
-				tel.ObserveQuery(true, false, 0)
+			next := func() uint64 { return drive.Next().Key }
+			if err := driveTelemetry(s, tel, queries, next, rng.New(cfg.Seed^0xa9)); err != nil {
+				return nil, fmt.Errorf("A9 %s/%s: %w", name, q.label, err)
 			}
-			s.Table().SetSink(nil)
 			ex, err := contention.Exact(s, drive.Support())
 			if err != nil {
 				return nil, fmt.Errorf("A9 %s/%s: %w", name, q.label, err)

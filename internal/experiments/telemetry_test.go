@@ -38,6 +38,13 @@ func TestA8ShapeTelemetryAgreement(t *testing.T) {
 			t.Errorf("%s: probes/query live %.3f vs exact %.3f (ratio %.3f) outside 5%%",
 				row[0], probesLive, probesExact, r)
 		}
+		if row[0] == "bsearch" {
+			// Every simulated bsearch query reads the root, so folding the
+			// replayed sequences must count that cell once per sequence.
+			if sim := col(row, 8); sim != float64(cfg.FixedN) {
+				t.Errorf("bsearch: maxΦ̂·n(sim) %.3f, want n = %d", sim, cfg.FixedN)
+			}
+		}
 		if row[0] == "lcds" {
 			sawCore = true
 			ratio := col(row, 6)

@@ -36,14 +36,6 @@ type Config struct {
 	// serialize. This is the classic contention-*resolution* mitigation,
 	// contrasted with the paper's contention-*avoidance*.
 	Combining bool
-	// Sink, when non-nil, observes every probe as the memory system serves
-	// it — the same cellprobe.ProbeSink hook the live query path feeds, so
-	// one estimator (e.g. internal/telemetry) can measure a simulated
-	// execution and a live one with identical accounting. The step passed is
-	// the probe's index within its processor's sequence; the cell is the
-	// flat cell index. The simulator is sequential, so unlike the live hook
-	// the sink sees probes from one goroutine, in service order.
-	Sink cellprobe.ProbeSink
 }
 
 // Result summarizes one simulated parallel execution.
@@ -186,9 +178,6 @@ func run(seqs [][]int, arrivals []int, cfg Config) (Result, []int) {
 	served := make(map[int]int) // module -> service cycles used
 	complete := func(rq request, cycle int) {
 		p := rq.proc
-		if cfg.Sink != nil {
-			cfg.Sink.ProbeObserved(procs[p].pos, rq.cell)
-		}
 		totalLatency += cycle - issued[p] + 1
 		issued[p] = -1
 		procs[p].pos++

@@ -395,59 +395,3 @@ func BenchmarkRun64x13(b *testing.B) {
 		Run(seqs, Config{})
 	}
 }
-
-type countingSink struct {
-	probes int
-	cells  map[int]int // cell -> served probes
-	steps  map[int]int // step -> served probes
-}
-
-func (s *countingSink) ProbeObserved(step, cell int) {
-	s.probes++
-	if s.cells == nil {
-		s.cells = map[int]int{}
-		s.steps = map[int]int{}
-	}
-	s.cells[cell]++
-	s.steps[step]++
-}
-
-// TestSinkObservesEveryServedProbe checks the ProbeSink hook sees exactly
-// the probes the memory system serves — per cell and per step — including
-// combined completions, so the same estimator the live path feeds can
-// measure a simulated execution.
-func TestSinkObservesEveryServedProbe(t *testing.T) {
-	r := rng.New(3)
-	seqs := make([][]int, 16)
-	wantCells := map[int]int{}
-	wantSteps := map[int]int{}
-	total := 0
-	for p := range seqs {
-		l := 1 + r.Intn(6)
-		seqs[p] = make([]int, l)
-		for i := range seqs[p] {
-			c := r.Intn(8) // few cells, so queues and combining both engage
-			seqs[p][i] = c
-			wantCells[c]++
-			wantSteps[i]++
-		}
-		total += l
-	}
-	for _, combining := range []bool{false, true} {
-		sink := &countingSink{}
-		res := Run(seqs, Config{Combining: combining, Sink: sink})
-		if sink.probes != res.TotalProbes || sink.probes != total {
-			t.Errorf("combining=%v: sink saw %d probes, want %d", combining, sink.probes, total)
-		}
-		for c, n := range wantCells {
-			if sink.cells[c] != n {
-				t.Errorf("combining=%v: cell %d served %d, want %d", combining, c, sink.cells[c], n)
-			}
-		}
-		for s, n := range wantSteps {
-			if sink.steps[s] != n {
-				t.Errorf("combining=%v: step %d served %d, want %d", combining, s, sink.steps[s], n)
-			}
-		}
-	}
-}

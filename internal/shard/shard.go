@@ -158,17 +158,11 @@ func (d *Dict) ShardOf(x uint64) int { return int(d.route.Eval(x)) }
 // CellOffset returns the flat composite index of shard i's first cell.
 func (d *Dict) CellOffset(i int) int { return d.cellOff[i] }
 
-// StepOffset returns shard i's first probe step in the composite's
-// ProbeSpec layout, which gives every shard a disjoint step range (the
-// runtime forwarding instead time-aligns all shards at step 1, since only
-// one shard executes per query).
-func (d *Dict) StepOffset(i int) int { return d.stepOff[i] }
-
 // RouteWidth returns the number of routing replicas R.
 func (d *Dict) RouteWidth() int { return d.routeW }
 
 // FoldStepMass converts an exact step-mass vector from the composite
-// ProbeSpec layout (disjoint step range per shard, see StepOffset) to the
+// ProbeSpec layout (a disjoint step range per shard) to the
 // time-aligned layout live telemetry counters use: the routing probe is step
 // 0 and every shard's step t lands at 1 + t, since only one shard executes
 // per query. Per-cell masses need no conversion — shard cells only ever
@@ -193,12 +187,14 @@ func (d *Dict) FoldStepMass(mass []float64) []float64 {
 	return folded
 }
 
-// routeProbe reads one uniformly chosen routing replica (step 0) and
-// returns the shard index it directs x to.
-func (d *Dict) routeProbe(x uint64, r rng.Source) int {
-	c := d.acct.Probe(0, 0, r.Intn(d.routeW))
+// routeProbe reads one uniformly chosen routing replica (step 0), counted
+// in tally when it is non-nil, and returns the shard index it directs x to
+// and the replica's column.
+func (d *Dict) routeProbe(x uint64, r rng.Source, tally []uint64) (shard, col int) {
+	col = r.Intn(d.routeW)
+	c := d.acct.ProbeTo(0, 0, col, tally)
 	h := hash.Pairwise{A: c.Lo, B: c.Hi, M: uint64(len(d.shards))}
-	return int(h.Eval(x))
+	return int(h.Eval(x)), col
 }
 
 // Contains answers membership: one routing probe, then the owning shard's
@@ -213,15 +209,20 @@ func (d *Dict) Contains(x uint64, r rng.Source) (bool, error) {
 }
 
 // ContainsTraced is Contains with caller-supplied scratch, reporting which
-// shard answered. The telemetry layer arms the scratch with StartCapture
-// before calling, so the inner query's probe log lands in it; captured cell
-// indices are shard-local — translate them with CellOffset(shard). Inner
-// schemes other than the low-contention dictionary answer normally but
-// capture nothing.
+// shard answered. It counts and captures in the composite's coordinates,
+// the ones its ForwardTo links give a recorder or trace: the scratch's
+// tally, if armed, takes the routing probe at step 0 and the shard's probes
+// from step 1, and a capture armed with StartCapture logs the routing
+// probe at step 0 and the shard's cells offset by CellOffset(shard) at
+// steps +1. Inner schemes other than the low-contention dictionary answer
+// normally but tally and capture only the routing probe.
 func (d *Dict) ContainsTraced(x uint64, r rng.Source, sc *core.QueryScratch) (found bool, shard int, err error) {
-	shard = d.routeProbe(x, r)
+	shard, col := d.routeProbe(x, r, sc.Tally())
+	sc.CaptureProbe(0, col)
 	if cd, ok := d.shards[shard].(*core.Dict); ok {
+		sc.Nest(1, d.cellOff[shard])
 		found, err = cd.ContainsScratch(x, r, sc)
+		sc.Nest(0, 0)
 		return found, shard, err
 	}
 	found, err = d.shards[shard].Contains(x, r)
@@ -239,7 +240,7 @@ type group struct {
 func (d *Dict) groupBatch(keys []uint64, r rng.Source) []group {
 	groups := make([]group, len(d.shards))
 	for i, k := range keys {
-		g := d.routeProbe(k, r)
+		g, _ := d.routeProbe(k, r, nil)
 		groups[g].keys = append(groups[g].keys, k)
 		groups[g].idx = append(groups[g].idx, i)
 	}

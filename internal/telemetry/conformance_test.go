@@ -34,8 +34,9 @@ func genKeys(n int, seed uint64) []uint64 {
 }
 
 // TestRosterTelemetryConformance is the whole-registry live-vs-exact battery:
-// every registered scheme, instrumented with an unsampled telemetry sink and
-// driven by a deterministic weighted schedule, must report a live maxΦ̂·n
+// every registered scheme, feeding unsampled telemetry through a per-query
+// capture of its table's probes and driven by a deterministic weighted
+// schedule, must report a live maxΦ̂·n
 // within 5% of contention.Exact under the schedule's realized distribution —
 // for the uniform drive and for a heavily skewed Zipf(1.2) drive alike.
 // Deterministic schemes agree exactly; replicated ones carry the
@@ -64,15 +65,17 @@ func TestRosterTelemetryConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 				tel := telemetry.New(telemetry.Config{Sample: 1}, s.Table().Size(), s.N())
-				s.Table().SetSink(tel)
+				feed := tel.NewCapture()
+				s.Table().SetTrace(feed.Probe)
 				r := rng.New(seed ^ 0xc0)
 				for i := 0; i < queries; i++ {
 					if _, err := s.Contains(drive.Next().Key, r); err != nil {
 						t.Fatal(err)
 					}
+					feed.Flush()
 					tel.ObserveQuery(true, false, 0)
 				}
-				s.Table().SetSink(nil)
+				s.Table().SetTrace(nil)
 				ex, err := contention.Exact(s, drive.Support())
 				if err != nil {
 					t.Fatal(err)

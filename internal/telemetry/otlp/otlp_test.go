@@ -41,8 +41,10 @@ func TestExportSnapshot(t *testing.T) {
 	}
 
 	tel := telemetry.New(telemetry.Config{}, 64, 16)
+	feed := tel.NewCapture()
 	for i := 0; i < 500; i++ {
-		tel.ProbeObserved(0, i%64)
+		feed.Probe(0, i%64)
+		feed.Flush()
 		tel.ObserveQuery(true, false, 100)
 	}
 	tel.Events().Emit(events.RebuildStart, 0, 1, 16, 0)

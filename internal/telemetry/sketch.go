@@ -83,11 +83,7 @@ func (s *StepCellSketch) offer(h *handle, step, cell int) {
 		st.slots[n].Store(packStepCell(step, cell) + 1)
 		return
 	}
-	h.rng += 0x9e3779b97f4a7c15
-	z := h.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	if j := (z ^ (z >> 31)) % (n + 1); j < r {
+	if j := h.draw() % (n + 1); j < r {
 		st.slots[j].Store(packStepCell(step, cell) + 1)
 	}
 }

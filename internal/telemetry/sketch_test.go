@@ -92,12 +92,12 @@ func TestSketchConcurrent(t *testing.T) {
 }
 
 // TestTelemetrySketchIntegration checks the sketch rides the telemetry
-// probe sink: recorded probes appear in Snapshot().StepCells.
+// fold: folded probes appear in Snapshot().StepCells.
 func TestTelemetrySketchIntegration(t *testing.T) {
 	tel := New(Config{}, 100, 10)
 	for i := 0; i < 1000; i++ {
-		tel.ProbeObserved(0, 42)
-		tel.ProbeObserved(1, i%100)
+		probe(tel, 0, 42)
+		probe(tel, 1, i%100)
 	}
 	s := tel.Snapshot()
 	if len(s.StepCells) == 0 {
@@ -108,7 +108,7 @@ func TestTelemetrySketchIntegration(t *testing.T) {
 	}
 	// Cell-agnostic telemetry has no sketch.
 	dyn := New(Config{}, 0, 10)
-	dyn.ProbeObserved(0, 1)
+	probe(dyn, 0, 1)
 	if got := dyn.Snapshot().StepCells; got != nil {
 		t.Fatalf("cell-agnostic snapshot has step cells: %+v", got)
 	}

@@ -15,18 +15,19 @@
 // guarantees — and the striping removes the residual false sharing between
 // adjacent cells' counters.
 //
-// Probes arrive by one of two feeds. A static dictionary installs the
-// Telemetry value as its table's cellprobe.ProbeSink (facade option
-// lcds.WithTelemetry), which sees every probe with its cell; optional 1-in-k
-// probe sampling (Config.Sample) divides that counting cost, and Snapshot
-// scales the estimates back up. A dynamic dictionary's tables are replaced
-// on every rebuild, so its telemetry is cell-agnostic and installed on no
-// table: its read path tallies a query's or a batch's probes per step and
-// hands them over in one FlushTally.
+// Probes arrive by one feed, once per call, and telemetry is installed on
+// no table. Every query counts its probes per step into a tally in the
+// caller's scratch (cellprobe.Table.ProbeTo, or the cell view), handed over
+// with one FlushTally per query or batch, so step counts are exact. A static
+// dictionary also captures 1 in Sample queries (ShouldFold decides, once
+// per query) as (step, cell) pairs, and FoldCells adds one call's captured
+// pairs to the per-cell counters and the (step, cell) sketch; Snapshot
+// scales the per-cell figures back up by Sample. A dynamic dictionary's
+// tables are replaced on every rebuild, so its telemetry is cell-agnostic
+// and takes tallies only.
 //
-// When telemetry is *off* nothing is installed: the query hot path pays one
-// predictable nil-check per probe (the same discipline as the pre-existing
-// Recorder and trace hooks) and performs zero atomic writes and zero
+// When telemetry is *off* nothing is fed: the query path counts into no
+// tally that anyone reads and performs zero atomic writes and zero
 // allocations.
 //
 // # Self-check against theory
@@ -56,11 +57,10 @@ import (
 // Config configures a Telemetry instance. The zero value is valid: count
 // every probe, no tracing, default capacities.
 type Config struct {
-	// Sample records 1 in Sample probes (rounded up to a power of two);
-	// 0 or 1 records every probe. Snapshot scales counts back up by the
-	// realized sampling factor, so estimates stay unbiased. Only the
-	// per-probe sink feed samples; a tallying caller (see TallyLen) needs
-	// every probe counted.
+	// Sample folds the cells of 1 in Sample queries (rounded up to a power
+	// of two) into the per-cell counters and the sketch; 0 or 1 folds every
+	// query's. Step counts are exact whatever the value. Snapshot scales the
+	// per-cell figures back up by Sample, so estimates stay unbiased.
 	Sample int
 	// TraceEvery traces roughly 1 in TraceEvery queries into Tracer
 	// (per-goroutine sampled, so concurrent tracers never contend on a
@@ -101,9 +101,9 @@ type Range struct {
 	Cells int    `json:"cells"`
 }
 
-// handle is the per-goroutine state of the probe sink: the stripe identity
-// shared by every striped vector the sink charges, and a splitmix64 state
-// for the sampling decision. Cached through a sync.Pool exactly like
+// handle is the per-goroutine state of the feed: the stripe identity shared
+// by every striped vector a flush or fold charges, and a splitmix64 state
+// for the sampling decisions. Cached through a sync.Pool exactly like
 // StripedCounter's index handles.
 type handle struct {
 	stripe uint64
@@ -111,8 +111,8 @@ type handle struct {
 }
 
 // Telemetry is one dictionary's live telemetry state. All methods are safe
-// for concurrent use; the probe path (ProbeObserved) and the query path
-// (ObserveQuery, ShouldTrace, Emit) are lock-free.
+// for concurrent use; the feed (FlushTally, FoldCells) and the query path
+// (ObserveQuery, ShouldTrace, ShouldFold, Emit) are lock-free.
 type Telemetry struct {
 	cfg        Config
 	n          int // stored keys, for the maxΦ̂·n headline
@@ -143,8 +143,6 @@ type Telemetry struct {
 
 	started time.Time
 }
-
-var _ cellprobe.ProbeSink = (*Telemetry)(nil)
 
 // ceilPow2 rounds v up to a power of two (v ≤ 1 → 1).
 func ceilPow2(v int) int {
@@ -220,13 +218,14 @@ func New(cfg Config, cells, n int) *Telemetry {
 		id := next - 1
 		mu.Unlock()
 		// Seed the sampling stream from the stripe identity so stripes
-		// sample decorrelated probe subsets.
+		// sample decorrelated query subsets.
 		return &handle{stripe: id, rng: splitmix64(id ^ 0x9e3779b97f4a7c15)}
 	}
 	return t
 }
 
-// Sample returns the probe sampling factor k (a power of two ≥ 1).
+// Sample returns the query sampling factor k of the per-cell counts (a
+// power of two ≥ 1).
 func (t *Telemetry) Sample() int { return int(t.sampleMask) + 1 }
 
 // Cells returns the per-cell accounting width (0 in cell-agnostic mode).
@@ -244,50 +243,17 @@ func splitmix64(x uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// ProbeObserved implements cellprobe.ProbeSink: one call per recorded probe
-// from however many goroutines are querying. It charges the per-step and
-// (when enabled) per-cell striped vectors on the calling goroutine's
-// stripe, after the 1-in-k sampling decision.
-func (t *Telemetry) ProbeObserved(step, cell int) {
-	h := t.pool.Get().(*handle)
-	if mask := t.sampleMask; mask != 0 {
-		h.rng += 0x9e3779b97f4a7c15
-		z := h.rng
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		if (z^(z>>31))&mask != 0 {
-			t.pool.Put(h)
-			return
-		}
-	}
-	if step > t.stepCap {
-		step = t.stepCap
-	}
-	t.steps.AddStripe(h.stripe, step)
-	if t.perCell != nil {
-		t.perCell.AddStripe(h.stripe, cell)
-	}
-	if t.sketch != nil {
-		// Feed the reservoir with the post-sampling probe stream: the
-		// sketch estimates the distribution of recorded (step, cell)
-		// pairs, which matches the scaled counters above.
-		t.sketch.offer(h, step, cell)
-	}
-	t.pool.Put(h)
+// draw advances the handle's splitmix64 state and returns its output.
+func (h *handle) draw() uint64 {
+	z := splitmix64(h.rng)
+	h.rng += 0x9e3779b97f4a7c15
+	return z
 }
 
-// TallyLen reports the length of the per-step tally a caller may count
-// probes into in place of ProbeObserved, then hand over with FlushTally:
-// StepCap+1 when this instance counts every probe (Sample 1) and keeps no
-// per-cell accounting, 0 otherwise. Sampled and per-cell configurations
-// need each probe individually. A tallying caller
-// clamps steps beyond StepCap into the last slot, as ProbeObserved does.
-func (t *Telemetry) TallyLen() int {
-	if t.sampleMask != 0 || t.perCell != nil {
-		return 0
-	}
-	return t.stepCap + 1
-}
+// TallyLen reports the length of the per-step tally a caller counts a
+// call's probes into and hands over with FlushTally: StepCap+1, the last
+// slot taking every step beyond StepCap.
+func (t *Telemetry) TallyLen() int { return t.stepCap + 1 }
 
 // FlushTally adds a caller's per-step probe tally (see TallyLen) to the
 // per-step counters on the calling goroutine's stripe and zeroes it: one
@@ -305,6 +271,59 @@ func (t *Telemetry) FlushTally(tally []uint64) {
 		}
 	}
 	t.pool.Put(h)
+}
+
+// ShouldFold makes the per-goroutine 1-in-Sample decision to capture a
+// query for FoldCells: always at Sample 1, never in cell-agnostic mode.
+func (t *Telemetry) ShouldFold() bool { return t.perCell != nil && t.oneIn(t.sampleMask) }
+
+// FoldCells adds one call's captured probes — the (step, cell) pairs of the
+// queries ShouldFold chose — to the per-cell counters and the sketch on the
+// calling goroutine's stripe: one handle fetch per call. Steps beyond
+// StepCap are sketched in the overflow slot. Cell-agnostic mode ignores it.
+func (t *Telemetry) FoldCells(probes []cellprobe.StepCell) {
+	if t.perCell == nil || len(probes) == 0 {
+		return
+	}
+	h := t.pool.Get().(*handle)
+	for _, p := range probes {
+		t.perCell.AddStripeN(h.stripe, int(p.Cell), 1)
+		if t.sketch != nil {
+			t.sketch.offer(h, min(int(p.Step), t.stepCap), int(p.Cell))
+		}
+	}
+	t.pool.Put(h)
+}
+
+// Capture is the per-call feed of a sequential caller whose query path
+// knows nothing of telemetry (a roster scheme, a simulated probe stream):
+// Probe, a table trace (cellprobe.Table.SetTrace), tallies and records each
+// probe, and Flush hands one query over.
+type Capture struct {
+	tel    *Telemetry
+	tally  []uint64
+	probes []cellprobe.StepCell
+}
+
+// NewCapture returns an empty capture feeding t, for one goroutine.
+func (t *Telemetry) NewCapture() *Capture {
+	return &Capture{tel: t, tally: make([]uint64, t.TallyLen())}
+}
+
+// Probe records one probe of the query in progress.
+func (c *Capture) Probe(step, cell int) {
+	c.tally[min(step, len(c.tally)-1)]++
+	c.probes = append(c.probes, cellprobe.StepCell{Step: int32(step), Cell: int32(cell)})
+}
+
+// Flush ends one query: its step tally is flushed, and its cells are folded
+// when ShouldFold picks the query.
+func (c *Capture) Flush() {
+	c.tel.FlushTally(c.tally)
+	if c.tel.ShouldFold() {
+		c.tel.FoldCells(c.probes)
+	}
+	c.probes = c.probes[:0]
 }
 
 // Events returns the flight recorder this instance emits into — always
@@ -349,19 +368,15 @@ func (t *Telemetry) ObserveBatch(queries, hits int, failed bool, latencyNs int64
 
 // ShouldTrace makes the per-goroutine 1-in-TraceEvery decision for query
 // tracing. It is false for every query when tracing is disabled.
-func (t *Telemetry) ShouldTrace() bool {
-	if t.tracer == nil {
-		return false
-	}
-	if t.traceMask == 0 {
+func (t *Telemetry) ShouldTrace() bool { return t.tracer != nil && t.oneIn(t.traceMask) }
+
+// oneIn reports a 1-in-(mask+1) draw on the calling goroutine's stream.
+func (t *Telemetry) oneIn(mask uint64) bool {
+	if mask == 0 {
 		return true
 	}
 	h := t.pool.Get().(*handle)
-	h.rng += 0x9e3779b97f4a7c15
-	z := h.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	ok := (z^(z>>31))&t.traceMask == 0
+	ok := h.draw()&mask == 0
 	t.pool.Put(h)
 	return ok
 }
@@ -390,7 +405,7 @@ func (t *Telemetry) DynamicShard(i int) *DynamicMetrics {
 // HotCell is one entry of the top-K hottest-cells report.
 type HotCell struct {
 	Cell  int     `json:"cell"`  // flat cell index
-	Count uint64  `json:"count"` // recorded probes (unscaled)
+	Count uint64  `json:"count"` // folded probes (unscaled)
 	Phi   float64 `json:"phi"`   // Φ̂(j) = Sample·Count/Queries
 }
 
@@ -400,7 +415,7 @@ type RangeView struct {
 	Start  int     `json:"start"`
 	Cells  int     `json:"cells"`
 	Probes uint64  `json:"probes"` // scaled estimate
-	Share  float64 `json:"share"`  // fraction of all probes
+	Share  float64 `json:"share"`  // fraction of all folded probes
 	MaxPhi float64 `json:"max_phi"`
 }
 
@@ -412,8 +427,7 @@ type Snapshot struct {
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
 	Errors  uint64 `json:"errors"`
-	// Probes is the estimated total probe count (sampled counts scaled by
-	// Sample).
+	// Probes is the total probe count, exact at every Sample.
 	Probes uint64 `json:"probes"`
 	Sample int    `json:"sample"`
 	Cells  int    `json:"cells"`
@@ -455,7 +469,8 @@ type Snapshot struct {
 // per table cell) and is meant for scrape/inspection cadence, not the query
 // path.
 func (t *Telemetry) Snapshot() Snapshot {
-	// Sampled counts scale up by the one factor that produced them.
+	// Per-cell counts of 1-in-k sampled queries scale up by k; step counts
+	// are exact.
 	scale := float64(t.Sample())
 	s := Snapshot{
 		Queries: t.queries.Sum(),
@@ -479,18 +494,22 @@ func (t *Telemetry) Snapshot() Snapshot {
 			last = i
 		}
 	}
-	s.Probes = probes * uint64(scale)
+	s.Probes = probes
 	if s.Queries > 0 {
 		q := float64(s.Queries)
 		s.ProbesPerQuery = float64(s.Probes) / q
 		s.StepMass = make([]float64, last+1)
 		for i := range s.StepMass {
-			s.StepMass[i] = scale * float64(stepCounts[i]) / q
+			s.StepMass[i] = float64(stepCounts[i]) / q
 		}
 	}
 	if t.perCell != nil && s.Queries > 0 {
 		q := float64(s.Queries)
 		counts := t.perCell.Sums()
+		var folded uint64
+		for _, c := range counts {
+			folded += c
+		}
 		top := topK(counts, t.cfg.TopK)
 		for _, h := range top {
 			s.TopCells = append(s.TopCells, HotCell{Cell: h.idx, Count: h.count, Phi: scale * float64(h.count) / q})
@@ -502,21 +521,16 @@ func (t *Telemetry) Snapshot() Snapshot {
 		}
 		for _, r := range t.cfg.Ranges {
 			var sum, best uint64
-			bestAt := r.Start
-			for j := r.Start; j < r.Start+r.Cells; j++ {
-				c := counts[j]
+			for _, c := range counts[r.Start : r.Start+r.Cells] {
 				sum += c
-				if c > best {
-					best, bestAt = c, j
-				}
+				best = max(best, c)
 			}
-			_ = bestAt
 			rv := RangeView{Name: r.Name, Start: r.Start, Cells: r.Cells,
 				Probes: sum * uint64(scale),
 				MaxPhi: scale * float64(best) / q,
 			}
-			if probes > 0 {
-				rv.Share = float64(sum) / float64(probes)
+			if folded > 0 {
+				rv.Share = float64(sum) / float64(folded)
 			}
 			s.Ranges = append(s.Ranges, rv)
 		}

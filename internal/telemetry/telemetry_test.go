@@ -10,14 +10,22 @@ import (
 	"repro/internal/contention"
 )
 
+// probe feeds tel one probe through the per-call feed: a capture of one
+// probe, flushed as a query's would be.
+func probe(tel *Telemetry, step, cell int) {
+	c := tel.NewCapture()
+	c.Probe(step, cell)
+	c.Flush()
+}
+
 func TestSnapshotCounts(t *testing.T) {
 	tel := New(Config{TopK: 3}, 10, 100)
 	// 4 queries: cell 7 probed at step 0 every time, cell 3 at step 1
 	// half the time.
 	for q := 0; q < 4; q++ {
-		tel.ProbeObserved(0, 7)
+		probe(tel, 0, 7)
 		if q%2 == 0 {
-			tel.ProbeObserved(1, 3)
+			probe(tel, 1, 3)
 		}
 		tel.ObserveQuery(q%2 == 0, false, 100)
 	}
@@ -47,9 +55,9 @@ func TestSnapshotCounts(t *testing.T) {
 
 func TestStepCapOverflow(t *testing.T) {
 	tel := New(Config{StepCap: 4}, 0, 1)
-	tel.ProbeObserved(3, 0)
-	tel.ProbeObserved(4, 0)
-	tel.ProbeObserved(1000, 0)
+	probe(tel, 3, 0)
+	probe(tel, 4, 0)
+	probe(tel, 1000, 0)
 	tel.ObserveQuery(true, false, 1)
 	s := tel.Snapshot()
 	if s.Probes != 3 {
@@ -61,9 +69,8 @@ func TestStepCapOverflow(t *testing.T) {
 	}
 }
 
-// TestFlushTally: a tally flushes to exactly what per-probe reporting
-// counts, and only the configurations that keep nothing but per-step totals
-// of every probe offer one.
+// TestFlushTally: a tally flushes to exactly what a capture of the same
+// probes counts, and every configuration takes a tally of StepCap+1 slots.
 func TestFlushTally(t *testing.T) {
 	per, tallied := New(Config{StepCap: 4}, 0, 1), New(Config{StepCap: 4}, 0, 1)
 	tally := make([]uint64, tallied.TallyLen())
@@ -71,7 +78,7 @@ func TestFlushTally(t *testing.T) {
 		t.Fatalf("TallyLen = %d, want StepCap+1 = 5", len(tally))
 	}
 	for _, step := range []int{0, 3, 3, 4, 1000} {
-		per.ProbeObserved(step, 0)
+		probe(per, step, 0)
 		tally[min(step, len(tally)-1)]++
 	}
 	tallied.FlushTally(tally)
@@ -81,33 +88,44 @@ func TestFlushTally(t *testing.T) {
 	}
 	a, b := per.Snapshot(), tallied.Snapshot()
 	if a.Probes != 5 || b.Probes != a.Probes || !slices.Equal(b.StepMass, a.StepMass) {
-		t.Fatalf("flushed %d probes %v, per-probe %d %v", b.Probes, b.StepMass, a.Probes, a.StepMass)
+		t.Fatalf("flushed %d probes %v, captured %d %v", b.Probes, b.StepMass, a.Probes, a.StepMass)
 	}
 	for name, tel := range map[string]*Telemetry{
 		"sampled":  New(Config{Sample: 8}, 0, 1),
 		"per-cell": New(Config{}, 16, 1),
 	} {
-		if n := tel.TallyLen(); n != 0 {
-			t.Errorf("%s telemetry TallyLen = %d, want 0", name, n)
+		if n := tel.TallyLen(); n != 65 {
+			t.Errorf("%s telemetry TallyLen = %d, want the default StepCap+1 = 65", name, n)
 		}
 	}
 }
 
+// TestSamplingScalesUnbiased: at Sample 8 the step counts stay exact, about
+// 1 in 8 queries is folded, and the per-cell counts scaled back up by 8
+// estimate the true per-cell mass.
 func TestSamplingScalesUnbiased(t *testing.T) {
 	tel := New(Config{Sample: 8}, 4, 16)
 	if tel.Sample() != 8 {
 		t.Fatalf("Sample = %d, want 8", tel.Sample())
 	}
-	const probes = 200000
-	for i := 0; i < probes; i++ {
-		tel.ProbeObserved(0, i%4)
+	const queries = 200000
+	for i := 0; i < queries; i++ {
+		probe(tel, 0, i%4)
+		tel.ObserveQuery(true, false, 1)
 	}
-	tel.ObserveQuery(true, false, 1)
 	s := tel.Snapshot()
-	// Bernoulli(1/8) over 200k probes: the scaled estimate concentrates
-	// within a few percent of the truth.
-	if ratio := float64(s.Probes) / probes; math.Abs(ratio-1) > 0.10 {
-		t.Fatalf("scaled probe estimate %d off by %.1f%% from %d", s.Probes, 100*(ratio-1), probes)
+	if s.Probes != queries || s.StepMass[0] != 1 {
+		t.Fatalf("step counts not exact: %d probes, step mass %v", s.Probes, s.StepMass)
+	}
+	// Bernoulli(1/8) over 200k queries: each cell's scaled estimate of its
+	// true mass 1/4 concentrates within a few percent.
+	if len(s.TopCells) != 4 {
+		t.Fatalf("TopCells = %+v, want all 4 cells", s.TopCells)
+	}
+	for _, c := range s.TopCells {
+		if math.Abs(4*c.Phi-1) > 0.10 {
+			t.Fatalf("cell %d: scaled Φ̂ %.4f off by more than 10%% from 0.25", c.Cell, c.Phi)
+		}
 	}
 	// Sampling to the nearest power of two.
 	if got := New(Config{Sample: 5}, 0, 1).Sample(); got != 8 {
@@ -124,10 +142,10 @@ func TestRanges(t *testing.T) {
 		{Name: "b", Start: 4, Cells: 4},
 	}}, 8, 10)
 	for i := 0; i < 6; i++ {
-		tel.ProbeObserved(0, 1)
+		probe(tel, 0, 1)
 	}
-	tel.ProbeObserved(0, 5)
-	tel.ProbeObserved(1, 5)
+	probe(tel, 0, 5)
+	probe(tel, 1, 5)
 	tel.ObserveQuery(true, false, 1)
 	s := tel.Snapshot()
 	if len(s.Ranges) != 2 {
@@ -370,8 +388,9 @@ func TestCompareExactStepsBoundsBufferSteps(t *testing.T) {
 	}
 }
 
-// TestConcurrentProbes drives ProbeObserved and ObserveQuery from many
-// goroutines; the snapshot must account every probe exactly (sampling off).
+// TestConcurrentProbes drives the per-call feed and ObserveQuery from many
+// goroutines; the snapshot must account every probe exactly, in the step
+// counts and in the per-cell counts (sampling off).
 func TestConcurrentProbes(t *testing.T) {
 	var traced atomic.Uint64
 	tel := New(Config{TraceEvery: 4, TopK: 5, Tracer: tracerFunc(func(QueryTrace) { traced.Add(1) })}, 64, 1000)
@@ -382,7 +401,7 @@ func TestConcurrentProbes(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				tel.ProbeObserved(i%7, (g*perG+i)%64)
+				probe(tel, i%7, (g*perG+i)%64)
 				tel.ObserveQuery(i%2 == 0, false, int64(i%1000))
 				if tel.ShouldTrace() {
 					tel.Emit(QueryTrace{KeyHash: uint64(i)})
@@ -394,6 +413,13 @@ func TestConcurrentProbes(t *testing.T) {
 	s := tel.Snapshot()
 	if want := uint64(goroutines * perG); s.Probes != want || s.Queries != want {
 		t.Fatalf("probes %d queries %d, want %d each", s.Probes, s.Queries, want)
+	}
+	var folded uint64
+	for _, c := range tel.perCell.Sums() {
+		folded += c
+	}
+	if folded != s.Probes {
+		t.Fatalf("per-cell counts hold %d probes, step counts %d", folded, s.Probes)
 	}
 	if s.Latency.Count != uint64(goroutines*perG) {
 		t.Fatalf("latency count %d", s.Latency.Count)

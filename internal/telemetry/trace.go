@@ -3,9 +3,10 @@ package telemetry
 // QueryTrace is one sampled membership query: which cells it probed at
 // which steps, what it answered, and how long it took. Cell indices are
 // flat indices into the dictionary's composite table (for sharded
-// dictionaries the facade translates shard-local indices by the shard's
-// cell offset; the routing probe itself and dynamic-buffer probes are not
-// captured — they have no stable flat index across epochs).
+// dictionaries, shard cells at the shard's cell offset, Cells[0] being the
+// shard's first step; the routing probe itself is left out, and
+// dynamic-buffer probes are not captured — they have no stable flat index
+// across epochs).
 type QueryTrace struct {
 	// KeyHash is a hash of the queried key, not the key itself — traces
 	// may be exposed on a debug endpoint and must not leak the keyset.

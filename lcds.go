@@ -73,7 +73,7 @@ func newDict(inner *core.Dict, seed uint64, src rng.Source) *Dict {
 }
 
 // newShardDict wraps a built sharded composite with its query source and
-// pool (the pool serves the telemetry layer's traced queries).
+// pool (the pool serves the telemetry layer's queries).
 func newShardDict(sharded *shard.Dict, seed uint64, src rng.Source) *Dict {
 	d := &Dict{sharded: sharded, seed: seed, src: src}
 	d.scratch.New = func() any { return new(core.QueryScratch) }
@@ -313,15 +313,10 @@ func (d *Dict) Lookup(x uint64) (bool, error) {
 func (d *Dict) ContainsBatch(keys []uint64, out []bool) error {
 	if d.tel != nil {
 		start := time.Now()
-		err := d.containsBatch(keys, out)
+		err := d.containsBatchTelemetry(keys, out)
 		observeBatch(d.tel, out, len(keys), err, start)
 		return err
 	}
-	return d.containsBatch(keys, out)
-}
-
-// containsBatch is the uninstrumented batch path.
-func (d *Dict) containsBatch(keys []uint64, out []bool) error {
 	if d.sharded != nil {
 		return d.sharded.ContainsBatchParallel(keys, out, d.src)
 	}

@@ -7,15 +7,17 @@ import (
 	"repro/internal/contention"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/rng"
 	"repro/internal/scheme"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/events"
 )
 
 // TelemetryConfig configures the live observability layer (WithTelemetry):
-// probe sampling (static dictionaries only), query tracing, and snapshot
-// shape. The zero value counts every probe and traces nothing. See
-// internal/telemetry for field docs.
+// query sampling of the per-cell counts (static dictionaries only), query
+// tracing, and snapshot shape. The zero value counts every probe into every
+// per-cell and per-step counter and traces nothing. See internal/telemetry
+// for field docs.
 type TelemetryConfig = telemetry.Config
 
 // Telemetry is the live telemetry handle of a dictionary built with
@@ -42,11 +44,12 @@ type TelemetryDrift = telemetry.Drift
 
 // WithTelemetry enables the live observability layer on New, Read and
 // NewDynamic: runtime Φ̂ estimation on striped per-cell/per-step counters,
-// optional 1-in-k probe sampling (static dictionaries; NewDynamic refuses a
-// Sample above 1), log₂ latency histograms, sampled query traces to a
-// Tracer, and (dynamic dictionaries) per-shard rebuild metrics. Without this
-// option the query path performs zero additional atomic writes and zero
-// additional allocations.
+// optional per-cell counts from 1 in k queries (static dictionaries;
+// NewDynamic refuses a Sample above 1), log₂ latency histograms, sampled
+// query traces to a Tracer, and (dynamic dictionaries) per-shard rebuild
+// metrics. Every query's probes are counted per step in its pooled scratch
+// and handed over once per call. Without this option the query path
+// performs zero additional atomic writes and zero additional allocations.
 func WithTelemetry(cfg TelemetryConfig) Option {
 	return func(c *opterr) {
 		if cfg.Sample < 0 {
@@ -231,10 +234,10 @@ func uniformWeights(keys []uint64) []WeightedKey {
 }
 
 // installTelemetry builds the telemetry instance for a freshly constructed
-// static dictionary and installs it as the table's probe sink (before the
-// dictionary is returned to the caller, so installation cannot race a
-// query). Sharded composites get per-shard cell ranges — plus the routing
-// row — as snapshot views.
+// static dictionary and arms every pooled scratch with a per-step tally
+// (before the dictionary is returned to the caller, so installation cannot
+// race a query). Sharded composites get per-shard cell ranges — plus the
+// routing row — as snapshot views.
 func (d *Dict) installTelemetry(cfg telemetry.Config) {
 	tab := d.structure().Table()
 	if d.sharded != nil && len(cfg.Ranges) == 0 {
@@ -247,8 +250,13 @@ func (d *Dict) installTelemetry(cfg telemetry.Config) {
 			})
 		}
 	}
-	d.tel = telemetry.New(cfg, tab.Size(), d.structure().N())
-	tab.SetSink(d.tel)
+	tel := telemetry.New(cfg, tab.Size(), d.structure().N())
+	d.tel = tel
+	d.scratch.New = func() any {
+		sc := new(core.QueryScratch)
+		sc.SetTally(make([]uint64, tel.TallyLen()))
+		return sc
+	}
 }
 
 // keyHash obscures a queried key in traces (splitmix64 finalizer): traces
@@ -261,48 +269,33 @@ func keyHash(x uint64) uint64 {
 }
 
 // lookupTelemetry is Lookup's instrumented twin: latency timing, outcome
-// counting, and — for the 1-in-TraceEvery sampled queries — per-step probe
-// capture into the trace ring. Probe counting itself happens in the table
-// sink, not here.
+// counting, and the per-call feed — the pooled scratch's tally, flushed
+// after the query, and one capture for a query picked to be folded
+// (ShouldFold) or traced (ShouldTrace).
 func (d *Dict) lookupTelemetry(x uint64) (bool, error) {
 	start := time.Now()
-	traced := d.tel.ShouldTrace()
-	var (
-		ok    bool
-		err   error
-		shard int
-		cells []int32
-	)
-	switch {
-	case traced:
-		sc := d.scratch.Get().(*core.QueryScratch)
+	traced, fold := d.tel.ShouldTrace(), d.tel.ShouldFold()
+	sc := d.scratch.Get().(*core.QueryScratch)
+	if traced || fold {
 		sc.StartCapture()
-		if d.sharded != nil {
-			ok, shard, err = d.sharded.ContainsTraced(x, d.src, sc)
-		} else {
-			ok, err = d.inner.ContainsScratch(x, d.src, sc)
-		}
-		log := sc.StopCapture()
-		cells = make([]int32, len(log))
-		copy(cells, log)
-		if d.sharded != nil {
-			// Translate shard-local cell indices into the composite table's
-			// flat space. (The routing probe itself is not captured.)
-			off := int32(d.sharded.CellOffset(shard))
-			for i := range cells {
-				if cells[i] >= 0 {
-					cells[i] += off
-				}
-			}
-		}
-		d.scratch.Put(sc)
-	case d.sharded != nil:
-		ok, err = d.sharded.Contains(x, d.src)
-	default:
-		sc := d.scratch.Get().(*core.QueryScratch)
-		ok, err = d.inner.ContainsScratch(x, d.src, sc)
-		d.scratch.Put(sc)
 	}
+	ok, shard, err := d.query(x, sc.Source(d.src), sc)
+	probes := sc.StopCaptureProbes()
+	d.tel.FlushTally(sc.Tally())
+	if fold {
+		d.tel.FoldCells(probes)
+	}
+	var cells []int32
+	if traced {
+		if d.sharded != nil {
+			probes = probes[1:] // the routing probe is no part of a trace
+		}
+		cells = make([]int32, len(probes))
+		for i, p := range probes {
+			cells[i] = p.Cell // a query probes each step once, in order
+		}
+	}
+	d.scratch.Put(sc)
 	lat := time.Since(start).Nanoseconds()
 	d.tel.ObserveQuery(ok, err != nil, lat)
 	if traced {
@@ -312,6 +305,45 @@ func (d *Dict) lookupTelemetry(x uint64) (bool, error) {
 		})
 	}
 	return ok, err
+}
+
+// query answers x on sc. A sharded query counts and captures in the
+// composite's coordinates, its routing probe first (shard.ContainsTraced).
+func (d *Dict) query(x uint64, r rng.Source, sc *core.QueryScratch) (bool, int, error) {
+	if d.sharded != nil {
+		return d.sharded.ContainsTraced(x, r, sc)
+	}
+	ok, err := d.inner.ContainsScratch(x, r, sc)
+	return ok, 0, err
+}
+
+// containsBatchTelemetry is containsBatch feeding telemetry: one tally
+// flush and one fold per call. An unsharded batch picks the queries it
+// captures as its wavefront admits them; a sharded one answers its keys one
+// by one, deciding per key, so that each capture holds its routing probe.
+func (d *Dict) containsBatchTelemetry(keys []uint64, out []bool) (err error) {
+	sc := d.scratch.Get().(*core.QueryScratch)
+	defer d.scratch.Put(sc)
+	sc.ReserveCapture(len(keys) * d.MaxProbes())
+	switch {
+	case d.sharded == nil:
+		sc.SetSampler(d.tel)
+		err = d.inner.ContainsBatch(keys, out, d.src, sc)
+		sc.SetSampler(nil)
+	case len(out) < len(keys):
+		return fmt.Errorf("lcds: ContainsBatch output length %d < %d keys", len(out), len(keys))
+	default:
+		r := sc.Source(d.src)
+		for i := 0; i < len(keys) && err == nil; i++ {
+			if d.tel.ShouldFold() {
+				sc.StartCapture()
+			}
+			out[i], _, err = d.query(keys[i], r, sc)
+		}
+	}
+	d.tel.FlushTally(sc.Tally())
+	d.tel.FoldCells(sc.StopCaptureProbes())
+	return err
 }
 
 // containsTelemetry is the DynamicDict analogue of lookupTelemetry. Dynamic
@@ -336,9 +368,7 @@ func (d *DynamicDict) containsTelemetry(x uint64) (bool, error) {
 		} else {
 			ok, err = d.inner.ContainsScratch(x, d.src, sc)
 		}
-		log := sc.StopCapture()
-		cells = make([]int32, len(log))
-		copy(cells, log)
+		cells = sc.StopCapture()
 		d.tel.FlushTally(sc.Tally())
 		d.scratch.Put(sc)
 	} else if d.sharded != nil {

@@ -43,6 +43,34 @@ func assertPooledPathsZeroAlloc(t *testing.T, d *Dict, keys []uint64) {
 	}
 }
 
+// TestStaticTelemetryZeroAlloc: with telemetry a static dictionary counts
+// each query's probes into a tally in its pooled scratch and captures the
+// cells of the queries it samples into the scratch's reused log, so
+// instrumented Contains and ContainsBatch allocate nothing per call — every
+// query captured (Sample 1), 1 in 8, and on the sharded composite.
+func TestStaticTelemetryZeroAlloc(t *testing.T) {
+	keys := testKeys(4096, 9)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"sample1", []Option{WithTelemetry(TelemetryConfig{Sample: 1})}},
+		{"sample8", []Option{WithTelemetry(TelemetryConfig{Sample: 8})}},
+		{"sharded/sample1", []Option{WithShards(4), WithTelemetry(TelemetryConfig{Sample: 1})}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := New(keys, append([]Option{WithSeed(9)}, tc.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertPooledPathsZeroAlloc(t, d, keys)
+			if s := d.Telemetry().Snapshot(); s.Probes == 0 || s.MaxPhi == 0 {
+				t.Fatalf("no probes or cells reached the telemetry: %+v", s)
+			}
+		})
+	}
+}
+
 // TestDynamicTelemetryZeroAlloc: with Sample-1 telemetry the dynamic read
 // paths count probes into a tally that lives in the pooled scratch and is
 // flushed in place, so instrumented Contains and ContainsBatch allocate
