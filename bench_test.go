@@ -712,15 +712,7 @@ func BenchmarkShardedRebuildPause(b *testing.B) {
 	resident, extra := keys[:benchN], keys[benchN:]
 	for _, p := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", p), func(b *testing.B) {
-			var d *dynamic.Dict
-			var sd *shard.DynamicDict
-			params := dynamic.Params{SyncRebuild: true}
-			var err error
-			if p == 1 {
-				d, err = dynamic.New(resident, params, 12)
-			} else {
-				sd, err = shard.NewDynamic(resident, p, params, 12)
-			}
+			d, err := shard.NewDynamic(resident, p, dynamic.Params{SyncRebuild: true}, 12, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -729,17 +721,9 @@ func BenchmarkShardedRebuildPause(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				k := extra[i%len(extra)]
 				if i/len(extra)%2 == 0 {
-					if p == 1 {
-						_, err = d.Insert(k)
-					} else {
-						_, err = sd.Insert(k)
-					}
+					_, err = d.Insert(k)
 				} else {
-					if p == 1 {
-						_, err = d.Delete(k)
-					} else {
-						_, err = sd.Delete(k)
-					}
+					_, err = d.Delete(k)
 				}
 				if err != nil {
 					b.Fatal(err)

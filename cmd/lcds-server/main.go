@@ -74,7 +74,6 @@ type server struct {
 
 	n       int
 	seed    uint64
-	shards  int
 	epsilon float64
 
 	stats []*endpointStats
@@ -269,7 +268,7 @@ func (s *server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{
 		"n":       s.n,
 		"seed":    s.seed,
-		"shards":  s.shards,
+		"shards":  s.dd.Shards(),
 		"epsilon": s.epsilon,
 	})
 }
@@ -295,19 +294,17 @@ func (s *server) handleIndex(w http.ResponseWriter, r *http.Request) {
 // newServer builds the dictionary and the handler mux; split from main so
 // tests and fuzz targets drive the exact production wiring.
 func newServer(n int, seed uint64, shards int, epsilon float64, tel lcds.TelemetryConfig) (*server, *http.ServeMux, error) {
+	// The dictionary reads ε = 0 as its default; refuse it here, so that
+	// /info reports the buffer fraction actually served.
+	if !(epsilon > 0 && epsilon <= 1) {
+		return nil, nil, fmt.Errorf("epsilon %v outside (0, 1]", epsilon)
+	}
 	keys := workload.MemberKeys(n, seed)
-	opts := []lcds.Option{
-		lcds.WithSeed(seed),
-		lcds.WithTelemetry(tel),
-	}
-	if shards > 1 {
-		opts = append(opts, lcds.WithShards(shards))
-	}
-	dd, err := lcds.NewDynamic(keys, epsilon, opts...)
+	dd, err := lcds.NewDynamic(keys, epsilon, lcds.WithSeed(seed), lcds.WithTelemetry(tel), lcds.WithShards(shards))
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &server{dd: dd, n: n, seed: seed, shards: shards, epsilon: epsilon}
+	s := &server{dd: dd, n: n, seed: seed, epsilon: epsilon}
 
 	contains := newEndpointStats("contains")
 	batch := newEndpointStats("batch")
@@ -366,8 +363,8 @@ func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	n := flag.Int("n", 8192, "initial member key count (keys derived deterministically from -seed)")
 	seed := flag.Uint64("seed", 1, "construction and key-derivation seed")
-	shards := flag.Int("shards", 1, "shard count (≥ 2 enables the sharded composite)")
-	epsilon := flag.Float64("epsilon", 0.1, "dynamic buffer fraction")
+	shards := flag.Int("shards", 1, "shard count ≥ 1; each shard keeps its own update buffer and rebuilds alone")
+	epsilon := flag.Float64("epsilon", 0.1, "dynamic buffer fraction in (0, 1]: a shard rebuilds after ε·n buffered updates")
 	otlpEndpoint := flag.String("otlp", "", "export metrics and flight-recorder spans to this OTLP/HTTP endpoint, e.g. http://localhost:4318 (needs a binary built with -tags otlp)")
 	flag.Parse()
 
@@ -392,7 +389,7 @@ func main() {
 	// The first stdout line is the listen banner: harnesses parse the
 	// address out of it.
 	fmt.Printf("lcds-server: n=%d seed=%d shards=%d, serving http://%s/\n",
-		*n, *seed, *shards, ln.Addr())
+		*n, *seed, s.dd.Shards(), ln.Addr())
 	if err := run(ctx, ln, mux); err != nil {
 		fatal(err)
 	}

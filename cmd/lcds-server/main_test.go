@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -533,5 +534,36 @@ func TestInfoAndHealth(t *testing.T) {
 	}
 	if info.N != 64 || info.Seed != 23 || info.Shards != 1 || info.Epsilon != 0.1 {
 		t.Fatalf("/info answered %+v", info)
+	}
+}
+
+// TestNewServerRefusesWhatItWouldMisreport: a shard count below 1 or an
+// epsilon outside (0, 1] fails at startup, rather than serving some other
+// configuration than the one /info reports; /info reports the shards
+// actually served.
+func TestNewServerRefusesWhatItWouldMisreport(t *testing.T) {
+	for _, tc := range []struct {
+		shards  int
+		epsilon float64
+	}{
+		{0, 0.1}, {-1, 0.1}, {1, 0}, {1, -0.5}, {1, 1.5}, {1, math.NaN()},
+	} {
+		if _, _, err := newServer(64, 23, tc.shards, tc.epsilon, defaultTelemetry); err == nil {
+			t.Errorf("newServer accepted shards %d, epsilon %v", tc.shards, tc.epsilon)
+		}
+	}
+	_, mux, err := newServer(64, 23, 4, 1, defaultTelemetry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info struct {
+		Shards  int     `json:"shards"`
+		Epsilon float64 `json:"epsilon"`
+	}
+	if err := json.Unmarshal(get(mux, "/info").Body.Bytes(), &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Shards != 4 || info.Epsilon != 1 {
+		t.Fatalf("/info answered %+v, want 4 shards at epsilon 1", info)
 	}
 }

@@ -32,10 +32,15 @@ import (
 // never stall behind it; writers racing a rebuild either land in a
 // mutex-serialized delta log that is replayed before the epoch swap, or
 // retry against the freshly published epoch.
+//
+// Every DynamicDict is a P-way shard composite (internal/shard), P = 1
+// unless WithShards says otherwise: each shard keeps its own update buffer,
+// epoch snapshot and background rebuild. A 1-shard composite is the single
+// dictionary itself — shard 0 keeps the caller's seed and its batches pass
+// straight through — so there is one code path for every shard count.
 type DynamicDict struct {
-	inner   *dynamic.Dict      // unsharded (nil when sharded)
-	sharded *shard.DynamicDict // P-way composite (nil when unsharded)
-	src     rng.Source
+	shards *shard.DynamicDict
+	src    rng.Source
 	// tel is the live telemetry layer, nil unless WithTelemetry was used.
 	// Dynamic telemetry is cell-agnostic (tables are replaced on rebuild):
 	// probe/step counters, latency histograms and per-shard rebuild metrics,
@@ -53,7 +58,7 @@ type DynamicDict struct {
 // buffered updates (pass 0 for the default 0.25). Dynamic telemetry counts
 // every read probe, so WithTelemetry's Sample must be 0 or 1.
 //
-// With WithShards(p ≥ 2), each of the p shards keeps its own update buffer,
+// With WithShards(p), each of the p shards keeps its own update buffer,
 // epoch snapshot and background rebuild: an update storm concentrated on
 // one shard rebuilds ε·(n/p) keys on that shard alone while the other
 // shards' snapshots stay untouched.
@@ -74,6 +79,9 @@ func NewDynamic(initial []uint64, bufferFrac float64, opts ...Option) (*DynamicD
 	}
 	elog := cfg.o.newEventLog()
 	var tel *telemetry.Telemetry
+	// Each shard gets its own metrics slot, because shards rebuild
+	// independently.
+	var metricsFor func(int) dynamic.Metrics
 	if cfg.o.telem != nil {
 		// Cell-agnostic mode: the dynamic tables are replaced on every
 		// rebuild, so there is no stable per-cell index space to count in.
@@ -81,40 +89,21 @@ func NewDynamic(initial []uint64, bufferFrac float64, opts ...Option) (*DynamicD
 		tc.Events = elog
 		tel = telemetry.New(tc, 0, len(initial))
 		params.Sink = tel
+		metricsFor = func(i int) dynamic.Metrics { return tel.DynamicShard(i) }
 		elog = tel.Events() // always-on log when none was configured
 	}
-	d := &DynamicDict{src: cfg.o.querySource(), tel: tel, events: elog}
+	// All shards share one flight recorder, labeled with the shard index.
+	params.Events = elog
+	shards, err := shard.NewDynamic(initial, max(cfg.o.shards, 1), params, cfg.o.seed, metricsFor)
+	if err != nil {
+		return nil, err
+	}
+	d := &DynamicDict{shards: shards, src: cfg.o.querySource(), tel: tel, events: elog}
 	d.scratch.New = func() any {
 		sc := new(core.QueryScratch)
 		sc.SetTally(make([]uint64, tel.TallyLen()))
 		return sc
 	}
-	if cfg.o.shards > 1 {
-		// Each shard gets its own metrics slot, because shards rebuild
-		// independently. All shards share one flight recorder; the shard
-		// hook labels their events with the shard index.
-		configure := func(i int, sp *dynamic.Params) {
-			if tel != nil {
-				sp.Metrics = tel.DynamicShard(i)
-			}
-			sp.Events = elog
-		}
-		sharded, err := shard.NewDynamicWithHooks(initial, cfg.o.shards, params, cfg.o.seed, configure)
-		if err != nil {
-			return nil, err
-		}
-		d.sharded = sharded
-		return d, nil
-	}
-	if tel != nil {
-		params.Metrics = tel.DynamicShard(0)
-	}
-	params.Events = elog
-	inner, err := dynamic.New(initial, params, cfg.o.seed)
-	if err != nil {
-		return nil, err
-	}
-	d.inner = inner
 	return d, nil
 }
 
@@ -124,134 +113,62 @@ func (d *DynamicDict) Contains(x uint64) (bool, error) {
 	if d.tel != nil {
 		return d.containsTelemetry(x)
 	}
-	if d.sharded != nil {
-		return d.sharded.Contains(x, d.src)
-	}
-	return d.inner.Contains(x, d.src)
+	return d.shards.Contains(x, d.src)
 }
 
-// ContainsBatch answers membership for every keys[i] into out[i]. The
-// whole batch is answered against one epoch snapshot loaded once up front,
-// amortizing the epoch-pointer load and the query working memory across the
-// batch; updates published mid-batch are not observed. out must be at least
-// as long as keys. On a sharded dictionary the batch is grouped by shard,
-// each group answered against a single snapshot of its own shard, the
-// groups on concurrent goroutines (a source supplied via WithQuerySource
-// must then be safe for concurrent use).
+// ContainsBatch answers membership for every keys[i] into out[i]. Each
+// shard's slice of the batch is answered against one epoch snapshot of that
+// shard loaded once up front, amortizing the epoch-pointer load and the
+// query working memory across the batch; updates published mid-batch are
+// not observed. out must be at least as long as keys. With more than one
+// shard the batch is grouped by shard and the groups are answered on
+// concurrent goroutines (a source supplied via WithQuerySource must then be
+// safe for concurrent use).
 func (d *DynamicDict) ContainsBatch(keys []uint64, out []bool) error {
 	if d.tel != nil {
 		start := time.Now()
-		err := d.containsBatch(keys, out)
+		err := d.shards.ContainsBatchParallel(keys, out, d.src)
 		observeBatch(d.tel, out, len(keys), err, start)
 		return err
 	}
-	return d.containsBatch(keys, out)
-}
-
-// containsBatch is the uninstrumented batch path.
-func (d *DynamicDict) containsBatch(keys []uint64, out []bool) error {
-	if d.sharded != nil {
-		return d.sharded.ContainsBatchParallel(keys, out, d.src)
-	}
-	return d.inner.ContainsBatch(keys, out, d.src)
+	return d.shards.ContainsBatchParallel(keys, out, d.src)
 }
 
 // Insert adds x; it reports whether the set changed. Any number of
 // goroutines may call Insert, Delete and Contains concurrently: writers
 // claim update-buffer slots with CAS and take no lock on the fast path.
-func (d *DynamicDict) Insert(x uint64) (bool, error) {
-	if d.sharded != nil {
-		return d.sharded.Insert(x)
-	}
-	return d.inner.Insert(x)
-}
+func (d *DynamicDict) Insert(x uint64) (bool, error) { return d.shards.Insert(x) }
 
 // Delete removes x; it reports whether the set changed. Safe for any number
 // of concurrent callers, like Insert.
-func (d *DynamicDict) Delete(x uint64) (bool, error) {
-	if d.sharded != nil {
-		return d.sharded.Delete(x)
-	}
-	return d.inner.Delete(x)
-}
+func (d *DynamicDict) Delete(x uint64) (bool, error) { return d.shards.Delete(x) }
 
 // InsertBatch inserts every key and reports how many actually changed the
-// set. On a sharded dictionary the batch is grouped by shard and the groups
-// are applied on concurrent goroutines — the shard-parallel update fan-out
-// mirroring ContainsBatch's read fan-out; unsharded, the keys are applied in
-// order through the lock-free claim path.
-func (d *DynamicDict) InsertBatch(keys []uint64) (int, error) {
-	if d.sharded != nil {
-		return d.sharded.InsertBatch(keys)
-	}
-	return d.applyBatch(keys, false)
-}
+// set. With more than one shard the batch is grouped by shard and the
+// groups are applied on concurrent goroutines — the shard-parallel update
+// fan-out mirroring ContainsBatch's read fan-out; within a shard the keys
+// are applied in order through the lock-free claim path.
+func (d *DynamicDict) InsertBatch(keys []uint64) (int, error) { return d.shards.InsertBatch(keys) }
 
 // DeleteBatch deletes every key and reports how many actually changed the
 // set, with the same shard-parallel fan-out as InsertBatch.
-func (d *DynamicDict) DeleteBatch(keys []uint64) (int, error) {
-	if d.sharded != nil {
-		return d.sharded.DeleteBatch(keys)
-	}
-	return d.applyBatch(keys, true)
-}
-
-func (d *DynamicDict) applyBatch(keys []uint64, del bool) (int, error) {
-	changed := 0
-	for _, k := range keys {
-		var ok bool
-		var err error
-		if del {
-			ok, err = d.inner.Delete(k)
-		} else {
-			ok, err = d.inner.Insert(k)
-		}
-		if err != nil {
-			return changed, err
-		}
-		if ok {
-			changed++
-		}
-	}
-	return changed, nil
-}
+func (d *DynamicDict) DeleteBatch(keys []uint64) (int, error) { return d.shards.DeleteBatch(keys) }
 
 // Len returns the current number of keys without taking a lock.
-func (d *DynamicDict) Len() int {
-	if d.sharded != nil {
-		return d.sharded.Len()
-	}
-	return d.inner.Len()
-}
+func (d *DynamicDict) Len() int { return d.shards.Len() }
 
-// Shards returns the shard count: 1 unless WithShards(p ≥ 2) was used.
-func (d *DynamicDict) Shards() int {
-	if d.sharded != nil {
-		return d.sharded.Shards()
-	}
-	return 1
-}
+// Shards returns the shard count: 1 unless WithShards was used.
+func (d *DynamicDict) Shards() int { return d.shards.Shards() }
 
 // Rebuilds returns how many rebuilds have occurred (≥ 1 per shard; each
 // shard's initial construction counts as its first). A rebuild in flight is
 // counted once it publishes; call Quiesce first for a settled figure.
-func (d *DynamicDict) Rebuilds() int {
-	if d.sharded != nil {
-		return d.sharded.Rebuilds()
-	}
-	return d.inner.Stats().Epoch
-}
+func (d *DynamicDict) Rebuilds() int { return d.shards.Rebuilds() }
 
 // Quiesce blocks until any background rebuild in flight has published its
 // epoch. Useful before measuring or when deterministic rebuild counts
 // matter; normal operation never requires it.
-func (d *DynamicDict) Quiesce() {
-	if d.sharded != nil {
-		d.sharded.Quiesce()
-		return
-	}
-	d.inner.Quiesce()
-}
+func (d *DynamicDict) Quiesce() { d.shards.Quiesce() }
 
 // DynamicStats is a point-in-time read of the dictionary's update-path
 // behaviour, summed over shards. All sources are atomic or striped
@@ -269,12 +186,7 @@ type DynamicStats struct {
 
 // Stats reads the dictionary's dynamic statistics (summed over shards).
 func (d *DynamicDict) Stats() DynamicStats {
-	var st dynamicStats
-	if d.sharded != nil {
-		st = d.sharded.Stats()
-	} else {
-		st = d.inner.Stats()
-	}
+	st := d.shards.Stats()
 	return DynamicStats{
 		Len:             st.Len,
 		Epochs:          st.Epoch,
@@ -285,6 +197,3 @@ func (d *DynamicDict) Stats() DynamicStats {
 		WriteCASRetries: st.WriteCASRetries,
 	}
 }
-
-// dynamicStats aliases the internal stats struct both branches return.
-type dynamicStats = dynamic.Stats

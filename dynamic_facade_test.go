@@ -45,8 +45,8 @@ func TestDynamicDictBasic(t *testing.T) {
 	}
 }
 
-// TestDynamicBatchUpdates checks InsertBatch/DeleteBatch on both the
-// unsharded and sharded layouts: changed counts must match what sequential
+// TestDynamicBatchUpdates checks InsertBatch/DeleteBatch at one shard
+// and at four: changed counts must match what sequential
 // Insert/Delete would report (duplicates within a batch count once), and the
 // resulting membership must agree with Contains.
 func TestDynamicBatchUpdates(t *testing.T) {

@@ -111,8 +111,8 @@ func checkTimelineCoherence(t *testing.T, evs []Event) map[EventType]int {
 	return counts
 }
 
-// TestEventLogDynamicTimeline churns a dynamic dictionary (unsharded,
-// sharded, and under GOMAXPROCS concurrent writers) and checks the recorded
+// TestEventLogDynamicTimeline churns a dynamic dictionary (one shard,
+// four, and under GOMAXPROCS concurrent writers) and checks the recorded
 // timeline is coherent: sealed epochs, balanced rebuilds, shard labels
 // within range.
 func TestEventLogDynamicTimeline(t *testing.T) {

@@ -113,7 +113,7 @@ func TestConcurrentChurnOneKey(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := mustNew(t, base, 81)
-			logs := newOpLogs(d, lincheck.NewClock(), writers+1)
+			logs := newRecorders(d, rng.NewSharded(82, 0), writers+1)
 			nets := make([]int, writers)
 			var wg sync.WaitGroup
 			var done atomic.Bool
@@ -125,7 +125,7 @@ func TestConcurrentChurnOneKey(t *testing.T) {
 					r := rng.New(uint64(800 + g))
 					for i := 0; i < ops; i++ {
 						del := r.Intn(2) == 0
-						changed, err := logs[g].write(tc.x, del)
+						changed, err := logs[g].Write(tc.x, del)
 						if err != nil {
 							errc <- err
 							return
@@ -142,9 +142,8 @@ func TestConcurrentChurnOneKey(t *testing.T) {
 			reader := make(chan struct{})
 			go func() {
 				defer close(reader)
-				src := rng.NewSharded(82, 0)
 				for !done.Load() {
-					if _, err := logs[writers].contains(tc.x, src); err != nil {
+					if _, err := logs[writers].Contains(tc.x); err != nil {
 						errc <- err
 						return
 					}
@@ -189,7 +188,9 @@ func TestConcurrentChurnOneKey(t *testing.T) {
 			if held > 1 {
 				t.Fatalf("key holds %d slot words, want ≤ 1", held)
 			}
-			checkHistory(t, logs, func(k uint64) bool { return tc.inBase })
+			if _, err := lincheck.CheckRecorded(logs, func(uint64) bool { return tc.inBase }); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }
@@ -211,7 +212,7 @@ func TestContainsBatchDuringWriteStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logs := newOpLogs(d, lincheck.NewClock(), writers+1)
+	logs := newRecorders(d, rng.NewSharded(93, 0), writers+1)
 	startEpoch := d.Stats().Epoch
 
 	var stop atomic.Bool
@@ -223,7 +224,7 @@ func TestContainsBatchDuringWriteStorm(t *testing.T) {
 			defer wg.Done()
 			r := rng.New(uint64(900 + g))
 			for !stop.Load() {
-				if _, err := logs[g].write(volatile[r.Intn(len(volatile))], r.Intn(2) == 0); err != nil {
+				if _, err := logs[g].Write(volatile[r.Intn(len(volatile))], r.Intn(2) == 0); err != nil {
 					errc <- err
 					return
 				}
@@ -235,7 +236,6 @@ func TestContainsBatchDuringWriteStorm(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		r := rng.New(92)
-		src := rng.NewSharded(93, 0)
 		batch := make([]uint64, 64)
 		out := make([]bool, len(batch))
 		for !stop.Load() {
@@ -243,7 +243,7 @@ func TestContainsBatchDuringWriteStorm(t *testing.T) {
 				batch[i] = volatile[r.Intn(len(volatile))]
 			}
 			rebuilding := d.Rebuilding()
-			if err := logs[writers].containsBatch(batch, out, src); err != nil {
+			if err := logs[writers].ContainsBatch(batch, out); err != nil {
 				errc <- err
 				return
 			}
@@ -272,5 +272,7 @@ func TestContainsBatchDuringWriteStorm(t *testing.T) {
 		t.Fatal("no batch started while a rebuild was in flight")
 	}
 	t.Logf("%d batches, %d started mid-rebuild", batches.Load(), midRebuild.Load())
-	checkHistory(t, logs, func(uint64) bool { return false })
+	if _, err := lincheck.CheckRecorded(logs, lincheck.Members(nil)); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -257,10 +257,11 @@ type buffer struct {
 	sealed  atomic.Bool
 }
 
-// params probes a random replica of the buffer's parameter row, counting the
-// probe in tally when it is non-nil (see cellprobe.Table.ProbeTo).
-func (b *buffer) params(r rng.Source, tally []uint64) hash.Pairwise {
-	c := b.acct.ProbeTo(0, bufParamRow, r.Intn(b.width), tally)
+// params probes replica col of the buffer's parameter row, counting the
+// probe in tally when it is non-nil (see cellprobe.Table.ProbeTo). Callers
+// draw col uniformly from [0, width).
+func (b *buffer) params(col int, tally []uint64) hash.Pairwise {
+	c := b.acct.ProbeTo(0, bufParamRow, col, tally)
 	return hash.Pairwise{A: c.Lo, B: c.Hi, M: uint64(b.width)}
 }
 
@@ -582,8 +583,9 @@ func (d *Dict) claim(e *epoch, x uint64, del bool, capLimit int) (claimOutcome, 
 		seed ^= 0xdead
 	}
 	// Write probes are counted on writeProbes and Metrics.WriteClaim, never
-	// on the read sink's tally.
-	h := b.params(rng.New(seed), nil)
+	// on the read sink's tally. The generator stays on the stack (rng.New
+	// inlines), so a write allocates nothing.
+	h := b.params(rng.New(seed).Intn(b.width), nil)
 	probes := uint64(1) // the step-0 parameter probe
 	var retries uint64
 	outcome := claimNoChange
@@ -705,7 +707,7 @@ func (d *Dict) ContainsScratch(x uint64, r rng.Source, sc *core.QueryScratch) (b
 func (d *Dict) containsEpoch(e *epoch, x uint64, r rng.Source, sc *core.QueryScratch) (bool, error) {
 	b := e.buf
 	bt := bufTally(sc.Tally(), e.base.MaxProbes())
-	h := b.params(r, bt)
+	h := b.params(r.Intn(b.width), bt)
 	_, tag, found, probes, err := b.find(x, h, bt)
 	if err != nil {
 		return false, err
@@ -751,7 +753,7 @@ func (c *batchCursor) NextQuery() (int, uint64, bool) {
 		c.pos++
 		x := c.keys[i]
 		b := c.e.buf
-		h := b.params(c.r, c.tally)
+		h := b.params(c.r.Intn(b.width), c.tally)
 		_, tag, found, probes, err := b.find(x, h, c.tally)
 		if err != nil {
 			c.err = err

@@ -35,7 +35,7 @@ func TestContainsDuringWriteStorm(t *testing.T) {
 	d := mustNew(t, stable, 41)
 	src := rng.NewSharded(42, 0)
 	startEpoch := d.Stats().Epoch
-	logs := newOpLogs(d, lincheck.NewClock(), writers+readers)
+	logs := newRecorders(d, src, writers+readers)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -47,7 +47,7 @@ func TestContainsDuringWriteStorm(t *testing.T) {
 			r := rng.New(uint64(400 + g))
 			for !stop.Load() {
 				k := volatile[r.Intn(len(volatile))]
-				if _, err := logs[g].write(k, r.Intn(2) == 0); err != nil {
+				if _, err := logs[g].Write(k, r.Intn(2) == 0); err != nil {
 					errc <- err
 					return
 				}
@@ -71,7 +71,7 @@ func TestContainsDuringWriteStorm(t *testing.T) {
 					errc <- fmt.Errorf("stable key %d reported absent mid-storm", k)
 					return
 				}
-				if _, err := logs[writers+g].contains(volatile[r.Intn(len(volatile))], src); err != nil {
+				if _, err := logs[writers+g].Contains(volatile[r.Intn(len(volatile))]); err != nil {
 					errc <- err
 					return
 				}
@@ -108,7 +108,9 @@ func TestContainsDuringWriteStorm(t *testing.T) {
 	}
 	t.Logf("%d writers, %d reader checks, %d epochs, %d CAS retries",
 		writers, checks.Load(), st.Epoch-startEpoch, st.WriteCASRetries)
-	checkHistory(t, logs, func(uint64) bool { return false })
+	if _, err := lincheck.CheckRecorded(logs, lincheck.Members(nil)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestStatsDuringWriteStorm calls Stats and Len continuously while writers
@@ -205,7 +207,7 @@ func TestConcurrentWritersChangedCounts(t *testing.T) {
 	// both the tombstone-first and insert-first claim paths are exercised.
 	initial := append(append([]uint64{}, filler...), hot[:contended/2]...)
 	d := mustNew(t, initial, 61)
-	logs := newOpLogs(d, lincheck.NewClock(), writers)
+	logs := newRecorders(d, nil, writers)
 
 	nets := make([][]int, writers) // nets[g][i]: writer g's net changed delta on hot[i]
 	var wg sync.WaitGroup
@@ -219,7 +221,7 @@ func TestConcurrentWritersChangedCounts(t *testing.T) {
 			for i := 0; i < ops; i++ {
 				ki := r.Intn(contended)
 				del := r.Intn(2) == 0
-				changed, err := logs[g].write(hot[ki], del)
+				changed, err := logs[g].Write(hot[ki], del)
 				if err != nil {
 					errc <- err
 					return
@@ -267,5 +269,7 @@ func TestConcurrentWritersChangedCounts(t *testing.T) {
 			t.Fatalf("filler key %d lost (err %v)", k, err)
 		}
 	}
-	checkHistory(t, logs, inSet(initial))
+	if _, err := lincheck.CheckRecorded(logs, lincheck.Members(initial)); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -35,9 +35,16 @@ type RNG struct {
 	s [4]uint64
 }
 
-// New returns a generator seeded from the given seed via splitmix64.
+// New returns a generator seeded from the given seed via splitmix64. It is
+// small enough to inline, so a generator that does not outlive its caller
+// stays off the heap.
 func New(seed uint64) *RNG {
 	r := &RNG{}
+	r.seed(seed)
+	return r
+}
+
+func (r *RNG) seed(seed uint64) {
 	sm := seed
 	for i := range r.s {
 		r.s[i] = SplitMix64(&sm)
@@ -47,7 +54,6 @@ func New(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 1
 	}
-	return r
 }
 
 // Uint64 returns the next 64 uniformly random bits.

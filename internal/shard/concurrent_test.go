@@ -5,18 +5,34 @@ import (
 	"testing"
 
 	"repro/internal/dynamic"
-	"repro/internal/hash"
+	"repro/internal/lincheck"
 	"repro/internal/rng"
 )
 
+// sourced is a lincheck.Set view of a DynamicDict whose reads draw from r
+// and whose batches fan out across shards (ContainsBatchParallel).
+type sourced struct {
+	*DynamicDict
+	r rng.Source
+}
+
+func (s sourced) Contains(k uint64) (bool, error) { return s.DynamicDict.Contains(k, s.r) }
+
+func (s sourced) ContainsBatch(keys []uint64, out []bool) error {
+	return s.DynamicDict.ContainsBatchParallel(keys, out, s.r)
+}
+
 // TestConcurrentShardedReadsAndWrites drives an update storm against a
 // sharded dynamic dictionary while reader goroutines issue single and
-// batched queries. Run under -race in CI: it exercises the per-shard epoch
-// publication, the batch fan-out goroutines and the shared rng.Sharded
-// source at once.
+// batched queries over the keys the writers churn, and checks the recorded
+// history for linearizability. Run under -race in CI: it exercises the
+// per-shard epoch publication, the batch fan-out goroutines and the shared
+// rng.Sharded source at once.
 func TestConcurrentShardedReadsAndWrites(t *testing.T) {
-	keys := testKeys(2048, 201)
-	d, err := NewDynamic(keys, 4, dynamic.Params{}, 203)
+	keys := testKeys(2560, 201)
+	stable, volatile := keys[:2048], keys[2048:]
+	// ε = 0.1 puts every shard's rebuild threshold well inside the churn.
+	d, err := NewDynamic(stable, 4, dynamic.Params{Epsilon: 0.1}, 203, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,76 +41,82 @@ func TestConcurrentShardedReadsAndWrites(t *testing.T) {
 		writers  = 4
 		readers  = 4
 		batchers = 2
-		rounds   = 200
+		rounds   = 400
 	)
 	var wg sync.WaitGroup
 	errs := make(chan error, writers+readers+batchers)
+	clk := lincheck.NewClock()
+	var recs []*lincheck.Recorder
+	record := func(r rng.Source) *lincheck.Recorder {
+		rec := lincheck.NewRecorder(sourced{d, r}, clk)
+		recs = append(recs, rec)
+		return rec
+	}
 
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(rec *lincheck.Recorder, r *rng.RNG) {
 			defer wg.Done()
-			r := rng.New(uint64(300 + w))
 			for i := 0; i < rounds; i++ {
-				k := r.Uint64n(hash.MaxKey)
-				if _, err := d.Insert(k); err != nil {
+				if _, err := rec.Write(volatile[r.Intn(len(volatile))], r.Intn(3) == 0); err != nil {
 					errs <- err
 					return
 				}
-				if i%3 == 0 {
-					if _, err := d.Delete(k); err != nil {
-						errs <- err
-						return
-					}
-				}
 			}
-		}(w)
+		}(record(nil), rng.New(uint64(300+w)))
 	}
 
 	for g := 0; g < readers; g++ {
+		r := rng.New(uint64(400 + g))
 		wg.Add(1)
-		go func(g int) {
+		go func(rec *lincheck.Recorder) {
 			defer wg.Done()
-			r := rng.New(uint64(400 + g))
 			for i := 0; i < rounds; i++ {
-				// The initial keys are never deleted by the writers (they
-				// only delete keys they themselves inserted this round), so
-				// membership of the seed set must hold throughout.
-				k := keys[r.Intn(len(keys))]
-				ok, err := d.Contains(k, r)
+				// Writers never touch the stable keys, so their membership
+				// must hold throughout.
+				k := stable[r.Intn(len(stable))]
+				ok, err := rec.Contains(k)
 				if err != nil {
 					errs <- err
 					return
 				}
 				if !ok {
-					t.Errorf("seed key %d lost mid-storm", k)
+					t.Errorf("stable key %d lost mid-storm", k)
+					return
+				}
+				if _, err := rec.Contains(volatile[r.Intn(len(volatile))]); err != nil {
+					errs <- err
 					return
 				}
 				_ = d.Len()
 			}
-		}(g)
+		}(record(r))
 	}
 
 	for b := 0; b < batchers; b++ {
 		wg.Add(1)
-		go func(b int) {
+		go func(rec *lincheck.Recorder, b int) {
 			defer wg.Done()
-			src := rng.NewSharded(uint64(500+b), 0)
-			out := make([]bool, 256)
+			r := rng.New(uint64(600 + b))
+			batch := make([]uint64, 256)
+			out := make([]bool, len(batch))
 			for i := 0; i < rounds/4; i++ {
-				batch := keys[(i*131)%(len(keys)-256):][:256]
-				if err := d.ContainsBatchParallel(batch, out, src); err != nil {
+				copy(batch, stable[(i*131)%(len(stable)-192):][:192])
+				for j := 192; j < len(batch); j++ {
+					batch[j] = volatile[r.Intn(len(volatile))]
+				}
+				if err := rec.ContainsBatch(batch, out); err != nil {
 					errs <- err
 					return
 				}
-				for j, ok := range out {
+				for j, ok := range out[:192] {
 					if !ok {
-						t.Errorf("batch lost seed key %d", batch[j])
+						t.Errorf("batch lost stable key %d", batch[j])
 						return
 					}
 				}
 			}
-		}(b)
+		}(record(rng.NewSharded(uint64(500+b), 0)), b)
 	}
 
 	wg.Wait()
@@ -102,10 +124,15 @@ func TestConcurrentShardedReadsAndWrites(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	n, err := lincheck.CheckRecorded(recs, lincheck.Members(stable))
+	if err != nil {
+		t.Fatal(err)
+	}
 	d.Quiesce()
-	for _, k := range keys {
+	t.Logf("history of %d operations over %d rebuilds is linearizable", n, d.Rebuilds()-d.Shards())
+	for _, k := range stable {
 		if ok, err := d.Contains(k, rng.New(1)); err != nil || !ok {
-			t.Fatalf("seed key %d missing after storm (err=%v)", k, err)
+			t.Fatalf("stable key %d missing after storm (err=%v)", k, err)
 		}
 	}
 }
@@ -147,66 +174,92 @@ func TestConcurrentStaticBatch(t *testing.T) {
 // TestConcurrentDynamicBatchUpdates drives InsertBatch/DeleteBatch from
 // several goroutines at once — each batch fans out across shards on its own
 // worker goroutines, so concurrent batches put multiple claiming writers on
-// every shard's buffer — while readers hold a disjoint seed range invariant.
-// Run under -race.
+// every shard's buffer — while a reader batches over seed and churned keys.
+// Each updater owns its churn slice, so the outcome of every key of its
+// batches is known from sequential semantics (the changed counts check
+// it); each is recorded as a write spanning its batch call, each reader
+// answer as a Contains spanning its batch, and the history must be
+// linearizable. Run under -race.
 func TestConcurrentDynamicBatchUpdates(t *testing.T) {
 	keys := testKeys(3072, 221)
 	seed, churn := keys[:1024], keys[1024:]
-	d, err := NewDynamic(seed, 4, dynamic.Params{}, 223)
+	d, err := NewDynamic(seed, 4, dynamic.Params{}, 223, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const updaters = 3
+	clk := lincheck.NewClock()
 	var wg sync.WaitGroup
 	errs := make(chan error, updaters+1)
+	writes := make([][]lincheck.Op, updaters)
+	// batch runs one batch update of keys and records key i's write with
+	// the result changed(i).
+	batch := func(u int, keys []uint64, del bool, changed func(i int) bool) (int, error) {
+		kind, update := lincheck.Insert, d.InsertBatch
+		if del {
+			kind, update = lincheck.Delete, d.DeleteBatch
+		}
+		call := clk.Now()
+		n, err := update(keys)
+		ret := clk.Now()
+		for i, k := range keys {
+			writes[u] = append(writes[u], lincheck.Op{Kind: kind, Key: k, Result: changed(i), Call: call, Return: ret})
+		}
+		return n, err
+	}
 	for u := 0; u < updaters; u++ {
 		wg.Add(1)
 		go func(u int) {
 			defer wg.Done()
 			// Each updater owns a disjoint churn slice: batch-insert it,
-			// batch-delete half, repeat. Changed counts are only exact for
-			// the first round (later rounds depend on interleaving within
-			// the slice owner — still single-owner, so they stay exact).
+			// batch-delete its second half, repeat. After the first round
+			// only the second half is absent when the insert comes.
 			mine := churn[u*640 : (u+1)*640]
+			half := len(mine) / 2
 			for round := 0; round < 4; round++ {
-				changed, err := d.InsertBatch(mine)
+				changed, err := batch(u, mine, false, func(i int) bool { return round == 0 || i >= half })
 				if err != nil {
 					errs <- err
 					return
 				}
 				want := len(mine)
 				if round > 0 {
-					want = len(mine) / 2 // second half stayed deleted
+					want = half
 				}
 				if changed != want {
 					t.Errorf("updater %d round %d: InsertBatch changed %d, want %d", u, round, changed, want)
 					return
 				}
-				changed, err = d.DeleteBatch(mine[len(mine)/2:])
+				changed, err = batch(u, mine[half:], true, func(int) bool { return true })
 				if err != nil {
 					errs <- err
 					return
 				}
-				if changed != len(mine)/2 {
-					t.Errorf("updater %d round %d: DeleteBatch changed %d, want %d", u, round, changed, len(mine)/2)
+				if changed != half {
+					t.Errorf("updater %d round %d: DeleteBatch changed %d, want %d", u, round, changed, half)
 					return
 				}
 			}
 		}(u)
 	}
+	reader := lincheck.NewRecorder(sourced{d, rng.NewSharded(225, 0)}, clk)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		src := rng.NewSharded(225, 0)
-		out := make([]bool, 512)
+		r := rng.New(226)
+		batch := make([]uint64, 512)
+		out := make([]bool, len(batch))
 		for i := 0; i < 100; i++ {
-			batch := seed[(i*97)%(len(seed)-512):][:512]
-			if err := d.ContainsBatchParallel(batch, out, src); err != nil {
+			copy(batch, seed[(i*97)%(len(seed)-384):][:384])
+			for j := 384; j < len(batch); j++ {
+				batch[j] = churn[r.Intn(len(churn))]
+			}
+			if err := reader.ContainsBatch(batch, out); err != nil {
 				errs <- err
 				return
 			}
-			for j, ok := range out {
+			for j, ok := range out[:384] {
 				if !ok {
 					t.Errorf("seed key %d lost during batch churn", batch[j])
 					return
@@ -217,6 +270,13 @@ func TestConcurrentDynamicBatchUpdates(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
+		t.Fatal(err)
+	}
+	h := reader.Ops()
+	for _, ops := range writes {
+		h = append(h, ops...)
+	}
+	if err := lincheck.Check(h, lincheck.Members(seed)); err != nil {
 		t.Fatal(err)
 	}
 	d.Quiesce()

@@ -2,13 +2,11 @@ package shard
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dynamic"
 	"repro/internal/hash"
 	"repro/internal/rng"
-	"repro/internal/scheme"
 )
 
 // DynamicDict is a P-way sharded mutable dictionary: one internal/dynamic
@@ -32,44 +30,27 @@ type DynamicDict struct {
 }
 
 // NewDynamic builds a P-way sharded dynamic dictionary over the initial
-// keys. p configures every shard identically.
-func NewDynamic(initial []uint64, shards int, p dynamic.Params, seed uint64) (*DynamicDict, error) {
-	return NewDynamicWithMetrics(initial, shards, p, seed, nil)
-}
-
-// NewDynamicWithMetrics is NewDynamic with a per-shard metrics supplier:
-// when metricsFor is non-nil, shard i is built with p.Metrics replaced by
-// metricsFor(i), so each shard's rebuild telemetry lands in its own slot
-// (the facade passes telemetry.Telemetry.DynamicShard).
-func NewDynamicWithMetrics(initial []uint64, shards int, p dynamic.Params, seed uint64, metricsFor func(i int) dynamic.Metrics) (*DynamicDict, error) {
-	var configure func(i int, sp *dynamic.Params)
-	if metricsFor != nil {
-		configure = func(i int, sp *dynamic.Params) { sp.Metrics = metricsFor(i) }
-	}
-	return NewDynamicWithHooks(initial, shards, p, seed, configure)
-}
-
-// NewDynamicWithHooks is NewDynamic with a per-shard parameter hook: when
-// configure is non-nil it runs on a copy of p for each shard before the
-// shard is built, so per-shard state such as metrics slots never crosses
-// shard boundaries.
-func NewDynamicWithHooks(initial []uint64, shards int, p dynamic.Params, seed uint64, configure func(i int, sp *dynamic.Params)) (*DynamicDict, error) {
+// keys. p configures every shard identically, except that when metricsFor
+// is non-nil shard i is built with p.Metrics replaced by metricsFor(i), so
+// each shard's rebuild telemetry lands in its own slot (the facade passes
+// telemetry.Telemetry.DynamicShard). Each shard's dynamic.New validates its
+// own keys; a duplicate routes to the shard its twin does, so that covers
+// the whole set.
+func NewDynamic(initial []uint64, shards int, p dynamic.Params, seed uint64, metricsFor func(i int) dynamic.Metrics) (*DynamicDict, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: shard count %d must be ≥ 1", shards)
-	}
-	if err := scheme.ValidateKeys(initial); err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
 	}
 	route := hash.NewPairwise(rng.New(seed^routeSalt), uint64(shards))
 	parts := make([][]uint64, shards)
 	for _, k := range initial {
-		parts[route.Eval(k)] = append(parts[route.Eval(k)], k)
+		i := route.Eval(k)
+		parts[i] = append(parts[i], k)
 	}
 	d := &DynamicDict{route: route, shards: make([]*dynamic.Dict, shards)}
 	for i, part := range parts {
 		sp := p
-		if configure != nil {
-			configure(i, &sp)
+		if metricsFor != nil {
+			sp.Metrics = metricsFor(i)
 		}
 		if sp.Events != nil {
 			// Every shard emits into the one shared flight recorder, labeled
@@ -140,63 +121,37 @@ func (d *DynamicDict) DeleteBatch(keys []uint64) (int, error) {
 	return d.updateBatch(keys, true)
 }
 
+// updateBatch applies a batch update. A 1-shard composite hands the batch
+// straight to its shard, skipping the grouping allocations.
 func (d *DynamicDict) updateBatch(keys []uint64, del bool) (int, error) {
-	groups := d.groupBatch(keys)
-	busy := 0
-	for _, g := range groups {
-		if len(g.keys) > 0 {
-			busy++
+	if len(d.shards) == 1 {
+		return apply(d.shards[0], keys, del)
+	}
+	return fanOut(d.groupBatch(keys), true, func(shard int, g group) (int, error) {
+		return apply(d.shards[shard], g.keys, del)
+	})
+}
+
+// apply runs Insert, or Delete when del, on s for every key in order and
+// returns how many changed the set, stopping at the first error.
+func apply(s *dynamic.Dict, keys []uint64, del bool) (int, error) {
+	changed := 0
+	for _, k := range keys {
+		var ok bool
+		var err error
+		if del {
+			ok, err = s.Delete(k)
+		} else {
+			ok, err = s.Insert(k)
+		}
+		if err != nil {
+			return changed, err
+		}
+		if ok {
+			changed++
 		}
 	}
-	apply := func(shard int, g dynGroup) (int, error) {
-		changed := 0
-		for _, k := range g.keys {
-			var ok bool
-			var err error
-			if del {
-				ok, err = d.shards[shard].Delete(k)
-			} else {
-				ok, err = d.shards[shard].Insert(k)
-			}
-			if err != nil {
-				return changed, err
-			}
-			if ok {
-				changed++
-			}
-		}
-		return changed, nil
-	}
-	if busy <= 1 {
-		for shard, g := range groups {
-			if len(g.keys) > 0 {
-				return apply(shard, g)
-			}
-		}
-		return 0, nil
-	}
-	changed := make([]int, len(groups))
-	errs := make([]error, len(groups))
-	var wg sync.WaitGroup
-	for shard, g := range groups {
-		if len(g.keys) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(shard int, g dynGroup) {
-			defer wg.Done()
-			changed[shard], errs[shard] = apply(shard, g)
-		}(shard, g)
-	}
-	wg.Wait()
-	total := 0
-	for shard := range groups {
-		if errs[shard] != nil {
-			return 0, errs[shard]
-		}
-		total += changed[shard]
-	}
-	return total, nil
+	return changed, nil
 }
 
 // Len returns the current key count, summed over shards without locking.
@@ -208,29 +163,15 @@ func (d *DynamicDict) Len() int {
 	return n
 }
 
-// dynGroup is one shard's slice of a batch.
-type dynGroup struct {
-	keys []uint64
-	idx  []int
+func (d *DynamicDict) groupBatch(keys []uint64) []group {
+	return groupBatch(keys, len(d.shards), d.ShardOf)
 }
 
-func (d *DynamicDict) groupBatch(keys []uint64) []dynGroup {
-	groups := make([]dynGroup, len(d.shards))
-	for i, k := range keys {
-		g := d.ShardOf(k)
-		groups[g].keys = append(groups[g].keys, k)
-		groups[g].idx = append(groups[g].idx, i)
-	}
-	return groups
-}
-
-func (d *DynamicDict) answerGroup(shard int, g dynGroup, out []bool, r rng.Source) error {
-	if len(g.keys) == 0 {
-		return nil
-	}
+// answerGroup answers one shard's group. dynamic.ContainsBatch pins one
+// epoch for the whole group, so each shard's slice of the batch is answered
+// against a single snapshot.
+func (d *DynamicDict) answerGroup(shard int, g group, out []bool, r rng.Source) error {
 	ans := make([]bool, len(g.keys))
-	// dynamic.ContainsBatch pins one epoch for the whole group, so each
-	// shard's slice of the batch is answered against a single snapshot.
 	if err := d.shards[shard].ContainsBatch(g.keys, ans, r); err != nil {
 		return err
 	}
@@ -245,12 +186,7 @@ func (d *DynamicDict) answerGroup(shard int, g dynGroup, out []bool, r rng.Sourc
 // snapshot of its shard (loaded once per group); groups are answered
 // sequentially. out must be at least as long as keys.
 func (d *DynamicDict) ContainsBatch(keys []uint64, out []bool, r rng.Source) error {
-	for shard, g := range d.groupBatch(keys) {
-		if err := d.answerGroup(shard, g, out, r); err != nil {
-			return err
-		}
-	}
-	return nil
+	return d.containsBatch(keys, out, r, false)
 }
 
 // ContainsBatchParallel is ContainsBatch with the per-shard groups answered
@@ -258,40 +194,19 @@ func (d *DynamicDict) ContainsBatch(keys []uint64, out []bool, r rng.Source) err
 // for concurrent use (rng.Sharded is) whenever the batch spans more than
 // one shard.
 func (d *DynamicDict) ContainsBatchParallel(keys []uint64, out []bool, r rng.Source) error {
-	groups := d.groupBatch(keys)
-	busy := 0
-	for _, g := range groups {
-		if len(g.keys) > 0 {
-			busy++
-		}
+	return d.containsBatch(keys, out, r, true)
+}
+
+// containsBatch answers a batch through fanOut. A 1-shard composite hands
+// the batch straight to its shard, which answers it without allocating.
+func (d *DynamicDict) containsBatch(keys []uint64, out []bool, r rng.Source, parallel bool) error {
+	if len(d.shards) == 1 {
+		return d.shards[0].ContainsBatch(keys, out, r)
 	}
-	if busy <= 1 {
-		for shard, g := range groups {
-			if err := d.answerGroup(shard, g, out, r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, len(groups))
-	var wg sync.WaitGroup
-	for shard, g := range groups {
-		if len(g.keys) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(shard int, g dynGroup) {
-			defer wg.Done()
-			errs[shard] = d.answerGroup(shard, g, out, r)
-		}(shard, g)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := fanOut(d.groupBatch(keys), parallel, func(shard int, g group) (int, error) {
+		return 0, d.answerGroup(shard, g, out, r)
+	})
+	return err
 }
 
 // Rebuilds returns the total number of rebuilds across all shards (each

@@ -22,6 +22,15 @@
 // difference arrays of contention.Exact confined to one shard's cell range
 // each, which is what makes the analytic composition reproduce the
 // composite's floats bit for bit instead of merely up to rounding.
+//
+// DynamicDict partitions the mutable dictionary the same way. Set semantics
+// are P-compositional — a history is linearizable iff each key's
+// sub-history is — and every key lives in exactly one shard, so the
+// composite is linearizable because each shard is. A cross-shard batch
+// therefore needs no atomic snapshot: each answer need only linearize
+// inside the batch call, which per-shard epoch pinning gives it. The
+// concurrent tests record histories and check exactly that
+// (internal/lincheck).
 package shard
 
 import (
@@ -229,22 +238,83 @@ func (d *Dict) ContainsTraced(x uint64, r rng.Source, sc *core.QueryScratch) (fo
 	return found, shard, err
 }
 
-// group is one shard's slice of a batch.
+// group is one shard's slice of a batch: its keys and their positions in
+// the batch.
 type group struct {
 	keys []uint64
 	idx  []int
 }
 
-// groupBatch routes every key (consuming one routing probe per key, exactly
-// as Contains would) and groups the batch by shard.
-func (d *Dict) groupBatch(keys []uint64, r rng.Source) []group {
-	groups := make([]group, len(d.shards))
+// groupBatch groups a batch by the shard route assigns each key, calling
+// route once per key in batch order.
+func groupBatch(keys []uint64, shards int, route func(uint64) int) []group {
+	groups := make([]group, shards)
 	for i, k := range keys {
-		g, _ := d.routeProbe(k, r, nil)
+		g := route(k)
 		groups[g].keys = append(groups[g].keys, k)
 		groups[g].idx = append(groups[g].idx, i)
 	}
 	return groups
+}
+
+// fanOut runs do on every non-empty group and sums the counts it returns.
+// When parallel and more than one group is non-empty, each group runs on its
+// own goroutine; otherwise the groups run in shard order on the caller's,
+// stopping at the first error. The error returned is the first in shard
+// order, and the count covers every group that ran, so a batch update
+// reports the keys that changed the set even when a group failed.
+func fanOut(groups []group, parallel bool, do func(shard int, g group) (int, error)) (int, error) {
+	busy := 0
+	for _, g := range groups {
+		if len(g.keys) > 0 {
+			busy++
+		}
+	}
+	total := 0
+	if !parallel || busy <= 1 {
+		for shard, g := range groups {
+			if len(g.keys) == 0 {
+				continue
+			}
+			n, err := do(shard, g)
+			total += n
+			if err != nil {
+				return total, err
+			}
+		}
+		return total, nil
+	}
+	counts := make([]int, len(groups))
+	errs := make([]error, len(groups))
+	var wg sync.WaitGroup
+	for shard, g := range groups {
+		if len(g.keys) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(shard int, g group) {
+			defer wg.Done()
+			counts[shard], errs[shard] = do(shard, g)
+		}(shard, g)
+	}
+	wg.Wait()
+	var first error
+	for shard := range groups {
+		total += counts[shard]
+		if first == nil {
+			first = errs[shard]
+		}
+	}
+	return total, first
+}
+
+// routeBatch routes every key (consuming one routing probe per key, exactly
+// as Contains would) and groups the batch by shard.
+func (d *Dict) routeBatch(keys []uint64, r rng.Source) []group {
+	return groupBatch(keys, len(d.shards), func(k uint64) int {
+		g, _ := d.routeProbe(k, r, nil)
+		return g
+	})
 }
 
 // answerGroup answers one shard's group, batching through the inner
@@ -254,9 +324,6 @@ func (d *Dict) groupBatch(keys []uint64, r rng.Source) []group {
 // group draws from r localised on its own pooled scratch, so concurrent
 // groups may share one rng.Sharded r.
 func (d *Dict) answerGroup(shard int, g group, out []bool, r rng.Source) error {
-	if len(g.keys) == 0 {
-		return nil
-	}
 	sc := d.scratch.Get().(*core.QueryScratch)
 	defer d.scratch.Put(sc)
 	r = sc.Source(r)
@@ -289,12 +356,7 @@ func (d *Dict) ContainsBatch(keys []uint64, out []bool, r rng.Source) error {
 	sc := d.scratch.Get().(*core.QueryScratch)
 	defer d.scratch.Put(sc)
 	r = sc.Source(r)
-	for shard, g := range d.groupBatch(keys, r) {
-		if err := d.answerGroup(shard, g, out, r); err != nil {
-			return err
-		}
-	}
-	return nil
+	return d.answerGroups(d.routeBatch(keys, r), out, r, false)
 }
 
 // ContainsBatchParallel is ContainsBatch with the per-shard groups answered
@@ -305,41 +367,17 @@ func (d *Dict) ContainsBatch(keys []uint64, out []bool, r rng.Source) error {
 // localises the shared r for itself (answerGroup).
 func (d *Dict) ContainsBatchParallel(keys []uint64, out []bool, r rng.Source) error {
 	sc := d.scratch.Get().(*core.QueryScratch)
-	groups := d.groupBatch(keys, sc.Source(r))
+	groups := d.routeBatch(keys, sc.Source(r))
 	d.scratch.Put(sc)
-	busy := 0
-	for _, g := range groups {
-		if len(g.keys) > 0 {
-			busy++
-		}
-	}
-	if busy <= 1 {
-		for shard, g := range groups {
-			if err := d.answerGroup(shard, g, out, r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, len(groups))
-	var wg sync.WaitGroup
-	for shard, g := range groups {
-		if len(g.keys) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(shard int, g group) {
-			defer wg.Done()
-			errs[shard] = d.answerGroup(shard, g, out, r)
-		}(shard, g)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return d.answerGroups(groups, out, r, true)
+}
+
+// answerGroups answers every group through fanOut.
+func (d *Dict) answerGroups(groups []group, out []bool, r rng.Source, parallel bool) error {
+	_, err := fanOut(groups, parallel, func(shard int, g group) (int, error) {
+		return 0, d.answerGroup(shard, g, out, r)
+	})
+	return err
 }
 
 // ProbeSpec returns the exact composite probe distribution for x: the

@@ -173,11 +173,13 @@ func WithSlack(slack float64) Option {
 // stay low-contention — the composite's exact contention is the analytic
 // composition of its shards' (experiment A7) — while batch queries fan out
 // over the shards and, for dynamic dictionaries, each shard rebuilds
-// independently. p = 1 is the unsharded structure itself: it builds the
-// identical dictionary New without the option builds, answer for answer and
-// probe for probe.
+// independently. p = 1 is the unsharded structure itself: New builds the
+// identical dictionary it builds without the option, answer for answer and
+// probe for probe. NewDynamic always builds the shard composite, with one
+// shard unless this option says otherwise; at one shard it is the single
+// dynamic dictionary of the same seed, and its batches skip the grouping.
 //
-// ContainsBatch on a sharded dictionary answers per-shard groups on
+// ContainsBatch with more than one shard answers per-shard groups on
 // concurrent goroutines, so a source supplied via WithQuerySource must then
 // be safe for concurrent use (the default source is; an *rng.RNG is not).
 func WithShards(p int) Option {

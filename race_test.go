@@ -1,8 +1,11 @@
 package lcds
 
 import (
+	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/lincheck"
 )
 
 // Race tests for the public facade: run with `go test -race`. The static
@@ -135,9 +138,11 @@ func TestConcurrentDynamicBatch(t *testing.T) {
 	wg.Wait()
 }
 
-// TestConcurrentDynamicHammer mixes Contains, Insert, Delete and Len on one
-// DynamicDict. Stable keys are never touched by writers, so readers can
-// check exact answers; volatile keys churn to keep rebuilds in flight.
+// TestConcurrentDynamicHammer mixes Contains, ContainsBatch, Insert, Delete
+// and Len on one DynamicDict, at one shard and at four. Stable keys are
+// never touched by writers, so readers can check exact answers; volatile
+// keys churn to keep rebuilds in flight, and readers query them too. Every
+// operation but Len is recorded, and the history must be linearizable.
 func TestConcurrentDynamicHammer(t *testing.T) {
 	readers, writers, readerOps, writerOps := 6, 2, 8000, 2500
 	if testing.Short() {
@@ -145,58 +150,80 @@ func TestConcurrentDynamicHammer(t *testing.T) {
 	}
 	keys := testKeys(3000, 61)
 	stable, volatile := keys[:1500], keys[1500:]
-	d, err := NewDynamic(stable, 0.5, WithSeed(62))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < readers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < readerOps; i++ {
-				k := stable[(g*readerOps+i)%len(stable)]
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			d, err := NewDynamic(stable, 0.5, WithSeed(62), WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			clk := lincheck.NewClock()
+			recs := make([]*lincheck.Recorder, readers+writers)
+			for i := range recs {
+				recs[i] = lincheck.NewRecorder(d, clk)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < readers; g++ {
+				wg.Add(1)
+				go func(rec *lincheck.Recorder, g int) {
+					defer wg.Done()
+					batch := make([]uint64, 16)
+					out := make([]bool, len(batch))
+					for i := 0; i < readerOps; i++ {
+						k := stable[(g*readerOps+i)%len(stable)]
+						ok, err := rec.Contains(k)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if !ok {
+							t.Errorf("stable key %d reported absent", k)
+							return
+						}
+						if _, err := rec.Contains(volatile[(g*7919+i*31)%len(volatile)]); err != nil {
+							t.Error(err)
+							return
+						}
+						if i%64 == 0 {
+							for j := range batch {
+								batch[j] = volatile[(g*104729+i*17+j*97)%len(volatile)]
+							}
+							if err := rec.ContainsBatch(batch, out); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+						if n := d.Len(); n < len(stable) {
+							t.Errorf("Len() = %d below stable floor %d", n, len(stable))
+							return
+						}
+					}
+				}(recs[g], g)
+			}
+			for g := 0; g < writers; g++ {
+				wg.Add(1)
+				go func(rec *lincheck.Recorder, g int) {
+					defer wg.Done()
+					for i := 0; i < writerOps; i++ {
+						if _, err := rec.Write(volatile[(g*writerOps+i)%len(volatile)], i%2 == 1); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(recs[readers+g], g)
+			}
+			wg.Wait()
+			n, err := lincheck.CheckRecorded(recs, lincheck.Members(stable))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Quiesce()
+			t.Logf("history of %d operations over %d rebuilds is linearizable", n, d.Rebuilds()-shards)
+			for _, k := range stable {
 				ok, err := d.Contains(k)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if !ok {
-					t.Errorf("stable key %d reported absent", k)
-					return
-				}
-				if n := d.Len(); n < len(stable) {
-					t.Errorf("Len() = %d below stable floor %d", n, len(stable))
-					return
+				if err != nil || !ok {
+					t.Fatalf("stable key %d missing after hammer (err %v)", k, err)
 				}
 			}
-		}(g)
-	}
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < writerOps; i++ {
-				k := volatile[(g*writerOps+i)%len(volatile)]
-				var err error
-				if i%2 == 0 {
-					_, err = d.Insert(k)
-				} else {
-					_, err = d.Delete(k)
-				}
-				if err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	d.Quiesce()
-	for _, k := range stable {
-		ok, err := d.Contains(k)
-		if err != nil || !ok {
-			t.Fatalf("stable key %d missing after hammer (err %v)", k, err)
-		}
+		})
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dynamic"
 	"repro/internal/rng"
+	"repro/internal/telemetry/events"
 )
 
 func negKeys(keys []uint64, n int, seed uint64) []uint64 {
@@ -26,7 +28,8 @@ func negKeys(keys []uint64, n int, seed uint64) []uint64 {
 
 // TestWithShardsOneIsIdentity is an acceptance criterion: WithShards(1) is
 // behaviorally identical to the plain facade on a fixed seed — same answers,
-// same probe counts, same table.
+// same probe counts, same table — and a DynamicDict, which is always a shard
+// composite, is at one shard the single dynamic dictionary.
 func TestWithShardsOneIsIdentity(t *testing.T) {
 	keys := testKeys(800, 120)
 	plain, err := New(keys, WithSeed(121))
@@ -63,6 +66,86 @@ func TestWithShardsOneIsIdentity(t *testing.T) {
 	}
 	if ca != cb {
 		t.Fatalf("contention differs: %+v vs %+v", ca, cb)
+	}
+
+	// The dynamic half: a DynamicDict is a 1-shard composite unless
+	// WithShards says otherwise, and that composite is the single dynamic
+	// dictionary with the same seed — write for write, answer for answer,
+	// probe for probe, event for event.
+	const eps = 0.25
+	dyn, err := NewDynamic(keys, eps, WithSeed(121), WithQuerySource(rng.New(123)), WithEventLog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	singleLog := events.NewLog()
+	single, err := dynamic.New(keys, dynamic.Params{Epsilon: eps, Events: singleLog}, 121)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(123)
+	fresh := negKeys(keys, int(eps*float64(len(keys)))+50, 124)
+	write := func(k uint64, del bool) {
+		var a, b bool
+		var errA, errB error
+		if del {
+			a, errA = dyn.Delete(k)
+			b, errB = single.Delete(k)
+		} else {
+			a, errA = dyn.Insert(k)
+			b, errB = single.Insert(k)
+		}
+		if a != b || errA != nil || errB != nil {
+			t.Fatalf("write %d (del %v): facade %v %v, single %v %v", k, del, a, errA, b, errB)
+		}
+		// Settle each write's rebuild, so both see the same epoch sequence.
+		dyn.Quiesce()
+		single.Quiesce()
+	}
+	for _, k := range fresh {
+		write(k, false)
+	}
+	for _, k := range keys[:100] {
+		write(k, true)
+	}
+	queries = append(append(queries, fresh...), keys[:100]...)
+	for _, k := range queries {
+		a, errA := dyn.Contains(k)
+		b, errB := single.Contains(k, src)
+		if a != b || errA != nil || errB != nil {
+			t.Fatalf("answers differ for %d: facade %v %v, single %v %v", k, a, errA, b, errB)
+		}
+	}
+	got, want := make([]bool, len(queries)), make([]bool, len(queries))
+	if err := dyn.ContainsBatch(queries, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := single.ContainsBatch(queries, want, src); err != nil {
+		t.Fatal(err)
+	}
+	for i := range queries {
+		if got[i] != want[i] {
+			t.Fatalf("batch answers differ for %d", queries[i])
+		}
+	}
+	ds, ss := dyn.Stats(), single.Stats()
+	if ss.Epoch < 2 {
+		t.Fatalf("writes forced no rebuild (epoch %d)", ss.Epoch)
+	}
+	if ds.ReadProbes != ss.ReadProbes || ds.WriteProbes != ss.WriteProbes || ds.Epochs != ss.Epoch {
+		t.Fatalf("stats differ: facade %+v, single %+v", ds, ss)
+	}
+	ea, _ := dyn.Timeline(0, 1<<20)
+	eb, _ := singleLog.Timeline(0, 1<<20)
+	if len(ea) != len(eb) {
+		t.Fatalf("facade recorded %d events, single %d", len(ea), len(eb))
+	}
+	for i := range ea {
+		if ea[i].Type != eb[i].Type || ea[i].Shard != eb[i].Shard {
+			t.Fatalf("event %d: facade %v on shard %d, single %v on shard %d", i, ea[i].Type, ea[i].Shard, eb[i].Type, eb[i].Shard)
+		}
+		if ea[i].Type == EventShardRebuild {
+			t.Fatalf("event %d: a 1-shard composite emitted ShardRebuild", i)
+		}
 	}
 }
 

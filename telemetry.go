@@ -198,10 +198,10 @@ func (d *DynamicDict) TelemetryCompareExactWeighted(support []WeightedKey) (Tele
 	if d.tel == nil {
 		return TelemetryDrift{}, fmt.Errorf("lcds: telemetry is not enabled (use WithTelemetry)")
 	}
-	if d.sharded != nil {
+	if d.shards.Shards() > 1 {
 		return TelemetryDrift{}, fmt.Errorf("lcds: sharded dynamic dictionaries do not support the exact comparison")
 	}
-	base := d.inner.Base()
+	base := d.shards.Shard(0).Base()
 	res, err := exactWeighted(base, support)
 	if err != nil {
 		return TelemetryDrift{}, err
@@ -363,18 +363,12 @@ func (d *DynamicDict) containsTelemetry(x uint64) (bool, error) {
 	if traced {
 		sc := d.scratch.Get().(*core.QueryScratch)
 		sc.StartCapture()
-		if d.sharded != nil {
-			ok, shard, err = d.sharded.ContainsTraced(x, d.src, sc)
-		} else {
-			ok, err = d.inner.ContainsScratch(x, d.src, sc)
-		}
+		ok, shard, err = d.shards.ContainsTraced(x, d.src, sc)
 		cells = sc.StopCapture()
 		d.tel.FlushTally(sc.Tally())
 		d.scratch.Put(sc)
-	} else if d.sharded != nil {
-		ok, err = d.sharded.Contains(x, d.src)
 	} else {
-		ok, err = d.inner.Contains(x, d.src)
+		ok, err = d.shards.Contains(x, d.src)
 	}
 	lat := time.Since(start).Nanoseconds()
 	d.tel.ObserveQuery(ok, err != nil, lat)

@@ -113,7 +113,7 @@ func TestBatchTelemetryMatchesSequential(t *testing.T) {
 			}
 			var baseRec, bufRec *cellprobe.Recorder
 			if tc.shards == 0 {
-				base, buf := seq.inner.BaseTable(), seq.inner.BufferTable()
+				base, buf := seq.shards.Shard(0).BaseTable(), seq.shards.Shard(0).BufferTable()
 				baseRec, bufRec = cellprobe.NewRecorder(base.Size()), cellprobe.NewRecorder(buf.Size())
 				base.Attach(baseRec)
 				buf.Attach(bufRec)
@@ -167,7 +167,7 @@ func TestBatchTelemetryMatchesSequential(t *testing.T) {
 			}
 			if baseRec != nil {
 				last := seq.Telemetry().TallyLen() - 1 // the StepCap overflow slot
-				off := seq.inner.Base().MaxProbes()
+				off := seq.shards.Shard(0).Base().MaxProbes()
 				steps := make([]uint64, last+1)
 				for step, row := range baseRec.PerStep {
 					for _, c := range row {

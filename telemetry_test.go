@@ -92,7 +92,7 @@ func TestTelemetryOffNoSink(t *testing.T) {
 	if dyn.Telemetry() != nil {
 		t.Fatal("dynamic Telemetry() non-nil without WithTelemetry")
 	}
-	if dyn.inner.BaseTable().CellView() == nil || dyn.inner.BufferTable().CellView() == nil {
+	if dyn.shards.Shard(0).BaseTable().CellView() == nil || dyn.shards.Shard(0).BufferTable().CellView() == nil {
 		t.Fatal("dynamic cell view withheld without WithTelemetry")
 	}
 	if _, err := d.TelemetryCompareExact(keys); err == nil {
@@ -385,7 +385,7 @@ func TestTelemetryDynamicWritesUncounted(t *testing.T) {
 		}
 	}
 	d.Quiesce()
-	if d.inner.BaseTable().CellView() == nil || d.inner.BufferTable().CellView() == nil {
+	if d.shards.Shard(0).BaseTable().CellView() == nil || d.shards.Shard(0).BufferTable().CellView() == nil {
 		t.Fatal("dynamic telemetry observes a table: cell view withheld")
 	}
 	s := d.Telemetry().Snapshot()

@@ -117,3 +117,56 @@ func TestDynamicTelemetryZeroAlloc(t *testing.T) {
 		t.Fatal("no probes reached the telemetry")
 	}
 }
+
+// TestDynamicZeroAlloc: without telemetry a 1-shard DynamicDict answers
+// Contains and ContainsBatch on pooled scratch and hands a batch straight
+// to its shard without grouping it, and an Insert of a present key claims
+// nothing, so none of them allocates per call.
+func TestDynamicZeroAlloc(t *testing.T) {
+	keys := testKeys(4096, 46)
+	d, err := NewDynamic(keys[:3500], 0.25, WithSeed(46))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys[3500:] {
+		if _, err := d.Insert(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Quiesce()
+	gc := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(gc)
+
+	d.Contains(keys[0])
+	i := 0
+	if allocs := testing.AllocsPerRun(400, func() {
+		i++
+		if ok, err := d.Contains(keys[i%len(keys)]); err != nil || !ok {
+			t.Errorf("lost key: %v %v", ok, err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("DynamicDict.Contains: %v allocs/op, want 0", allocs)
+	}
+
+	batch := append(append([]uint64(nil), keys[:256]...), keys[3500:3756]...)
+	out := make([]bool, len(batch))
+	if err := d.ContainsBatch(batch, out); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := d.ContainsBatch(batch, out); err != nil {
+			t.Error(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("DynamicDict.ContainsBatch: %v allocs per batch, want 0", allocs)
+	}
+
+	if allocs := testing.AllocsPerRun(400, func() {
+		i++
+		if changed, err := d.Insert(keys[i%len(keys)]); err != nil || changed {
+			t.Errorf("Insert of a present key: changed %v, err %v", changed, err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("DynamicDict.Insert of a present key: %v allocs/op, want 0", allocs)
+	}
+}
