@@ -387,20 +387,30 @@ func (dict *Dict) layout(keys []uint64, p Params, rand *rng.RNG) error {
 	finder := func(_ int, bucketKeys []uint64, span int) (hash.Pairwise, int, error) {
 		return hash.FindPerfect(rand, bucketKeys, uint64(span), p.PerfectMaxTries)
 	}
+	dict.phA = make([]uint64, dict.s)
+	dict.phB = make([]uint64, dict.s)
 	return dict.layoutWith(keys, finder)
 }
 
 // layoutWith fills the table rows, obtaining per-bucket perfect hashes from
-// the given source.
+// the given source and recording them in phA/phB, which the caller sizes.
 func (dict *Dict) layoutWith(keys []uint64, ph phSource) error {
 	s, m, d := dict.s, dict.m, dict.d
 	bucketsPerGroup := s / m
 
-	// Assign keys to buckets.
-	bucketKeys := make(map[int][]uint64)
+	// Assign keys to buckets by counting sort over the accepted loads. Each
+	// cursor starts at its bucket's first slot and ends one past its last,
+	// so bucket b's keys are byBucket[end[b]-ℓ_b : end[b]], in input order.
+	end := make([]int, s)
+	for b, at := 0, 0; b < s; b++ {
+		end[b] = at
+		at += dict.hLoads[b]
+	}
+	byBucket := make([]uint64, len(keys))
 	for _, x := range keys {
-		b := int(dict.hEval(x))
-		bucketKeys[b] = append(bucketKeys[b], x)
+		b := dict.hEval(x)
+		byBucket[end[b]] = x
+		end[b]++
 	}
 
 	// Group base addresses and per-bucket offsets (buckets ordered by
@@ -493,17 +503,13 @@ func (dict *Dict) layoutWith(keys []uint64, ph phSource) error {
 	for j := 0; j < s; j++ {
 		tab.Set(dataRow, j, cellprobe.Cell{Lo: sentinelLo})
 	}
-	dict.phA = make([]uint64, s)
-	dict.phB = make([]uint64, s)
 	perfectTries := 0
-	// Iterate buckets in index order: map iteration order would make the
-	// perfect-hash RNG consumption, and hence the build, nondeterministic.
 	for b := 0; b < s; b++ {
-		bk := bucketKeys[b]
-		if len(bk) == 0 {
+		l := dict.hLoads[b]
+		if l == 0 {
 			continue
 		}
-		l := dict.hLoads[b]
+		bk := byBucket[end[b]-l : end[b]]
 		span := l * l
 		hstar, tries, err := ph(b, bk, span)
 		perfectTries += tries

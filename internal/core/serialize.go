@@ -20,7 +20,7 @@ var serialMagic = [8]byte{'L', 'C', 'D', 'S', 'v', '1', 0, 0}
 
 // MaxReadBuckets caps the bucket count (the paper's s) a deserialized header
 // may declare, bounding the memory a hostile or corrupt file can make Read
-// allocate (≈ 24 bytes per bucket of bookkeeping before any content is
+// allocate (≈ 48 bytes per bucket of bookkeeping before any content is
 // verified). 1<<24 buckets admits dictionaries of about four million keys at
 // the default space factor; raise it explicitly for larger files.
 var MaxReadBuckets = 1 << 24
@@ -78,19 +78,12 @@ func (dict *Dict) WriteTo(w io.Writer) (int64, error) {
 		return written, err
 	}
 	// The keys themselves.
-	data := dict.dataRow()
-	count := 0
-	for j := 0; j < dict.s; j++ {
-		c := dict.tab.At(data, j)
-		if c.Hi == occupiedTag {
-			if err := put(c.Lo); err != nil {
-				return written, err
-			}
-			count++
-		}
-	}
-	if count != dict.n {
+	keys := dict.Keys()
+	if count := len(keys); count != dict.n {
 		return written, fmt.Errorf("core: serialized %d keys, expected %d", count, dict.n)
+	}
+	if err := put(keys...); err != nil {
+		return written, err
 	}
 	return written, bw.Flush()
 }
@@ -159,11 +152,11 @@ func Read(r io.Reader) (*Dict, error) {
 	dict.g = hash.PolyFromCoef(gc, uint64(rr))
 	dict.z = z
 
-	type bucketPH struct {
-		load int
-		a, b uint64
-	}
-	phs := make(map[int]bucketPH)
+	// The bucket table, per bucket: its stored load (0 if absent) and
+	// perfect hash.
+	loads := make([]int, s)
+	dict.phA = make([]uint64, s)
+	dict.phB = make([]uint64, s)
 	for {
 		b, err := get()
 		if err != nil {
@@ -182,10 +175,10 @@ func Read(r io.Reader) (*Dict, error) {
 		if rest[0] == 0 || rest[0] > uint64(n) {
 			return nil, fmt.Errorf("core: bucket %d load %d implausible", b, rest[0])
 		}
-		if _, dup := phs[int(b)]; dup {
+		if loads[b] != 0 {
 			return nil, fmt.Errorf("core: duplicate bucket %d", b)
 		}
-		phs[int(b)] = bucketPH{load: int(rest[0]), a: rest[1], b: rest[2]}
+		loads[b], dict.phA[b], dict.phB[b] = int(rest[0]), rest[1], rest[2]
 	}
 	keys, err := getN(n, "keys", hash.MaxKey)
 	if err != nil {
@@ -199,22 +192,21 @@ func Read(r io.Reader) (*Dict, error) {
 		dict.hLoads[dict.hEval(x)]++
 	}
 	total := 0
-	for b, ph := range phs {
-		if dict.hLoads[b] != ph.load {
-			return nil, fmt.Errorf("core: bucket %d stored load %d, recomputed %d", b, ph.load, dict.hLoads[b])
+	for b, load := range loads {
+		if load != 0 && dict.hLoads[b] != load {
+			return nil, fmt.Errorf("core: bucket %d stored load %d, recomputed %d", b, load, dict.hLoads[b])
 		}
-		total += ph.load
+		total += load
 	}
 	if total != n {
 		return nil, fmt.Errorf("core: bucket loads sum to %d, want %d", total, n)
 	}
 
 	replay := func(b int, bucketKeys []uint64, span int) (hash.Pairwise, int, error) {
-		ph, ok := phs[b]
-		if !ok {
+		if loads[b] == 0 {
 			return hash.Pairwise{}, 0, fmt.Errorf("missing perfect hash for bucket %d", b)
 		}
-		h := hash.Pairwise{A: ph.a, B: ph.b, M: uint64(span)}
+		h := hash.Pairwise{A: dict.phA[b], B: dict.phB[b], M: uint64(span)}
 		if !h.IsInjectiveOn(bucketKeys, nil) {
 			return hash.Pairwise{}, 0, fmt.Errorf("stored perfect hash for bucket %d is not injective", b)
 		}

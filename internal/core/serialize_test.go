@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"testing"
 
 	"repro/internal/hash"
@@ -88,18 +89,25 @@ func TestSerializedBytesPinned(t *testing.T) {
 		{5000, 5, Params{Strided: true}, 182104, "3ed7f71ed8738a2deb53fb737b2022c16337ced18aebc3a30108f21714aab078"},
 		{4096, 6, Params{D: 5}, 148624, "381eb316301f1fcfb766ff38583f42274845cdf637c08894de2fd47444c0fcd1"},
 	} {
+		// The build depends on the key set, not its order: the reversed
+		// slice must serialize to the same bytes.
 		keys := distinctKeys(rng.New(uint64(tc.n)+90), tc.n)
-		d, err := Build(keys, tc.p, tc.seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := d.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(buf.Bytes())
-		if buf.Len() != tc.size || hex.EncodeToString(sum[:]) != tc.sha {
-			t.Errorf("n=%d seed=%d %+v: %d bytes, sha256 %x; want %d bytes, %s", tc.n, tc.seed, tc.p, buf.Len(), sum, tc.size, tc.sha)
+		reversed := append([]uint64(nil), keys...)
+		slices.Reverse(reversed)
+		for i, ks := range [][]uint64{keys, reversed} {
+			d, err := Build(ks, tc.p, tc.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := d.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			if buf.Len() != tc.size || hex.EncodeToString(sum[:]) != tc.sha {
+				t.Errorf("n=%d seed=%d %+v reversed=%v: %d bytes, sha256 %x; want %d bytes, %s",
+					tc.n, tc.seed, tc.p, i == 1, buf.Len(), sum, tc.size, tc.sha)
+			}
 		}
 	}
 }

@@ -80,6 +80,7 @@ package dynamic
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,7 +89,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hash"
 	"repro/internal/rng"
-	"repro/internal/scheme"
 	"repro/internal/telemetry/events"
 )
 
@@ -302,13 +302,14 @@ func (b *buffer) find(x uint64, h hash.Pairwise, tally []uint64) (slot int, tag 
 
 // epoch is one immutable published state: a static snapshot plus the buffer
 // absorbing the updates since. Readers obtain both with one pointer load.
-// baseKeys/baseSet describe the snapshot's key set; both are frozen before
-// the epoch is published, so writers consult baseSet without coordination.
+// baseSet holds the snapshot's key set for the claim path's O(1)
+// membership checks (base.Keys() enumerates the same keys for the next
+// rebuild); it is frozen before the epoch is published, so writers consult
+// it without coordination.
 type epoch struct {
-	base     *core.Dict
-	buf      *buffer
-	baseKeys []uint64        // the snapshot's keys, in build order
-	baseSet  map[uint64]bool // the same keys, for O(1) membership checks
+	base    *core.Dict
+	buf     *buffer
+	baseSet map[uint64]bool
 }
 
 // update is one buffered operation, logged for replay when a background
@@ -387,19 +388,16 @@ func New(initial []uint64, p Params, seed uint64) (*Dict, error) {
 		return st
 	}
 	d.cond = sync.NewCond(&d.mu)
-	if err := scheme.ValidateKeys(initial); err != nil {
-		return nil, fmt.Errorf("dynamic: %w", err)
-	}
 	d.n.Store(int64(len(initial)))
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.epoch = 1
-	keys := append([]uint64(nil), initial...)
 	started := time.Now()
-	d.emit(events.RebuildStart, 1, uint64(len(keys)), 0)
-	base, err := core.Build(keys, d.p.Static, d.seed+1)
+	d.emit(events.RebuildStart, 1, uint64(len(initial)), 0)
+	// core.Build validates the keys and retains no reference to them.
+	base, err := core.Build(initial, d.p.Static, d.seed+1)
 	d.rebuilding = true
-	d.finishRebuild(base, err, 1, keys, started)
+	d.finishRebuild(base, err, 1, initial, started)
 	if d.rebuildErr != nil {
 		return nil, d.rebuildErr
 	}
@@ -447,8 +445,9 @@ func (d *Dict) newBuffer(n, ep int) *buffer {
 
 // snapshotKeys derives the current key set from an epoch whose buffer has
 // been sealed and drained: the snapshot's keys minus tombstones, plus the
-// buffer's live inserts. The order (base order, then slot order) is
-// deterministic given a deterministic update sequence. Callers hold d.mu.
+// buffer's live inserts. The order (the base's bucket order, then slot
+// order) is deterministic given a deterministic update sequence, and the
+// build does not depend on it anyway. Callers hold d.mu.
 func snapshotKeys(e *epoch) []uint64 {
 	var inserted []uint64
 	deleted := make(map[uint64]bool)
@@ -461,12 +460,7 @@ func snapshotKeys(e *epoch) []uint64 {
 			deleted[key] = true
 		}
 	}
-	keys := make([]uint64, 0, len(e.baseKeys)+len(inserted))
-	for _, k := range e.baseKeys {
-		if !deleted[k] {
-			keys = append(keys, k)
-		}
-	}
+	keys := slices.DeleteFunc(e.base.Keys(), func(k uint64) bool { return deleted[k] })
 	return append(keys, inserted...)
 }
 
@@ -519,7 +513,7 @@ func (d *Dict) finishRebuild(base *core.Dict, err error, ep int, keys []uint64, 
 	for _, k := range keys {
 		set[k] = true
 	}
-	ne := &epoch{base: base, buf: d.newBuffer(n, ep), baseKeys: keys, baseSet: set}
+	ne := &epoch{base: base, buf: d.newBuffer(n, ep), baseSet: set}
 	// Replay the delta in log order. The ops were serialized by d.mu against
 	// the sealed old buffer, so replaying them one by one reconstructs the
 	// same membership on the new epoch; replay may exceed the hard cap (the

@@ -88,7 +88,32 @@ func TestInsertDeleteContains(t *testing.T) {
 }
 
 func TestIdempotentOps(t *testing.T) {
-	d := mustNew(t, []uint64{1, 2, 3}, 1)
+	initial := []uint64{1, 2, 3}
+	d, err := New(initial, Params{SyncRebuild: true}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The dictionary keeps no reference to the caller's keys: overwriting
+	// them changes no answer and no count, after New and after a rebuild.
+	qr := rng.New(2)
+	clobber := func(wantLen int) {
+		t.Helper()
+		for i := range initial {
+			initial[i] = 100 + uint64(i)
+		}
+		for _, k := range []uint64{1, 2, 3} {
+			if ok, err := d.Contains(k, qr); err != nil || !ok {
+				t.Fatalf("Contains(%d) = %v, %v after the caller's keys changed", k, ok, err)
+			}
+		}
+		if ok, _ := d.Contains(100, qr); ok {
+			t.Fatal("an overwritten caller key became a member")
+		}
+		if d.Len() != wantLen {
+			t.Fatalf("Len = %d after the caller's keys changed, want %d", d.Len(), wantLen)
+		}
+	}
+	clobber(3)
 	if changed, _ := d.Insert(2); changed {
 		t.Error("Insert of existing key reported change")
 	}
@@ -98,6 +123,14 @@ func TestIdempotentOps(t *testing.T) {
 	if d.Len() != 3 {
 		t.Errorf("Len = %d", d.Len())
 	}
+	// At n = 3 one buffered insert reaches the threshold and rebuilds inline.
+	if _, err := d.Insert(4); err != nil {
+		t.Fatal(err)
+	}
+	if ep := d.Stats().Epoch; ep != 2 {
+		t.Fatalf("epoch %d after the threshold insert, want 2", ep)
+	}
+	clobber(4)
 }
 
 func TestRejectsBadInput(t *testing.T) {

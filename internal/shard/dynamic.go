@@ -33,9 +33,9 @@ type DynamicDict struct {
 // keys. p configures every shard identically, except that when metricsFor
 // is non-nil shard i is built with p.Metrics replaced by metricsFor(i), so
 // each shard's rebuild telemetry lands in its own slot (the facade passes
-// telemetry.Telemetry.DynamicShard). Each shard's dynamic.New validates its
-// own keys; a duplicate routes to the shard its twin does, so that covers
-// the whole set.
+// telemetry.Telemetry.DynamicShard). Each shard's build (core.Build, through
+// dynamic.New) validates its own keys; a duplicate routes to the shard its
+// twin does, so that covers the whole set.
 func NewDynamic(initial []uint64, shards int, p dynamic.Params, seed uint64, metricsFor func(i int) dynamic.Metrics) (*DynamicDict, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: shard count %d must be ≥ 1", shards)
