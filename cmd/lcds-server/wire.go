@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -127,12 +128,29 @@ func expect(b []byte, i int, c byte) (int, bool) {
 // parseUint parses the digits of a canonical uint at b[i:] and returns
 // the value and the index after them. A leading 0 ends the number, so
 // "01" stops after the 0 and the caller's next check refuses the 1.
+//
+// While eight digits remain and cannot overflow (v < 10^11), they are read
+// as one little-endian word, checked in one test (every byte's high nibble
+// is 3, and still is after adding 6), and combined by three multiply–mask
+// steps: digit pairs, then fours, then the eight. The per-digit loop, with
+// its overflow check, finishes the number.
 func parseUint(b []byte, i int) (v uint64, next int, ok bool) {
 	if i >= len(b) || b[i] < '0' || b[i] > '9' {
 		return 0, i, false
 	}
 	if b[i] == '0' {
 		return 0, i + 1, true
+	}
+	const hi, threes, sixes = 0xf0f0f0f0f0f0f0f0, 0x3030303030303030, 0x0606060606060606
+	for len(b)-i >= 8 && v < 1e11 {
+		w := binary.LittleEndian.Uint64(b[i:])
+		if w&hi != threes || (w+sixes)&hi != threes {
+			break
+		}
+		w = (w & 0x0f0f0f0f0f0f0f0f) * (10<<8 + 1) >> 8
+		w = (w & 0x00ff00ff00ff00ff) * (100<<16 + 1) >> 16
+		v = v*1e8 + (w&0x0000ffff0000ffff)*(10000<<32+1)>>32
+		i += 8
 	}
 	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
 		d := uint64(b[i] - '0')

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -199,10 +200,72 @@ func TestBatchCodecZeroAlloc(t *testing.T) {
 	}
 }
 
+// parseUintPerDigit is parseUint with one digit per step, the reference
+// its eight-digit steps must agree with.
+func parseUintPerDigit(b []byte, i int) (v uint64, next int, ok bool) {
+	if i >= len(b) || b[i] < '0' || b[i] > '9' {
+		return 0, i, false
+	}
+	if b[i] == '0' {
+		return 0, i + 1, true
+	}
+	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+		d := uint64(b[i] - '0')
+		if v > (math.MaxUint64-d)/10 {
+			return 0, i, false
+		}
+		v = v*10 + d
+	}
+	return v, i, true
+}
+
+// TestParseUintMatchesPerDigit: parseUint returns what the per-digit
+// parser does, value, next index and ok, at every offset of buffers that
+// hold 1–20-digit keys, the largest uint64 and one past it, digit runs
+// ending on an 8-byte boundary and at the end of the buffer, and every
+// non-digit byte (the digits' neighbours '/' and ':', bytes that carry when
+// 6 is added) at every position of an eight-digit window.
+func TestParseUintMatchesPerDigit(t *testing.T) {
+	var bufs []string
+	digits := "98765432109876543210"
+	for n := 1; n <= 20; n++ {
+		bufs = append(bufs, digits[:n], "1"+strings.Repeat("0", n-1), strings.Repeat("9", n),
+			`{"keys":[`+digits[:n]+`,7]}`, digits[:n]+" ")
+	}
+	bufs = append(bufs, "18446744073709551615", "18446744073709551616", "18446744073709551620",
+		"99999999999999999999", "00000000", "0123456789", "1844674407370955161x",
+		"12345678", "1234567812345678", "x1234567", "xx12345678", "1234567,12345678,")
+	const window = "123456789012345678"
+	for pos := 0; pos < 8; pos++ {
+		for c := 0; c < 256; c++ {
+			if c >= '0' && c <= '9' {
+				continue
+			}
+			for _, at := range []int{1 + pos, 9 + pos} { // the first and second eight-digit step
+				b := []byte(window)
+				b[at] = byte(c)
+				bufs = append(bufs, string(b))
+			}
+		}
+	}
+	for _, buf := range bufs {
+		b := []byte(buf)
+		for i := 0; i <= len(b); i++ {
+			v, next, ok := parseUint(b, i)
+			wv, wnext, wok := parseUintPerDigit(b, i)
+			if v != wv || next != wnext || ok != wok {
+				t.Fatalf("parseUint(%q, %d) = (%d, %d, %v), want (%d, %d, %v)", b, i, v, next, ok, wv, wnext, wok)
+			}
+		}
+	}
+}
+
 // BenchmarkBatchHandler prices one /batch request through newServer's mux:
 // 1024 member keys drawn uniformly from n = 32768, decoded, answered by
 // the dictionary and encoded. Compared with the dictionary's own batch
 // benchmarks it gives the handler's self cost.
+// It reports ns/key, the unit of perfbench's server_cpu_us_per_op on
+// read-batch (one op is one key), in nanoseconds.
 func BenchmarkBatchHandler(b *testing.B) {
 	const n, seed, batch = 32768, 47, 1024
 	_, mux, err := newServer(n, seed, 1, 0.1, defaultTelemetry)
@@ -228,4 +291,5 @@ func BenchmarkBatchHandler(b *testing.B) {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
 }

@@ -156,7 +156,7 @@ func BuildDM(keys []uint64, seed uint64) (*DM, error) {
 			if dataPos+span > w {
 				return nil, fmt.Errorf("baseline: dm data overflow at group %d", g)
 			}
-			hstar, _, err := hash.FindPerfect(rand, subKeys[i], uint64(span), 1000)
+			hstar, _, err := hash.FindPerfect(rand, subKeys[i], uint64(span), 1000, nil)
 			if err != nil {
 				return nil, fmt.Errorf("baseline: dm sub-bucket (%d,%d): %w", g, i, err)
 			}

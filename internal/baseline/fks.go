@@ -102,7 +102,7 @@ func BuildFKS(keys []uint64, replicated bool, seed uint64) (*FKS, error) {
 			continue
 		}
 		span := l * l
-		hstar, _, err := hash.FindPerfect(r, buckets[b], uint64(span), 1000)
+		hstar, _, err := hash.FindPerfect(r, buckets[b], uint64(span), 1000, nil)
 		if err != nil {
 			return nil, fmt.Errorf("baseline: fks bucket %d: %w", b, err)
 		}

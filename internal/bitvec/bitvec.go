@@ -52,16 +52,6 @@ func (v *Vector) Append(bit bool) {
 	v.n++
 }
 
-// AppendRun appends count copies of bit.
-func (v *Vector) AppendRun(bit bool, count int) {
-	if count < 0 {
-		panic("bitvec: negative run length")
-	}
-	for i := 0; i < count; i++ {
-		v.Append(bit)
-	}
-}
-
 // Bit returns bit i. It panics if i is out of range.
 func (v *Vector) Bit(i int) bool {
 	if i < 0 || i >= v.n {
@@ -83,19 +73,36 @@ func (v *Vector) OnesCount() int {
 // for each load ℓ, ℓ one-bits followed by one zero-bit separator. The total
 // length is sum(loads) + len(loads) bits.
 func EncodeHistogram(loads []int) *Vector {
-	total := len(loads)
+	words, n := AppendHistogram(nil, loads)
+	return &Vector{words: words, n: n}
+}
+
+// AppendHistogram appends the words of EncodeHistogram(loads) to dst and
+// returns the extended slice and the histogram's length in bits. The
+// histogram starts on a fresh word, and its last word's unused high bits
+// are zero.
+func AppendHistogram(dst []uint64, loads []int) ([]uint64, int) {
+	n := len(loads)
 	for _, l := range loads {
 		if l < 0 {
 			panic("bitvec: negative load")
 		}
-		total += l
+		n += l
 	}
-	v := New(total)
+	base := len(dst)
+	dst = append(dst, make([]uint64, (n+63)/64)...)
+	w := dst[base:]
+	at := 0
 	for _, l := range loads {
-		v.AppendRun(true, l)
-		v.Append(false)
+		for l > 0 { // the run's ones, a word's share at a time
+			k := min(l, 64-at%64)
+			w[at/64] |= ^uint64(0) >> uint(64-k) << uint(at%64)
+			at += k
+			l -= k
+		}
+		at++ // the separator
 	}
-	return v
+	return dst, n
 }
 
 // DecodeHistogram decodes a unary group histogram of exactly count buckets.
@@ -163,43 +170,86 @@ func DecodeHistogramPrefix(v *Vector, count int) ([]int, error) {
 // DecodeHistogramPrefix on every input: for loads := DecodeHistogramPrefix(v,
 // count), sumSq = Σ_{k<count−1} loads[k]² and last = loads[count−1].
 //
-// The scan is word-at-a-time: within a word, the next separator is the
-// lowest zero bit at or beyond the cursor, and every bit between cursor and
-// separator is a one, so each bucket costs O(1) word operations instead of
-// one Bit call per unary digit.
+// Nothing walks the separators. A word's zero-bit popcount says whether the
+// count-th separator lies in it, and a broadword select finds it there. The
+// squares come from the runs of ones O before that separator: a run of ℓ
+// ones holds ℓ−j positions whose j lower neighbours are all ones, so
+// Σℓ² = |O| + 2·Σ_{j≥1} |A_j| with A_1 = O & (O<<1) and A_{j+1} =
+// A_j & (A_j<<1). A run that crosses into a word from the ones carried at
+// the top of the words before adds 2·carry·(the word's trailing ones).
+// The sum counts the count-th load too, so its square is taken back off.
 func HistogramPrefixSum(v *Vector, count int) (sumSq, last int, err error) {
 	if count < 1 {
 		return 0, 0, fmt.Errorf("bitvec: prefix sum needs count ≥ 1, got %d", count)
 	}
-	run := 0
-	decoded := 0
+	seps, carry := 0, 0
 	for wi := 0; wi*64 < v.n; wi++ {
-		valid := v.n - wi*64
-		if valid > 64 {
-			valid = 64
-		}
-		// Zero bits of the word are separators; mask the slack beyond the
-		// vector's length so it is neither ones nor separators.
-		z := ^v.words[wi]
-		if valid < 64 {
-			z &= 1<<uint(valid) - 1
-		}
-		start := 0
-		for z != 0 {
-			sep := bits.TrailingZeros64(z)
-			run += sep - start // bits in [start, sep) are all ones
-			decoded++
-			if decoded == count {
-				return sumSq, run, nil
+		valid := min(v.n-wi*64, 64)
+		mask := ^uint64(0) >> uint(64-valid) // the slack is neither ones nor separators
+		o := v.words[wi] & mask
+		zeros := valid - bits.OnesCount64(o)
+		if seps+zeros >= count {
+			p := select64(^o&mask, count-seps-1)
+			o &= 1<<uint(p) - 1
+			sumSq += runSquares(o) + 2*carry*bits.TrailingZeros64(^o)
+			// The ones just below the separator, and the carry too when they
+			// reach down to bit 0.
+			last = bits.LeadingZeros64(^(o << uint(64-p)))
+			if last == p {
+				last += carry
 			}
-			sumSq += run * run
-			run = 0
-			start = sep + 1
-			z &= z - 1
+			return sumSq - last*last, last, nil
 		}
-		run += valid - start // trailing ones carry into the next word
+		seps += zeros
+		sumSq += runSquares(o) + 2*carry*bits.TrailingZeros64(^o)
+		if o == mask {
+			carry += valid
+		} else {
+			carry = bits.LeadingZeros64(^(o << uint(64-valid)))
+		}
 	}
-	return 0, 0, fmt.Errorf("bitvec: histogram has %d separators, want %d", decoded, count)
+	return 0, 0, fmt.Errorf("bitvec: histogram has %d separators, want %d", seps, count)
+}
+
+// runSquares returns Σℓ² over the runs of ones in o, counting only the
+// part of each run inside the word.
+func runSquares(o uint64) int {
+	sq := bits.OnesCount64(o)
+	for a := o & (o << 1); a != 0; a &= a << 1 {
+		sq += 2 * bits.OnesCount64(a)
+	}
+	return sq
+}
+
+// selectInByte[b<<3|k] is the position of the k-th (from 0) set bit of b.
+var selectInByte [256 * 8]uint8
+
+func init() {
+	for b := 0; b < 256; b++ {
+		k := 0
+		for i := 0; i < 8; i++ {
+			if b>>uint(i)&1 == 1 {
+				selectInByte[b<<3|k] = uint8(i)
+				k++
+			}
+		}
+	}
+}
+
+// select64 returns the position of the k-th (from 0) set bit of x, which
+// must have more than k set bits. The byte holding it is found broadword
+// (Vigna, "Broadword implementation of rank/select queries", 2008): byte i
+// of byteSums counts the set bits of bytes 0..i, and the bytes whose count
+// is at most k lie wholly below the bit.
+func select64(x uint64, k int) int {
+	const l8, h8 = 0x0101010101010101, 0x8080808080808080
+	s := x - (x>>1)&0x5555555555555555
+	s = s&0x3333333333333333 + (s>>2)&0x3333333333333333
+	s = (s + s>>4) & 0x0f0f0f0f0f0f0f0f
+	byteSums := s * l8
+	place := bits.OnesCount64(((uint64(k)*l8|h8)-byteSums)&h8) * 8
+	rank := k - int((byteSums<<8)>>uint(place)&0xff)
+	return place + int(selectInByte[(x>>uint(place)&0xff)<<3|uint64(rank)])
 }
 
 // HistogramBits returns the exact number of bits needed to encode the given

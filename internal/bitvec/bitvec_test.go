@@ -119,7 +119,9 @@ func TestDecodeHistogramPrefixIgnoresPadding(t *testing.T) {
 	loads := []int{3, 0, 2, 5}
 	v := EncodeHistogram(loads)
 	// Simulate the query path: the cells may carry stale padding bits.
-	v.AppendRun(true, 9)
+	for i := 0; i < 9; i++ {
+		v.Append(true)
+	}
 	v.Append(false)
 	dec, err := DecodeHistogramPrefix(v, len(loads))
 	if err != nil {
@@ -290,3 +292,110 @@ func TestHistogramPrefixSumRandom(t *testing.T) {
 		}
 	}
 }
+
+// checkPrefixSum compares HistogramPrefixSum with the materializing decoder
+// on v at count: the same (sumSq, last), or the same error text.
+func checkPrefixSum(t *testing.T, v *Vector, count int) {
+	wantSq, wantLast, wantErr := prefixSumRef(v, count)
+	gotSq, gotLast, gotErr := HistogramPrefixSum(v, count)
+	if (gotErr != nil) != (wantErr != nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Helper()
+		t.Fatalf("words %#x (%d bits) count %d: err %v, want %v", v.Words(), v.Len(), count, gotErr, wantErr)
+	}
+	if gotSq != wantSq || gotLast != wantLast {
+		t.Helper()
+		t.Fatalf("words %#x (%d bits) count %d: (%d, %d), want (%d, %d)",
+			v.Words(), v.Len(), count, gotSq, gotLast, wantSq, wantLast)
+	}
+}
+
+// TestHistogramPrefixSumExhaustive16: every 16-bit vector, at every count
+// from 1 to one past its bit length, in a 16-bit vector and with the word's
+// upper bits set as slack that the decoder must ignore.
+func TestHistogramPrefixSumExhaustive16(t *testing.T) {
+	for w := uint64(0); w < 1<<16; w++ {
+		for _, word := range []uint64{w, w | 0xffffffffffff0000} {
+			v := FromWords([]uint64{word}, 16)
+			for count := 1; count <= 17; count++ {
+				checkPrefixSum(t, v, count)
+			}
+		}
+	}
+}
+
+// TestHistogramPrefixSumRandomWords: random 1–4-word vectors whose bit
+// length is not a multiple of 64, drawn so that long runs of ones cross word
+// boundaries, whole words are all ones, and many counts ask for more
+// separators than the vector holds.
+func TestHistogramPrefixSumRandomWords(t *testing.T) {
+	r := rng.New(91)
+	for trial := 0; trial < 5000; trial++ {
+		words := make([]uint64, 1+r.Intn(4))
+		for i := range words {
+			switch r.Intn(4) {
+			case 0:
+				words[i] = ^uint64(0)
+			case 1:
+				words[i] = r.Uint64()
+			default: // sparse zeros: runs of ones several words long
+				words[i] = ^(r.Uint64() & r.Uint64() & r.Uint64() & r.Uint64())
+			}
+		}
+		nbits := len(words)*64 - 1 - r.Intn(63)
+		v := FromWords(words, nbits)
+		for count := 1; count <= nbits+1; count += 1 + r.Intn(4) {
+			checkPrefixSum(t, v, count)
+		}
+	}
+}
+
+// TestSelect64: the broadword select finds every set bit of random and edge
+// words.
+func TestSelect64(t *testing.T) {
+	r := rng.New(5)
+	words := []uint64{1, 1 << 63, ^uint64(0), 0x8000000000000001, 0x00ff00ff00ff00ff}
+	for i := 0; i < 2000; i++ {
+		words = append(words, r.Uint64()&r.Uint64())
+	}
+	for _, w := range words {
+		k := 0
+		for i := 0; i < 64; i++ {
+			if w>>uint(i)&1 == 0 {
+				continue
+			}
+			if got := select64(w, k); got != i {
+				t.Fatalf("select64(%#x, %d) = %d, want %d", w, k, got, i)
+			}
+			k++
+		}
+	}
+}
+
+// BenchmarkHistogramPrefixSum decodes group histograms shaped like the
+// dictionary's at n=32768 — 83 buckets holding about 41 keys, one or two
+// words — at uniformly drawn bucket positions, as the query's phase 3 does.
+func BenchmarkHistogramPrefixSum(b *testing.B) {
+	const groups, buckets, keys = 256, 83, 41
+	r := rng.New(12)
+	vecs := make([]*Vector, groups)
+	for g := range vecs {
+		loads := make([]int, buckets)
+		for k := 0; k < keys; k++ {
+			loads[r.Intn(buckets)]++
+		}
+		words, _ := AppendHistogram(nil, loads)
+		words = append(words, make([]uint64, 4-len(words))...) // the ρ=2 cells' padding
+		vecs[g] = FromWords(words, 256)
+	}
+	counts := make([]int, 1024)
+	for i := range counts {
+		counts[i] = 1 + r.Intn(buckets)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sq, last, _ := HistogramPrefixSum(vecs[i%groups], counts[i%len(counts)])
+		prefixSumSink += sq + last
+	}
+}
+
+var prefixSumSink int

@@ -62,34 +62,23 @@ func FuzzHistogramRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDecodeNeverPanics: arbitrary words must decode or error, not panic,
-// and the two prefix decoders must agree on arbitrary (even corrupt) input.
+// FuzzDecodeNeverPanics: arbitrary words of any bit length from 1 to 128,
+// partial last words included, must decode or error, not panic, and the two
+// prefix decoders must agree on arbitrary (even corrupt) input, down to the
+// error text.
 func FuzzDecodeNeverPanics(f *testing.F) {
-	f.Add(uint64(0), uint64(0), 5)
-	f.Add(^uint64(0), uint64(1)<<63, 100)
-	f.Fuzz(func(t *testing.T, w0, w1 uint64, count int) {
+	f.Add(uint64(0), uint64(0), uint8(127), 5)
+	f.Add(^uint64(0), uint64(1)<<63, uint8(127), 100)
+	f.Add(^uint64(0), ^uint64(0)>>3, uint8(100), 1)
+	f.Fuzz(func(t *testing.T, w0, w1 uint64, nbits uint8, count int) {
 		if count < 0 || count > 200 {
 			return
 		}
-		v := FromWords([]uint64{w0, w1}, 128)
+		v := FromWords([]uint64{w0, w1}, 1+int(nbits)%128)
 		_, _ = DecodeHistogram(v, count)
-		loads, decErr := DecodeHistogramPrefix(v, count)
-		if count < 1 {
-			return
-		}
-		sumSq, last, sumErr := HistogramPrefixSum(v, count)
-		if (decErr != nil) != (sumErr != nil) {
-			t.Fatalf("decoders disagree on error: %v vs %v", decErr, sumErr)
-		}
-		if decErr != nil {
-			return
-		}
-		wantSq := 0
-		for _, l := range loads[:count-1] {
-			wantSq += l * l
-		}
-		if sumSq != wantSq || last != loads[count-1] {
-			t.Fatalf("decoders disagree: (%d, %d), want (%d, %d)", sumSq, last, wantSq, loads[count-1])
+		_, _ = DecodeHistogramPrefix(v, count)
+		if count >= 1 {
+			checkPrefixSum(t, v, count)
 		}
 	})
 }

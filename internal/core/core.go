@@ -384,8 +384,10 @@ type phSource func(bucket int, keys []uint64, span int) (hash.Pairwise, int, err
 
 // layout fills the table rows from the accepted hash functions.
 func (dict *Dict) layout(keys []uint64, p Params, rand *rng.RNG) error {
+	maxLoad := hash.MaxLoad(dict.hLoads)
+	seen := make([]bool, maxLoad*maxLoad) // every bucket's search shares it
 	finder := func(_ int, bucketKeys []uint64, span int) (hash.Pairwise, int, error) {
-		return hash.FindPerfect(rand, bucketKeys, uint64(span), p.PerfectMaxTries)
+		return hash.FindPerfect(rand, bucketKeys, uint64(span), p.PerfectMaxTries, seen)
 	}
 	dict.phA = make([]uint64, dict.s)
 	dict.phB = make([]uint64, dict.s)
@@ -431,19 +433,22 @@ func (dict *Dict) layoutWith(keys []uint64, ph phSource) error {
 	}
 	dict.offsets = offsets
 
-	// Group histograms, and ρ from the realized maximum bit length.
-	groupWords := make([][]uint64, m)
+	// Group histograms, encoded one after another into one word arena
+	// (group grp's words are arena[wordAt[grp]:wordAt[grp+1]]), and ρ
+	// from the realized maximum bit length. A group's histogram takes
+	// bucketsPerGroup separators plus its keys in bits.
+	arena := make([]uint64, 0, (len(keys)+s)/64+m)
+	wordAt := make([]int, m+1)
+	loads := make([]int, bucketsPerGroup)
 	maxBits := 1
 	for grp := 0; grp < m; grp++ {
-		loads := make([]int, bucketsPerGroup)
-		for k := 0; k < bucketsPerGroup; k++ {
+		for k := range loads {
 			loads[k] = dict.hLoads[k*m+grp]
 		}
-		v := bitvec.EncodeHistogram(loads)
-		if v.Len() > maxBits {
-			maxBits = v.Len()
-		}
-		groupWords[grp] = v.Words()
+		var nbits int
+		arena, nbits = bitvec.AppendHistogram(arena, loads)
+		maxBits = max(maxBits, nbits)
+		wordAt[grp+1] = len(arena)
 	}
 	rho := (maxBits + 127) / 128
 	dict.rho = rho
@@ -480,8 +485,7 @@ func (dict *Dict) layoutWith(keys []uint64, ph phSource) error {
 	gvals := make([]cellprobe.Cell, (1+rho)*m)
 	for grp, v := range gbas {
 		gvals[grp].Lo = v
-		words := groupWords[grp]
-		for i, word := range words {
+		for i, word := range arena[wordAt[grp]:wordAt[grp+1]] {
 			c := &gvals[(1+i/2)*m+grp]
 			if i%2 == 0 {
 				c.Lo = word

@@ -8,6 +8,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/cellprobe"
 	"repro/internal/hash"
+	"repro/internal/modarith"
 	"repro/internal/rng"
 )
 
@@ -459,8 +460,9 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 				sc.logProbe(s.log, d+i, tab.Index(d+i, cg))
 			}
 		}
-		s.gx = int(hash.EvalFromCoef(sc.gc, uint64(dict.r), s.x))
-		s.fsum = hash.EvalFromCoef(sc.fc, uint64(dict.s), s.x)
+		gv, fv := modarith.PolyEval2(sc.gc, sc.fc, s.x)
+		s.gx = int(gv % uint64(dict.r))
+		s.fsum = fv % uint64(dict.s)
 		s.col = dict.zReplicaCol(s.gx, s.kz)
 		s.stage = wfZ
 

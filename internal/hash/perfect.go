@@ -56,12 +56,16 @@ func (h Pairwise) IsInjectiveOn(keys []uint64, scratch []bool) bool {
 // keys, by rejection sampling. With m ≥ |keys|² pairwise independence makes
 // each trial succeed with probability ≥ 1/2 (paper §2.1), so the expected
 // number of trials is ≤ 2. It returns the function and the number of trials
-// used, or an error after maxTries failures.
-func FindPerfect(r *rng.RNG, keys []uint64, m uint64, maxTries int) (Pairwise, int, error) {
+// used, or an error after maxTries failures. scratch, if at least m long,
+// holds the injectivity test's marks, so a caller that searches many ranges
+// can pass one slice sized to the largest; otherwise a slice is allocated.
+func FindPerfect(r *rng.RNG, keys []uint64, m uint64, maxTries int, scratch []bool) (Pairwise, int, error) {
 	if uint64(len(keys)) > m {
 		return Pairwise{}, 0, fmt.Errorf("hash: %d keys cannot be perfect-hashed into range %d", len(keys), m)
 	}
-	scratch := make([]bool, m)
+	if uint64(len(scratch)) < m {
+		scratch = make([]bool, m)
+	}
 	for try := 1; try <= maxTries; try++ {
 		h := NewPairwise(r, m)
 		if h.IsInjectiveOn(keys, scratch) {

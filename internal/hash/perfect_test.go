@@ -47,7 +47,7 @@ func TestFindPerfectInjective(t *testing.T) {
 		if m == 0 {
 			m = 1
 		}
-		h, tries, err := FindPerfect(r, keys, m, 200)
+		h, tries, err := FindPerfect(r, keys, m, 200, nil)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -77,7 +77,7 @@ func TestFindPerfectExpectedTries(t *testing.T) {
 	const runs = 200
 	for i := 0; i < runs; i++ {
 		keys := distinctKeys(r, n)
-		_, tries, err := FindPerfect(r, keys, n*n, 500)
+		_, tries, err := FindPerfect(r, keys, n*n, 500, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestFindPerfectExpectedTries(t *testing.T) {
 func TestFindPerfectImpossible(t *testing.T) {
 	r := rng.New(24)
 	keys := distinctKeys(r, 5)
-	if _, _, err := FindPerfect(r, keys, 4, 10); err == nil {
+	if _, _, err := FindPerfect(r, keys, 4, 10, nil); err == nil {
 		t.Error("5 keys into range 4 did not fail")
 	}
 }
@@ -101,15 +101,35 @@ func TestFindPerfectGivesUp(t *testing.T) {
 	// with maxTries = 0 semantics (loop never runs) we must get an error.
 	r := rng.New(25)
 	keys := distinctKeys(r, 3)
-	if _, _, err := FindPerfect(r, keys, 9, 0); err == nil {
+	if _, _, err := FindPerfect(r, keys, 9, 0, nil); err == nil {
 		t.Error("maxTries=0 did not fail")
+	}
+}
+
+// TestFindPerfectSharedScratch: a scratch longer than the range, left
+// dirty by earlier searches, finds the same function in the same number of
+// tries as a fresh one, for ranges of every size up to its length.
+func TestFindPerfectSharedScratch(t *testing.T) {
+	shared := make([]bool, 400)
+	for i := range shared {
+		shared[i] = true
+	}
+	for l := 1; l <= 20; l++ {
+		keys := distinctKeys(rng.New(uint64(l)), l)
+		m := uint64(l * l)
+		want, wantTries, wantErr := FindPerfect(rng.New(uint64(l)+50), keys, m, 200, nil)
+		got, gotTries, gotErr := FindPerfect(rng.New(uint64(l)+50), keys, m, 200, shared)
+		if got != want || gotTries != wantTries || (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("ℓ=%d: shared scratch gave %+v in %d tries (%v), fresh %+v in %d (%v)",
+				l, got, gotTries, gotErr, want, wantTries, wantErr)
+		}
 	}
 }
 
 func TestIsInjectiveOnScratchReuse(t *testing.T) {
 	r := rng.New(26)
 	keys := distinctKeys(r, 10)
-	h, _, err := FindPerfect(r, keys, 100, 100)
+	h, _, err := FindPerfect(r, keys, 100, 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +206,7 @@ func BenchmarkFindPerfect25Keys(b *testing.B) {
 	keys := distinctKeys(r, 25)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := FindPerfect(r, keys, 625, 500); err != nil {
+		if _, _, err := FindPerfect(r, keys, 625, 500, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -63,17 +63,6 @@ func (h Poly) Eval(x uint64) uint64 {
 	return modarith.PolyEval(h.Coef, x) % h.M
 }
 
-// EvalFromCoef evaluates the H^d_m member with the given coefficients at x
-// without constructing a Poly value — the query algorithm's in-place
-// evaluation over coefficient buffers it just read from table cells. It is
-// exactly PolyFromCoef(coef, m).Eval(x).
-func EvalFromCoef(coef []uint64, m uint64, x uint64) uint64 {
-	if m < 1 {
-		panic("hash: EvalFromCoef needs m ≥ 1")
-	}
-	return modarith.PolyEval(coef, x) % m
-}
-
 // EvalField returns the polynomial value in F_p before the reduction to [M).
 // The dictionary stores field values and reduces at query time so that the
 // same coefficients can serve several ranges (h into [s] and h′ into [m]).

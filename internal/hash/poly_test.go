@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/modarith"
 	"repro/internal/rng"
 )
 
@@ -242,16 +243,20 @@ func distinctKeys(r *rng.RNG, n int) []uint64 {
 	return keys
 }
 
-func TestEvalFromCoefMatchesPoly(t *testing.T) {
+// TestPolyEval2MatchesPoly: the query's evaluation of f and g from the
+// coefficients it read, in one fused loop and reduced to each range, is
+// exactly each Poly's own Eval.
+func TestPolyEval2MatchesPoly(t *testing.T) {
 	r := rng.New(31)
 	for trial := 0; trial < 200; trial++ {
 		d := 1 + r.Intn(6)
-		m := 1 + r.Uint64n(1<<40)
-		h := NewPoly(r, d, m)
+		f := NewPoly(r, d, 1+r.Uint64n(1<<40))
+		g := NewPoly(r, d, 1+r.Uint64n(1<<40))
 		for q := 0; q < 20; q++ {
 			x := r.Uint64n(MaxKey)
-			if got, want := EvalFromCoef(h.Coef, m, x), h.Eval(x); got != want {
-				t.Fatalf("EvalFromCoef(d=%d, m=%d, x=%d) = %d, want %d", d, m, x, got, want)
+			fv, gv := modarith.PolyEval2(f.Coef, g.Coef, x)
+			if fv%f.M != f.Eval(x) || gv%g.M != g.Eval(x) {
+				t.Fatalf("d=%d x=%d: fused (%d, %d), want (%d, %d)", d, x, fv%f.M, gv%g.M, f.Eval(x), g.Eval(x))
 			}
 		}
 	}

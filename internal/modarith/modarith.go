@@ -6,6 +6,12 @@
 // order exceeds the key universe. p = 2^61 - 1 supports universes up to
 // 2^61 - 2 keys while keeping every intermediate product within 128 bits,
 // so all operations reduce with shifts and adds instead of division.
+//
+// Polynomial evaluation reduces lazily. Each Horner step folds its sum with
+// x&P + x>>61, which keeps the accumulator below 2^61+8 and congruent mod P
+// without a conditional subtract, and one Reduce at the end lands the value
+// in [0, P). PolyEval2 runs two such accumulators in one loop, which is how
+// the dictionary's query evaluates its hash pair f and g.
 package modarith
 
 import "math/bits"
@@ -90,10 +96,37 @@ func Inv(a uint64) uint64 {
 // F_P using Horner's rule. coef[i] is the coefficient of x^i. The empty
 // polynomial evaluates to 0.
 func PolyEval(coef []uint64, x uint64) uint64 {
-	x = Reduce(x)
+	x = fold(x)
 	var acc uint64
 	for i := len(coef) - 1; i >= 0; i-- {
-		acc = Add(Mul(acc, x), Reduce(coef[i]))
+		acc = hornerStep(acc, x, coef[i])
 	}
-	return acc
+	return Reduce(acc)
+}
+
+// PolyEval2 evaluates two polynomials with the same number of coefficients
+// at x in one Horner loop, returning PolyEval(a, x) and PolyEval(b, x). b
+// must be at least as long as a; its coefficients past len(a) are ignored.
+func PolyEval2(a, b []uint64, x uint64) (uint64, uint64) {
+	x = fold(x)
+	b = b[:len(a)]
+	var accA, accB uint64
+	for i := len(a) - 1; i >= 0; i-- {
+		accA = hornerStep(accA, x, a[i])
+		accB = hornerStep(accB, x, b[i])
+	}
+	return Reduce(accA), Reduce(accB)
+}
+
+// fold returns a value below 2^61+8 that is congruent to x mod P, without a
+// branch: x&P < 2^61 and x>>61 < 8.
+func fold(x uint64) uint64 { return x&P + x>>61 }
+
+// hornerStep returns acc·x + c mod P, folded below 2^61+8, for acc and x
+// below 2^61+8 and any c. The product is below 2^123, so its limbs above
+// and below bit 61 are below 2^62 and 2^61, and the three terms sum below
+// 2^63.
+func hornerStep(acc, x, c uint64) uint64 {
+	hi, lo := bits.Mul64(acc, x)
+	return fold(lo&P + (lo>>61 | hi<<3) + fold(c))
 }

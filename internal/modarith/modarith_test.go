@@ -1,7 +1,9 @@
 package modarith
 
 import (
+	"math"
 	"math/big"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -164,6 +166,57 @@ func TestPolyEvalMatchesBig(t *testing.T) {
 	}
 }
 
+// polyEvalBig is Σ coef[i]·x^i mod P in big integers.
+func polyEvalBig(coef []uint64, x uint64) uint64 {
+	acc := big.NewInt(0)
+	xb := new(big.Int).SetUint64(x)
+	for i := len(coef) - 1; i >= 0; i-- {
+		acc.Mul(acc, xb)
+		acc.Add(acc, new(big.Int).SetUint64(coef[i]))
+		acc.Mod(acc, bigP())
+	}
+	return acc.Uint64()
+}
+
+// TestPolyEval2MatchesPolyEval: the fused evaluation equals PolyEval, and
+// both equal the big-integer value, for degrees 1..6 with every coefficient
+// drawn from the lazy fold's edges (P−1, P, P+1, 2^61+7, 2^64−1, 0, random)
+// and x at and above P.
+func TestPolyEval2MatchesPolyEval(t *testing.T) {
+	edges := []uint64{0, 1, P - 1, P, P + 1, 1<<61 + 7, 1<<63 - 1, math.MaxUint64}
+	xs := append([]uint64{0, 1, 2, P - 1, P, P + 1, 2 * P, 1<<61 + 7, math.MaxUint64 - 1, math.MaxUint64}, edges...)
+	r := rand.New(rand.NewSource(8))
+	pick := func() uint64 {
+		if r.Intn(3) == 0 {
+			return r.Uint64()
+		}
+		return edges[r.Intn(len(edges))]
+	}
+	for d := 1; d <= 6; d++ {
+		for trial := 0; trial < 300; trial++ {
+			a, b := make([]uint64, d), make([]uint64, d)
+			for i := range a {
+				a[i], b[i] = pick(), pick()
+			}
+			if trial == 0 { // the largest accumulator every step
+				for i := range a {
+					a[i], b[i] = math.MaxUint64, P-1
+				}
+			}
+			for _, x := range append(xs, r.Uint64()) {
+				ga, gb := PolyEval2(a, b, x)
+				wa, wb := PolyEval(a, x), PolyEval(b, x)
+				if ga != wa || gb != wb {
+					t.Fatalf("PolyEval2(%#x, %#x, %#x) = (%d, %d), PolyEval (%d, %d)", a, b, x, ga, gb, wa, wb)
+				}
+				if exact := polyEvalBig(a, x); wa != exact {
+					t.Fatalf("PolyEval(%#x, %#x) = %d, want %d", a, x, wa, exact)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkMul(b *testing.B) {
 	x, y := uint64(0x1234567890abcde), uint64(0x0fedcba987654321)&P
 	var sink uint64
@@ -181,3 +234,16 @@ func BenchmarkPolyEval4(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkPolyEval2D4 evaluates a degree-4 pair at one point and reduces
+// the values to two ranges, as the dictionary's query does with f and g.
+func BenchmarkPolyEval2D4(b *testing.B) {
+	f := []uint64{0x1234567890abcde, 0x0fedcba98765432, 0x13579bdf2468ace, 0x1ff0ee1dd2cc3bb}
+	g := []uint64{0x0abcdef12345678, 0x1a2b3c4d5e6f708, 0x0123456789abcde, 0x1edcba987654321}
+	for i := 0; i < b.N; i++ {
+		gv, fv := PolyEval2(g, f, polyEval2Sink|uint64(i))
+		polyEval2Sink += gv%10007 + fv%1000003
+	}
+}
+
+var polyEval2Sink uint64

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dynamic"
@@ -25,8 +26,9 @@ import (
 // scheme.Scheme: probe accounting lives inside each shard (see
 // dynamic.Dict.Stats).
 type DynamicDict struct {
-	route  hash.Pairwise
-	shards []*dynamic.Dict
+	route   hash.Pairwise
+	shards  []*dynamic.Dict
+	batches sync.Pool // *batchState reused across batches
 }
 
 // NewDynamic builds a P-way sharded dynamic dictionary over the initial
@@ -47,6 +49,7 @@ func NewDynamic(initial []uint64, shards int, p dynamic.Params, seed uint64, met
 		parts[i] = append(parts[i], k)
 	}
 	d := &DynamicDict{route: route, shards: make([]*dynamic.Dict, shards)}
+	d.batches.New = newBatchState(shards, d.answerShard)
 	for i, part := range parts {
 		sp := p
 		if metricsFor != nil {
@@ -122,12 +125,14 @@ func (d *DynamicDict) DeleteBatch(keys []uint64) (int, error) {
 }
 
 // updateBatch applies a batch update. A 1-shard composite hands the batch
-// straight to its shard, skipping the grouping allocations.
+// straight to its shard, skipping the grouping.
 func (d *DynamicDict) updateBatch(keys []uint64, del bool) (int, error) {
 	if len(d.shards) == 1 {
 		return apply(d.shards[0], keys, del)
 	}
-	return fanOut(d.groupBatch(keys), true, func(shard int, g group) (int, error) {
+	st := d.groupBatch(keys)
+	defer d.batches.Put(st)
+	return fanOut(st.groups, true, func(shard int, g group) (int, error) {
 		return apply(d.shards[shard], g.keys, del)
 	})
 }
@@ -163,22 +168,19 @@ func (d *DynamicDict) Len() int {
 	return n
 }
 
-func (d *DynamicDict) groupBatch(keys []uint64) []group {
-	return groupBatch(keys, len(d.shards), d.ShardOf)
+// groupBatch takes a batch state from the pool and groups the batch in it
+// by shard.
+func (d *DynamicDict) groupBatch(keys []uint64) *batchState {
+	st := d.batches.Get().(*batchState)
+	st.group(keys, d.ShardOf)
+	return st
 }
 
-// answerGroup answers one shard's group. dynamic.ContainsBatch pins one
-// epoch for the whole group, so each shard's slice of the batch is answered
-// against a single snapshot.
-func (d *DynamicDict) answerGroup(shard int, g group, out []bool, r rng.Source) error {
-	ans := make([]bool, len(g.keys))
-	if err := d.shards[shard].ContainsBatch(g.keys, ans, r); err != nil {
-		return err
-	}
-	for j, i := range g.idx {
-		out[i] = ans[j]
-	}
-	return nil
+// answerShard answers one shard's keys into ans. dynamic.ContainsBatch
+// pins one epoch for the whole group, so each shard's slice of the batch is
+// answered against a single snapshot.
+func (d *DynamicDict) answerShard(shard int, keys []uint64, ans []bool, r rng.Source) error {
+	return d.shards[shard].ContainsBatch(keys, ans, r)
 }
 
 // ContainsBatch answers membership for every keys[i] into out[i]. The batch
@@ -198,15 +200,15 @@ func (d *DynamicDict) ContainsBatchParallel(keys []uint64, out []bool, r rng.Sou
 }
 
 // containsBatch answers a batch through fanOut. A 1-shard composite hands
-// the batch straight to its shard, which answers it without allocating.
+// the batch straight to its shard; a wider one groups it in a pooled batch
+// state, so neither allocates (the parallel fan-out's goroutines aside).
 func (d *DynamicDict) containsBatch(keys []uint64, out []bool, r rng.Source, parallel bool) error {
 	if len(d.shards) == 1 {
 		return d.shards[0].ContainsBatch(keys, out, r)
 	}
-	_, err := fanOut(d.groupBatch(keys), parallel, func(shard int, g group) (int, error) {
-		return 0, d.answerGroup(shard, g, out, r)
-	})
-	return err
+	st := d.groupBatch(keys)
+	defer d.batches.Put(st)
+	return st.answerAll(out, r, parallel)
 }
 
 // Rebuilds returns the total number of rebuilds across all shards (each

@@ -35,6 +35,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/cellprobe"
@@ -68,6 +69,7 @@ type Dict struct {
 	n       int
 	probes  int // 1 + max over shards of MaxProbes
 	scratch sync.Pool
+	batches sync.Pool // *batchState reused across batches
 }
 
 // New builds a P-way composite over the given keys, constructing every
@@ -97,6 +99,7 @@ func New(keys []uint64, shards int, build scheme.Builder, seed uint64) (*Dict, e
 		n:       len(keys),
 	}
 	d.scratch.New = func() any { return new(core.QueryScratch) }
+	d.batches.New = newBatchState(shards, d.answerShard)
 	total, steps, maxP := 0, 1, 0
 	for i, part := range parts {
 		st, err := build(part, subseed(seed, i))
@@ -238,23 +241,68 @@ func (d *Dict) ContainsTraced(x uint64, r rng.Source, sc *core.QueryScratch) (fo
 	return found, shard, err
 }
 
-// group is one shard's slice of a batch: its keys and their positions in
-// the batch.
+// group is one shard's slice of a batch: its keys, their positions in the
+// batch, and room for their answers.
 type group struct {
 	keys []uint64
 	idx  []int
+	ans  []bool
 }
 
-// groupBatch groups a batch by the shard route assigns each key, calling
-// route once per key in batch order.
-func groupBatch(keys []uint64, shards int, route func(uint64) int) []group {
-	groups := make([]group, shards)
-	for i, k := range keys {
-		g := route(k)
-		groups[g].keys = append(groups[g].keys, k)
-		groups[g].idx = append(groups[g].idx, i)
+// batchState is one batch's grouping by shard and the output and source
+// its groups answer into and draw from. Both composites pool their states,
+// so a batch reuses the slices of the ones before it; answer is bound to
+// its state once, when the pool makes it, so a batch builds no closure.
+type batchState struct {
+	groups []group
+	out    []bool
+	r      rng.Source
+	answer func(shard int, g group) (int, error)
+}
+
+// newBatchState returns the pool constructor of a composite whose
+// answerShard answers one shard's keys into ans; a state's answer does that
+// for a group and copies the answers into the batch's output.
+func newBatchState(shards int, answerShard func(shard int, keys []uint64, ans []bool, r rng.Source) error) func() any {
+	return func() any {
+		st := &batchState{groups: make([]group, shards)}
+		st.answer = func(shard int, g group) (int, error) {
+			if err := answerShard(shard, g.keys, g.ans, st.r); err != nil {
+				return 0, err
+			}
+			for j, i := range g.idx {
+				st.out[i] = g.ans[j]
+			}
+			return 0, nil
+		}
+		return st
 	}
-	return groups
+}
+
+// group groups a batch by the shard route assigns each key, calling route
+// once per key in batch order, and sizes every group's answers.
+func (st *batchState) group(keys []uint64, route func(uint64) int) {
+	for g := range st.groups {
+		st.groups[g].keys, st.groups[g].idx = st.groups[g].keys[:0], st.groups[g].idx[:0]
+	}
+	for i, k := range keys {
+		g := &st.groups[route(k)]
+		g.keys = append(g.keys, k)
+		g.idx = append(g.idx, i)
+	}
+	for g := range st.groups {
+		grp := &st.groups[g]
+		grp.ans = slices.Grow(grp.ans[:0], len(grp.keys))[:len(grp.keys)]
+	}
+}
+
+// answerAll answers every group into out through fanOut, drawing from r,
+// and drops both references before the state goes back to its pool.
+func (st *batchState) answerAll(out []bool, r rng.Source, parallel bool) error {
+	st.out, st.r = out, r
+	_, err := fanOut(st.groups, parallel, st.answer)
+	st.out, st.r = nil, nil
+	return err
 }
 
 // fanOut runs do on every non-empty group and sums the counts it returns.
@@ -308,41 +356,37 @@ func fanOut(groups []group, parallel bool, do func(shard int, g group) (int, err
 	return total, first
 }
 
-// routeBatch routes every key (consuming one routing probe per key, exactly
-// as Contains would) and groups the batch by shard.
-func (d *Dict) routeBatch(keys []uint64, r rng.Source) []group {
-	return groupBatch(keys, len(d.shards), func(k uint64) int {
+// routeBatch takes a batch state from the pool and groups the batch in it
+// by routing every key, consuming one routing probe per key exactly as
+// Contains would.
+func (d *Dict) routeBatch(keys []uint64, r rng.Source) *batchState {
+	st := d.batches.Get().(*batchState)
+	st.group(keys, func(k uint64) int {
 		g, _ := d.routeProbe(k, r, nil)
 		return g
 	})
+	return st
 }
 
-// answerGroup answers one shard's group, batching through the inner
-// dictionary's own batch path when it has one — for core dictionaries that
-// is the wavefront scheduler, so a sharded batch gets memory-level
+// answerShard answers one shard's keys into ans, batching through the
+// inner dictionary's own batch path when it has one — for core dictionaries
+// that is the wavefront scheduler, so a sharded batch gets memory-level
 // parallelism within each shard on top of the cross-shard fan-out. The
-// group draws from r localised on its own pooled scratch, so concurrent
+// shard draws from r localised on its own pooled scratch, so concurrent
 // groups may share one rng.Sharded r.
-func (d *Dict) answerGroup(shard int, g group, out []bool, r rng.Source) error {
+func (d *Dict) answerShard(shard int, keys []uint64, ans []bool, r rng.Source) error {
 	sc := d.scratch.Get().(*core.QueryScratch)
 	defer d.scratch.Put(sc)
 	r = sc.Source(r)
 	if cd, ok := d.shards[shard].(*core.Dict); ok {
-		ans := make([]bool, len(g.keys))
-		if err := cd.ContainsBatch(g.keys, ans, r, sc); err != nil {
-			return err
-		}
-		for j, i := range g.idx {
-			out[i] = ans[j]
-		}
-		return nil
+		return cd.ContainsBatch(keys, ans, r, sc)
 	}
-	for j, k := range g.keys {
+	for j, k := range keys {
 		ok, err := d.shards[shard].Contains(k, r)
 		if err != nil {
 			return err
 		}
-		out[g.idx[j]] = ok
+		ans[j] = ok
 	}
 	return nil
 }
@@ -351,12 +395,15 @@ func (d *Dict) answerGroup(shard int, g group, out []bool, r rng.Source) error {
 // sequentially: the batch is routed up front, grouped by shard, and each
 // group answered in shard order against that shard's batch path. out must
 // be at least as long as keys. Routing and every group draw from one stream
-// localised on a pooled scratch (core.QueryScratch.Source).
+// localised on a pooled scratch (core.QueryScratch.Source). The grouping
+// lives in a pooled batch state, so a batch allocates nothing.
 func (d *Dict) ContainsBatch(keys []uint64, out []bool, r rng.Source) error {
 	sc := d.scratch.Get().(*core.QueryScratch)
 	defer d.scratch.Put(sc)
 	r = sc.Source(r)
-	return d.answerGroups(d.routeBatch(keys, r), out, r, false)
+	st := d.routeBatch(keys, r)
+	defer d.batches.Put(st)
+	return st.answerAll(out, r, false)
 }
 
 // ContainsBatchParallel is ContainsBatch with the per-shard groups answered
@@ -364,20 +411,13 @@ func (d *Dict) ContainsBatch(keys []uint64, out []bool, r rng.Source) error {
 // The source must be safe for concurrent use (rng.Sharded is; an *rng.RNG
 // is not) whenever the batch spans more than one shard. Routing draws from
 // a stream localised on the calling goroutine; each group goroutine
-// localises the shared r for itself (answerGroup).
+// localises the shared r for itself (answerShard).
 func (d *Dict) ContainsBatchParallel(keys []uint64, out []bool, r rng.Source) error {
 	sc := d.scratch.Get().(*core.QueryScratch)
-	groups := d.routeBatch(keys, sc.Source(r))
+	st := d.routeBatch(keys, sc.Source(r))
 	d.scratch.Put(sc)
-	return d.answerGroups(groups, out, r, true)
-}
-
-// answerGroups answers every group through fanOut.
-func (d *Dict) answerGroups(groups []group, out []bool, r rng.Source, parallel bool) error {
-	_, err := fanOut(groups, parallel, func(shard int, g group) (int, error) {
-		return 0, d.answerGroup(shard, g, out, r)
-	})
-	return err
+	defer d.batches.Put(st)
+	return st.answerAll(out, r, true)
 }
 
 // ProbeSpec returns the exact composite probe distribution for x: the

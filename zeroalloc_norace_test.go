@@ -121,7 +121,10 @@ func TestDynamicTelemetryZeroAlloc(t *testing.T) {
 // TestDynamicZeroAlloc: without telemetry a 1-shard DynamicDict answers
 // Contains and ContainsBatch on pooled scratch and hands a batch straight
 // to its shard without grouping it, and an Insert of a present key claims
-// nothing, so none of them allocates per call.
+// nothing, so none of them allocates per call. A 4-shard composite groups a
+// batch in a pooled batch state, so its sequential ContainsBatch allocates
+// nothing either (the facade's ContainsBatch fans the groups out to
+// goroutines, which may allocate).
 func TestDynamicZeroAlloc(t *testing.T) {
 	keys := testKeys(4096, 46)
 	d, err := NewDynamic(keys[:3500], 0.25, WithSeed(46))
@@ -159,6 +162,26 @@ func TestDynamicZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("DynamicDict.ContainsBatch: %v allocs per batch, want 0", allocs)
+	}
+
+	d4, err := NewDynamic(keys[:3500], 0.25, WithSeed(46), WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d4.shards.ContainsBatch(batch, out, d4.src); err != nil {
+		t.Fatal(err)
+	}
+	for j, ok := range out {
+		if ok != (j < 256) {
+			t.Fatalf("4-shard ContainsBatch: key %d answered %v", batch[j], ok)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := d4.shards.ContainsBatch(batch, out, d4.src); err != nil {
+			t.Error(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("4-shard ContainsBatch: %v allocs per batch, want 0", allocs)
 	}
 
 	if allocs := testing.AllocsPerRun(400, func() {
