@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -405,27 +406,65 @@ func BenchmarkContainsBatchSize(b *testing.B) {
 // keys per batch, Sample-1 telemetry. source=default is the sharded source
 // (one shared draw per batch, then the pooled scratch's own stream);
 // source=rng is an explicit *rng.RNG, the single-goroutine reference. The gap
-// between the two is what the default source costs a batch.
+// between the two is what the default source costs a batch. Both run at
+// ε = 0.25, a 256 KiB slot array; eps=0.1 is the default source at the
+// server's ε, a 102 KiB slot array. eps=0.1-buffered prices populated
+// chains: its buffer holds ε·n/2 live inserts and ε·n/8 tombstones, and 1 in
+// 8 queried keys is one of them.
 func BenchmarkDynamicContainsBatchSource(b *testing.B) {
 	const n, batch, batches = 32768, 1024, 64
-	keys := testKeys(n, 12)
-	r := rng.New(13)
-	qs := make([]uint64, batch*batches)
-	for i := range qs {
-		qs[i] = keys[r.Intn(n)]
-	}
+	const inserts, tombstones = n / 20, n / 80 // ε·n/2 and ε·n/8 at ε = 0.1
+	all := testKeys(n+inserts, 12)
+	keys, extra := all[:n], all[n:]
 	for _, tc := range []struct {
-		name string
-		opts []Option
+		name     string
+		eps      float64
+		buffered bool
+		opts     []Option
 	}{
-		{"default", nil},
-		{"rng", []Option{WithQuerySource(rng.New(14))}},
+		{"source=default", 0.25, false, nil},
+		{"source=rng", 0.25, false, []Option{WithQuerySource(rng.New(14))}},
+		{"eps=0.1", 0.1, false, nil},
+		{"eps=0.1-buffered", 0.1, true, nil},
 	} {
-		b.Run("source="+tc.name, func(b *testing.B) {
+		b.Run(tc.name, func(b *testing.B) {
 			opts := append([]Option{WithSeed(12), WithTelemetry(TelemetryConfig{Sample: 1})}, tc.opts...)
-			d, err := NewDynamic(keys, 0.25, opts...)
+			d, err := NewDynamic(keys, tc.eps, opts...)
 			if err != nil {
 				b.Fatal(err)
+			}
+			// Buffered keys: the inserts, then the base keys that get
+			// tombstones; the other base keys stay members.
+			var buf []uint64
+			members := keys
+			if tc.buffered {
+				for _, k := range extra {
+					if _, err := d.Insert(k); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for _, k := range keys[:tombstones] {
+					if _, err := d.Delete(k); err != nil {
+						b.Fatal(err)
+					}
+				}
+				d.Quiesce()
+				if d.Rebuilds() != 1 {
+					b.Fatal("the updates rebuilt; the buffer must stay populated")
+				}
+				buf = append(slices.Clone(extra), keys[:tombstones]...)
+				members = keys[tombstones:]
+			}
+			r := rng.New(13)
+			qs := make([]uint64, batch*batches)
+			want := make([]bool, len(qs))
+			for i := range qs {
+				if buf != nil && r.Intn(8) == 0 {
+					j := r.Intn(len(buf))
+					qs[i], want[i] = buf[j], j < inserts
+				} else {
+					qs[i], want[i] = members[r.Intn(len(members))], true
+				}
 			}
 			out := make([]bool, batch)
 			b.ReportAllocs()
@@ -437,10 +476,9 @@ func BenchmarkDynamicContainsBatchSource(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			for _, ok := range out {
-				if !ok {
-					b.Fatal("lost key")
-				}
+			j := (b.N - 1) % batches * batch
+			if !slices.Equal(out, want[j:j+batch]) {
+				b.Fatal("wrong answers")
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/key")
 		})
@@ -604,6 +642,10 @@ func BenchmarkDynamicMixGoroutines(b *testing.B) {
 // reads at all. With the mutex gone from the claim fast path, throughput at
 // g=4 should clearly exceed g=1 on a multi-core machine; CAS retries and
 // epoch-transition serialization are the only remaining writer coupling.
+// Background rebuilds land wherever the churn crosses the buffer threshold,
+// so ns/op alone can move with where they fall: rebuilds/op reports the
+// rebuilds the timed writes triggered (counted after Quiesce), to tell a
+// rebuild mode from a write-path change.
 func BenchmarkDynamicWriterScaling(b *testing.B) {
 	keys := testKeys(benchN*2, 7)
 	resident, churn := keys[:benchN], keys[benchN:]
@@ -613,6 +655,7 @@ func BenchmarkDynamicWriterScaling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			rebuilt := d.Rebuilds()
 			runFanOut(b, g, func(seed uint64, n int) {
 				r := rng.New(seed)
 				for i := 0; i < n; i++ {
@@ -631,6 +674,7 @@ func BenchmarkDynamicWriterScaling(b *testing.B) {
 			})
 			b.StopTimer()
 			d.Quiesce()
+			b.ReportMetric(float64(d.Rebuilds()-rebuilt)/float64(b.N), "rebuilds/op")
 		})
 	}
 	// Hot-set variants: the same pure-writer storm, but 90% of the churn
@@ -642,6 +686,7 @@ func BenchmarkDynamicWriterScaling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			rebuilt := d.Rebuilds()
 			drive, err := workload.NewScenario("rotating:8:16384", churn, 9)
 			if err != nil {
 				b.Fatal(err)
@@ -664,6 +709,7 @@ func BenchmarkDynamicWriterScaling(b *testing.B) {
 			})
 			b.StopTimer()
 			d.Quiesce()
+			b.ReportMetric(float64(d.Rebuilds()-rebuilt)/float64(b.N), "rebuilds/op")
 		})
 	}
 }

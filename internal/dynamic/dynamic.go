@@ -61,10 +61,14 @@
 // against the freshly published epoch.
 //
 // A membership query performs zero shared mutable-memory writes outside the
-// probed cells; an update writes one slot word plus striped statistics
-// counters, so concurrent writers on different keys touch disjoint cache
-// lines — update throughput scales with writer goroutines instead of
-// flat-lining on a mutex.
+// probed cells. An update writes one slot word plus striped statistics
+// counters, so concurrent writers on different keys touch disjoint slot
+// words, and no mutex serialises them. Every update still writes words that
+// all writers share: the buffer's writers count (the fence, entered and
+// left), its occupied count (on a fresh claim) and buffered count, and the
+// dictionary's n and updates counts (on a change). Those cache lines move
+// between writer cores on every write; the cell-probe model does not see
+// them.
 //
 // Read contention stays within a constant of the static dictionary's: the
 // buffer's parameter row is replicated and its slot probes are spread by
@@ -84,9 +88,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/cellprobe"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/hash"
 	"repro/internal/rng"
 	"repro/internal/telemetry/events"
@@ -257,11 +263,48 @@ type buffer struct {
 	sealed  atomic.Bool
 }
 
-// params probes replica col of the buffer's parameter row, counting the
-// probe in tally when it is non-nil (see cellprobe.Table.ProbeTo). Callers
-// draw col uniformly from [0, width).
-func (b *buffer) params(col int, tally []uint64) hash.Pairwise {
-	c := b.acct.ProbeTo(0, bufParamRow, col, tally)
+// bufView is how one read call probes the buffer, resolved once per call
+// after core's openView. When nothing observes the accounting table's probes
+// (cellprobe.Table.CellView is non-nil: no Recorder, trace or ForwardTo
+// link), direct is set: the probe hash h is read once from the one-value
+// parameter row, every probe is counted straight into tally at its step,
+// clamped into the last slot exactly as ProbeTo clamps, and no table call
+// is made. Otherwise every probe goes through ProbeTo, so each observer
+// still sees it. Slot words are loaded from the atomic slots either way. The two routes probe, count and answer
+// alike; the zero view is the ProbeTo route with no tally.
+type bufView struct {
+	h      hash.Pairwise
+	tally  []uint64 // buffer part of the read tally (bufTally), or nil
+	direct bool
+}
+
+// view resolves b's read route for one call that counts into tally.
+func (b *buffer) view(tally []uint64) bufView {
+	v := bufView{tally: tally}
+	if rows := b.acct.CellView(); rows != nil {
+		c := rows[bufParamRow][0]
+		v.h = hash.Pairwise{A: c.Lo, B: c.Hi, M: uint64(b.width)}
+		v.direct = true
+	}
+	return v
+}
+
+// count tallies one direct-route probe at step, as ProbeTo would.
+func (v *bufView) count(step int) {
+	if v.tally != nil {
+		v.tally[min(step, len(v.tally)-1)]++
+	}
+}
+
+// params probes replica col of the buffer's parameter row at step 0 through
+// v. Callers draw col uniformly from [0, width) on either route, so the
+// random stream is consumed alike.
+func (b *buffer) params(col int, v *bufView) hash.Pairwise {
+	if v.direct {
+		v.count(0)
+		return v.h
+	}
+	c := b.acct.ProbeTo(0, bufParamRow, col, v.tally)
 	return hash.Pairwise{A: c.Lo, B: c.Hi, M: uint64(b.width)}
 }
 
@@ -276,16 +319,19 @@ func (b *buffer) seal() {
 	}
 }
 
-// find walks the probe chain for x. It returns x's slot whatever its tag
-// (found=true; vacated means "answer from the snapshot") or the first empty
-// slot (found=false). x holds at most one slot per epoch (see claim), so the
-// walk is as short as x's chain, however often x churned. Probes are recorded
-// at steps 1, 2, ... on the accounting table; callers already probed the
-// parameter row at step 0. A non-nil tally counts the probes, like params.
-func (b *buffer) find(x uint64, h hash.Pairwise, tally []uint64) (slot int, tag uint64, found bool, probes uint64, err error) {
-	p := int(h.Eval(x))
+// find walks the probe chain for x from its home slot p = h(x). It returns
+// x's slot whatever its tag (found=true; vacated means "answer from the
+// snapshot") or the first empty slot (found=false). x holds at most one slot
+// per epoch (see claim), so the walk is as short as x's chain, however often
+// x churned. Probes are made through v at steps 1, 2, ...; callers already
+// probed the parameter row at step 0. It is the read paths' only chain walk.
+func (b *buffer) find(x uint64, p int, v *bufView) (slot int, tag uint64, found bool, probes uint64, err error) {
 	for step := 1; step <= b.width+1; step++ {
-		b.acct.ProbeTo(step, bufSlotRow, p, tally)
+		if v.direct {
+			v.count(step)
+		} else {
+			b.acct.ProbeTo(step, bufSlotRow, p, v.tally)
+		}
 		w := b.slots[p].Load()
 		probes++
 		t, k := unpackSlot(w)
@@ -577,9 +623,10 @@ func (d *Dict) claim(e *epoch, x uint64, del bool, capLimit int) (claimOutcome, 
 		seed ^= 0xdead
 	}
 	// Write probes are counted on writeProbes and Metrics.WriteClaim, never
-	// on the read sink's tally. The generator stays on the stack (rng.New
-	// inlines), so a write allocates nothing.
-	h := b.params(rng.New(seed).Intn(b.width), nil)
+	// on the read sink's tally (the zero view: ProbeTo, no tally). The
+	// generator stays on the stack (rng.New inlines), so a write allocates
+	// nothing.
+	h := b.params(rng.New(seed).Intn(b.width), &bufView{})
 	probes := uint64(1) // the step-0 parameter probe
 	var retries uint64
 	outcome := claimNoChange
@@ -700,9 +747,9 @@ func (d *Dict) ContainsScratch(x uint64, r rng.Source, sc *core.QueryScratch) (b
 // containsEpoch answers membership against one pinned epoch.
 func (d *Dict) containsEpoch(e *epoch, x uint64, r rng.Source, sc *core.QueryScratch) (bool, error) {
 	b := e.buf
-	bt := bufTally(sc.Tally(), e.base.MaxProbes())
-	h := b.params(r.Intn(b.width), bt)
-	_, tag, found, probes, err := b.find(x, h, bt)
+	v := b.view(bufTally(sc.Tally(), e.base.MaxProbes()))
+	h := b.params(r.Intn(b.width), &v)
+	_, tag, found, probes, err := b.find(x, int(h.Eval(x)), &v)
 	if err != nil {
 		return false, err
 	}
@@ -718,6 +765,10 @@ func (d *Dict) containsEpoch(e *epoch, x uint64, r rng.Source, sc *core.QueryScr
 	return e.base.ContainsScratch(x, r, sc)
 }
 
+// bufAhead is how many keys ahead of the one it answers the batch cursor
+// computes a home slot and prefetches its slot word (a power of two).
+const bufAhead = 8
+
 // batchCursor feeds a batch through the epoch's buffer pre-check and hands
 // the static wavefront only the queries the buffer cannot resolve. It walks
 // the keys in batch order and performs, for each key, exactly the probe and
@@ -727,28 +778,76 @@ func (d *Dict) containsEpoch(e *epoch, x uint64, r rng.Source, sc *core.QueryScr
 // admission, where its static random budget is drawn immediately. The
 // batch's random stream (r, localised once per batch) is therefore consumed
 // in exactly sequential order.
+//
+// The buffer is read through one bufView per batch. On its direct route
+// the cursor also looks ahead: key i+bufAhead's home slot is computed when
+// key i is answered, kept in ring until its turn, and its slot word is
+// prefetched, so the walk's first load is already in flight. A prefetch is
+// a hint outside the cell-probe model, as in core's wavefront: it is not a
+// probe, draws nothing and counts nothing.
+//
 // The cursor sums the batch's read probes into probes, and counts buffer
-// probes into tally when it is non-nil, so the batch reaches the shared
-// counters once rather than once per key.
+// probes into the view's tally when it is non-nil, so the batch reaches the
+// shared counters once rather than once per key.
 type batchCursor struct {
 	e      *epoch
 	r      rng.Source
+	st     *rng.Stream // r as a localised stream, so each draw inlines; or nil
 	keys   []uint64
 	out    []bool
-	tally  []uint64 // buffer part of the read tally (bufTally), or nil
-	probes uint64   // read probes so far, as Stats.ReadProbes counts them
+	v      bufView
+	static uint64 // the static dictionary's probes, counted per fall-through
+	probes uint64 // read probes so far, as Stats.ReadProbes counts them
 	pos    int
 	err    error
+	ring   [bufAhead]int // key j's home slot at j mod bufAhead (direct view)
+}
+
+// open starts c on a batch against epoch e, counting buffer probes into
+// the buffer part of tally, and primes the ring with the first keys' home
+// slots.
+func (c *batchCursor) open(e *epoch, r rng.Source, keys []uint64, out []bool, tally []uint64) {
+	*c = batchCursor{e: e, r: r, keys: keys, out: out,
+		v: e.buf.view(bufTally(tally, e.base.MaxProbes())), static: uint64(e.base.MaxProbes())}
+	c.st, _ = r.(*rng.Stream)
+	if c.v.direct {
+		for j := range min(bufAhead, len(keys)) {
+			c.ring[j] = c.home(keys[j])
+		}
+	}
+}
+
+// home returns x's home slot on the direct route and prefetches its word.
+func (c *batchCursor) home(x uint64) int {
+	p := int(c.v.h.Eval(x))
+	cpu.Prefetch(unsafe.Pointer(&c.e.buf.slots[p]))
+	return p
 }
 
 func (c *batchCursor) NextQuery() (int, uint64, bool) {
+	b := c.e.buf
 	for c.pos < len(c.keys) && c.err == nil {
 		i := c.pos
 		c.pos++
 		x := c.keys[i]
-		b := c.e.buf
-		h := b.params(c.r.Intn(b.width), c.tally)
-		_, tag, found, probes, err := b.find(x, h, c.tally)
+		var col int
+		if c.st != nil {
+			col = c.st.Intn(b.width)
+		} else {
+			col = c.r.Intn(b.width)
+		}
+		h := b.params(col, &c.v)
+		var p int
+		if c.v.direct {
+			k := i % bufAhead
+			p = c.ring[k]
+			if j := i + bufAhead; j < len(c.keys) {
+				c.ring[k] = c.home(c.keys[j])
+			}
+		} else {
+			p = int(h.Eval(x))
+		}
+		_, tag, found, probes, err := b.find(x, p, &c.v)
 		if err != nil {
 			c.err = err
 			return 0, 0, false
@@ -764,15 +863,15 @@ func (c *batchCursor) NextQuery() (int, uint64, bool) {
 				continue
 			}
 		}
-		c.probes += uint64(c.e.base.MaxProbes())
+		c.probes += c.static
 		return i, x, true
 	}
 	return 0, 0, false
 }
 
 // batchState bundles the per-batch working memory — the core scratch with
-// its wavefront arena and read tally, plus the buffer cursor — into one
-// poolable unit.
+// its wavefront arena and read tally, plus the buffer cursor and its
+// look-ahead ring — into one poolable unit.
 type batchState struct {
 	sc  core.QueryScratch
 	cur batchCursor
@@ -789,14 +888,18 @@ type batchState struct {
 // long as keys. It stops at the first corrupt-buffer or corrupt-table
 // error (queries in flight at that point are abandoned). The batch's read
 // probes reach the shared counters — and the sink — once per batch,
-// and a shared rng.Sharded r is drawn from once per batch.
+// and a shared rng.Sharded r is drawn from once per batch. The buffer
+// pre-check reads the buffer through one view per batch (bufView; the
+// ProbeTo route while an observer is attached to BufferTable) and
+// prefetches slot words a few keys ahead; a prefetch is a hint outside the
+// cell-probe model, as in core's wavefront.
 func (d *Dict) ContainsBatch(keys []uint64, out []bool, r rng.Source) error {
 	if len(out) < len(keys) {
 		return fmt.Errorf("dynamic: ContainsBatch output length %d < %d keys", len(out), len(keys))
 	}
 	st := d.batch.Get().(*batchState)
 	e := d.cur.Load()
-	st.cur = batchCursor{e: e, r: st.sc.Source(r), keys: keys, out: out, tally: bufTally(st.sc.Tally(), e.base.MaxProbes())}
+	st.cur.open(e, st.sc.Source(r), keys, out, st.sc.Tally())
 	err := d.answerBatch(&st.cur, &st.sc)
 	if d.p.Sink != nil {
 		d.p.Sink.FlushTally(st.sc.Tally())
@@ -811,13 +914,15 @@ func (d *Dict) ContainsBatch(keys []uint64, out []bool, r rng.Source) error {
 // battery uses it with a batch-capture-armed scratch to compare the static
 // probe cells of wavefront and sequential answers (buffer probes are not
 // captured — their cell indices are epoch-local). As with ContainsScratch,
-// a tally on sc is the caller's to flush.
+// a tally on sc is the caller's to flush. The buffer is read as in
+// ContainsBatch: through a per-call view, or through ProbeTo while an
+// observer is attached to BufferTable.
 func (d *Dict) ContainsBatchScratch(keys []uint64, out []bool, r rng.Source, sc *core.QueryScratch) error {
 	if len(out) < len(keys) {
 		return fmt.Errorf("dynamic: ContainsBatch output length %d < %d keys", len(out), len(keys))
 	}
-	e := d.cur.Load()
-	cur := batchCursor{e: e, r: sc.Source(r), keys: keys, out: out, tally: bufTally(sc.Tally(), e.base.MaxProbes())}
+	var cur batchCursor
+	cur.open(d.cur.Load(), sc.Source(r), keys, out, sc.Tally())
 	return d.answerBatch(&cur, sc)
 }
 
