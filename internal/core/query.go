@@ -114,11 +114,13 @@ type QueryScratch struct {
 // cellView is the resolved cell view a call reads its cells through when
 // the table hands its rows out (cellprobe.Table.CellView): a probe of cell
 // (row, col) at step is tally[step]++ plus a load of rows[row][idx], where
-// idx is the index of the value the column replicates — 0 on a coefficient
-// row, g(x) on the z row, h′(x) on the GBAS and histogram rows, the column
-// itself on the dense perfect-hash and data rows. An empty view (nil rows)
-// sends every probe through Table.ProbeTo into tally (nil when none is
-// armed) and every prefetch through Table.PrefetchCell.
+// idx is the index of the value the column replicates — g(x) on the z row,
+// h′(x) on the GBAS and histogram rows, the column itself on the dense
+// perfect-hash and data rows. A coefficient row replicates one value, so
+// openView loads the 2d of them once per call and a query's coefficient
+// probes are only counted. An empty view (nil rows) sends every probe
+// through Table.ProbeTo into tally (nil when none is armed) and every
+// prefetch through Table.PrefetchCell.
 type cellView struct {
 	rows  [][]cellprobe.Cell
 	tally []uint64
@@ -128,8 +130,11 @@ type cellView struct {
 // ContainsWavefront call on dict. It takes the table's rows when the table
 // hands them out and the armed tally, if any, has a slot for every step
 // past the nest (ProbeTo clamps later steps into the last slot; the view
-// does not). The call clears the view again before it returns, so a pooled
-// scratch never keeps a retired table reachable.
+// does not). With the rows it also reads the 2d coefficient values into
+// the scratch's f and g buffers: they are dict's, and a pooled scratch moves
+// between tables (epochs, shards), so they are read again on every call.
+// The call clears the view again before it returns, so a pooled scratch
+// never keeps a retired table reachable.
 func (sc *QueryScratch) openView(dict *Dict) {
 	var tally []uint64
 	if sc.tally != nil {
@@ -151,6 +156,13 @@ func (sc *QueryScratch) openView(dict *Dict) {
 		tally = sc.spill[:steps]
 	}
 	sc.view = cellView{rows: rows, tally: tally}
+	// Each coefficient row holds one value, whichever replica a query
+	// draws: resolve f's and g's coefficients once for the whole call.
+	d := dict.d
+	for i := 0; i < d; i++ {
+		sc.fc[i] = rows[i][0].Lo
+		sc.gc[i] = rows[d+i][0].Lo
+	}
 }
 
 // probe reads cell (row, col) of tab at step: through the view at the
@@ -344,10 +356,12 @@ func (dict *Dict) SetBatchGroup(g int) { dict.batchGroup = g }
 // Contains answers the membership query for x using the paper's §2.3
 // four-phase algorithm. Every value it uses is read from table cells via
 // recorded probes; the random source chooses which replica each probe
-// reads. Pass an *rng.RNG for reproducible sequential queries or a shared
-// rng.Sharded for concurrent ones (each query then takes one draw from it
-// and its replica choices from the scratch's own stream, see
-// QueryScratch.Source).
+// reads. (Each coefficient row replicates a single value: where the table
+// hands its rows out, the call loads the 2d coefficients once and counts
+// each query's coefficient probes at their steps.) Pass an *rng.RNG for
+// reproducible sequential queries or a shared rng.Sharded for concurrent
+// ones (each query then takes one draw from it and its replica choices
+// from the scratch's own stream, see QueryScratch.Source).
 //
 // The returned error is non-nil only when the table itself is corrupt
 // (failure injection, bit flips): every error path is a consistency check
@@ -397,15 +411,12 @@ func (dict *Dict) wfAdmitKey(sc *QueryScratch, slot, idx int, x uint64, r rng.So
 	hist := sc.wfHist[slot*dict.rho:][:dict.rho] // one replica per histogram row
 	if st, ok := r.(*rng.Stream); ok {
 		// A localised stream (QueryScratch.Source): the same draws in the
-		// same order, called on the concrete type so each one inlines.
-		for i := range coef {
-			coef[i] = int32(st.Intn(dict.s))
-		}
+		// same order, on the concrete type, the replica runs each drawn by
+		// one FillIntn with the stream state held in a register.
+		st.FillIntn(coef, dict.s)
 		s.kz = st.Intn(dict.blkZ)
 		s.kb = st.Intn(dict.blkG)
-		for w := range hist {
-			hist[w] = int32(st.Intn(dict.blkG))
-		}
+		st.FillIntn(hist, dict.blkG)
 		s.uSpan = st.Uint64()
 	} else {
 		for i := range coef {
@@ -449,15 +460,27 @@ func (dict *Dict) wfStep(sc *QueryScratch, slot int, pf bool) (done, ans bool, e
 	switch s.stage {
 	case wfCoef:
 		// Phase 1a: the 2d coefficient cells (steps 0..2d−1), then derive
-		// f(x) and g(x) and the z replica column.
-		base := slot * 2 * d
-		for i := 0; i < d; i++ {
-			cf, cg := int(sc.wfCoef[base+2*i]), int(sc.wfCoef[base+2*i+1])
-			sc.fc[i] = sc.probe(tab, i, i, cf, 0).Lo
-			sc.gc[i] = sc.probe(tab, d+i, d+i, cg, 0).Lo
-			if s.log != nil {
-				sc.logProbe(s.log, i, tab.Index(i, cf))
-				sc.logProbe(s.log, d+i, tab.Index(d+i, cg))
+		// f(x) and g(x) and the z replica column. On the view route openView
+		// has already resolved the coefficients for the whole call, so a
+		// query only counts its probes at their steps; the drawn columns
+		// are read only to log a captured query. Otherwise each probe goes
+		// through ProbeTo at the drawn column.
+		coef := sc.wfCoef[slot*2*d:][:2*d] // f_i's column at 2i, g_i's at 2i+1
+		if sc.view.rows != nil {
+			tally := sc.view.tally[:2*d]
+			for i := range tally {
+				tally[i]++
+			}
+		} else {
+			for i := 0; i < d; i++ {
+				sc.fc[i] = tab.ProbeTo(i, i, int(coef[2*i]), sc.view.tally).Lo
+				sc.gc[i] = tab.ProbeTo(d+i, d+i, int(coef[2*i+1]), sc.view.tally).Lo
+			}
+		}
+		if s.log != nil {
+			for i := 0; i < d; i++ {
+				sc.logProbe(s.log, i, tab.Index(i, int(coef[2*i])))
+				sc.logProbe(s.log, d+i, tab.Index(d+i, int(coef[2*i+1])))
 			}
 		}
 		gv, fv := modarith.PolyEval2(sc.gc, sc.fc, s.x)

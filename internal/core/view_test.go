@@ -287,3 +287,118 @@ func TestCellViewConcurrentContainsBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// everyKth is a Sampler that captures every k-th query it is asked about.
+type everyKth struct{ k, n int }
+
+func (s *everyKth) ShouldFold() bool { s.n++; return s.n%s.k == 0 }
+
+// TestCoefficientCachePerCall: on the view route openView loads the 2d
+// coefficient values into the scratch once per call, and a pooled scratch
+// moves between tables (epochs, shards). Two tables built with different
+// seeds alternate on one scratch, by batch and by single query, under
+// Nest(steps, cells) with a Sampler capturing some queries, drawing from a
+// single-shard Sharded (the localised stream) and then from an explicit
+// RNG. A second scratch runs the same calls on identical tables with a
+// Recorder attached, which keeps every probe on the ProbeTo route. Answers,
+// tallies, capture logs and the next draw of the source and of the
+// scratch's stream must agree.
+func TestCoefficientCachePerCall(t *testing.T) {
+	const nestSteps, nestCells = 3, 1000
+	keys := [][]uint64{distinctKeys(rng.New(86), 2048), distinctKeys(rng.New(87), 1536)}
+	seeds := []uint64{88, 89}
+	type route struct {
+		dicts []*Dict
+		sc    QueryScratch
+		tally []uint64
+		out   [][]bool
+		logs  [][]cellprobe.StepCell
+		next  []uint64 // each source's next draw, then the scratch stream's
+	}
+	var view, probeTo route
+	steps := 0
+	for i := range keys {
+		view.dicts = append(view.dicts, mustBuild(t, keys[i], seeds[i]))
+		d := mustBuild(t, keys[i], seeds[i])
+		d.Table().Attach(cellprobe.NewRecorder(d.Table().Size()))
+		probeTo.dicts = append(probeTo.dicts, d)
+		if view.dicts[i].Table().CellView() == nil || d.Table().CellView() != nil {
+			t.Fatalf("table %d: view held %v unobserved, %v with a Recorder", i,
+				view.dicts[i].Table().CellView() != nil, d.Table().CellView() != nil)
+		}
+		steps = max(steps, d.MaxProbes())
+	}
+	if a, b := view.dicts[0], view.dicts[1]; a.d != b.d || a.Table().At(0, 0) == b.Table().At(0, 0) {
+		t.Fatal("the two tables differ in d or share f's first coefficient")
+	}
+	qs := [][]uint64{viewQueries(keys[0]), viewQueries(keys[1])}
+	srcs := []func() rng.Source{
+		func() rng.Source { return rng.NewSharded(90, 1) },
+		func() rng.Source { return rng.New(91) },
+	}
+	for _, rt := range []*route{&view, &probeTo} {
+		sc := &rt.sc
+		rt.tally = make([]uint64, nestSteps+steps)
+		sc.SetTally(rt.tally)
+		sc.Nest(nestSteps, nestCells)
+		sc.SetSampler(&everyKth{k: 7})
+		for _, mk := range srcs {
+			r := mk()
+			for round := 0; round < 2; round++ {
+				for _, path := range []string{"batch", "single"} {
+					for j, d := range rt.dicts {
+						out := make([]bool, len(qs[j]))
+						if path == "batch" {
+							if err := d.ContainsBatch(qs[j], out, r, sc); err != nil {
+								t.Fatal(err)
+							}
+						} else {
+							for i, x := range qs[j] {
+								ok, err := d.ContainsScratch(x, r, sc)
+								if err != nil {
+									t.Fatal(err)
+								}
+								out[i] = ok
+							}
+						}
+						rt.out = append(rt.out, out)
+						rt.logs = append(rt.logs, slices.Clone(sc.StopCaptureProbes()))
+					}
+				}
+			}
+			rt.next = append(rt.next, r.Uint64())
+		}
+		rt.next = append(rt.next, sc.rs.Uint64())
+	}
+	for c, out := range view.out {
+		if !slices.Equal(out, probeTo.out[c]) {
+			t.Fatalf("call %d: answers differ between the view and ProbeTo", c)
+		}
+		for i, ok := range out {
+			if ok != (i%4 != 3) {
+				t.Fatalf("call %d: query %d answered %v", c, i, ok)
+			}
+		}
+	}
+	if !slices.Equal(view.tally, probeTo.tally) {
+		t.Fatalf("view tally %v != ProbeTo tally %v", view.tally, probeTo.tally)
+	}
+	for i, c := range view.tally {
+		if (i < nestSteps) != (c == 0) {
+			t.Fatalf("tally slot %d counted %d under Nest(%d, %d)", i, c, nestSteps, nestCells)
+		}
+	}
+	captured := 0
+	for c, log := range view.logs {
+		if !slices.Equal(log, probeTo.logs[c]) {
+			t.Fatalf("call %d: capture log %v on the view, %v on ProbeTo", c, log, probeTo.logs[c])
+		}
+		captured += len(log)
+	}
+	if !slices.Equal(view.next, probeTo.next) {
+		t.Fatalf("next draws (sources, then the scratch stream) %x on the view, %x on ProbeTo", view.next, probeTo.next)
+	}
+	if captured < 100 || view.logs[0][0].Step != nestSteps || view.logs[0][0].Cell < nestCells {
+		t.Fatalf("%d probes captured; first %+v, want nested by (%d, %d)", captured, view.logs[0][0], nestSteps, nestCells)
+	}
+}

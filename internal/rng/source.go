@@ -165,6 +165,31 @@ func (s *Stream) Intn(n int) int {
 	}
 }
 
+// FillIntn sets each dst[i] to a uniform value in [0, n): the values
+// len(dst) calls of Intn(n) would return, in order, rejection draws
+// included, and the stream is left where those calls would leave it. The
+// state stays in a local variable across the loop instead of being stored
+// and reloaded per draw. A value is truncated to int32, so n should fit in
+// one. It panics if n <= 0.
+func (s *Stream) FillIntn(dst []int32, n int) {
+	if n <= 0 {
+		panic("rng: FillIntn with non-positive n")
+	}
+	un := uint64(n)
+	state := s.state
+	for i := range dst {
+		for {
+			state += splitMixGamma
+			hi, lo := bits.Mul64(mix64(state), un)
+			if lo >= un || lo >= -un%un {
+				dst[i] = int32(hi)
+				break
+			}
+		}
+	}
+	s.state = state
+}
+
 // Local returns the source a goroutine should draw one query's or one
 // batch's replica choices from. When src is a *Sharded, Local reseeds s
 // from a single src.Uint64() and returns s: the span then pays one shared

@@ -139,3 +139,81 @@ func TestLocalConcurrentSpans(t *testing.T) {
 		t.Errorf("%d duplicate draws across %d goroutines × %d localised spans", dups, goroutines, spans)
 	}
 }
+
+// fillIntnMatchesLoop checks FillIntn(dst, n) on a stream at origin against
+// len(dst) Intn(n) calls on a copy: the same values, truncated to int32 as
+// FillIntn stores them, and the same next Uint64 afterwards. It returns how
+// many draws the loop consumed.
+func fillIntnMatchesLoop(t testing.TB, origin uint64, n, length int) int {
+	t.Helper()
+	bulk, loop := Stream{state: origin}, Stream{state: origin}
+	dst := make([]int32, length)
+	bulk.FillIntn(dst, n)
+	for i := range dst {
+		if want := int32(loop.Intn(n)); dst[i] != want {
+			t.Fatalf("origin %#x n=%d len=%d: dst[%d] = %d, Intn loop drew %d", origin, n, length, i, dst[i], want)
+		}
+	}
+	draws := 0
+	for c := (Stream{state: origin}); c.state != loop.state; c.Uint64() {
+		draws++
+	}
+	if got, want := bulk.Uint64(), loop.Uint64(); got != want {
+		t.Fatalf("origin %#x n=%d len=%d: next Uint64 after FillIntn %#x, after the Intn loop %#x", origin, n, length, got, want)
+	}
+	return draws
+}
+
+// TestStreamFillIntnMatchesIntn: the bulk draw is a loop of Intn calls, for
+// small n, a power of two, and n where a quarter (2^62+1), a third
+// (⌈2^64/3⌉) or nearly none (2^63−1, the largest int) of the draws are
+// rejected. 2^63+1, where half would be, does not fit in an int, which is
+// what Intn takes. A non-positive n panics, as Intn does.
+func TestStreamFillIntnMatchesIntn(t *testing.T) {
+	const third = (1<<64-1)/3 + 1
+	for _, n := range []int{1, 3, 65536, 1<<62 + 1, third, 1<<63 - 1} {
+		rejected := 0
+		for _, origin := range []uint64{0, 0xdeadbeef, 1<<64 - 1} {
+			for _, length := range []int{0, 1, 8, 13, 256} {
+				rejected += fillIntnMatchesLoop(t, origin, n, length) - length
+			}
+		}
+		if (n == 1<<62+1 || n == third) && rejected == 0 {
+			t.Errorf("n=%d: no draw was rejected, so the rejection path went untested", n)
+		}
+	}
+	for _, n := range []int{0, -1, -1 << 63} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FillIntn(n=%d) did not panic", n)
+				}
+			}()
+			var s Stream
+			s.FillIntn(make([]int32, 1), n)
+		}()
+	}
+}
+
+// FuzzStreamFillIntn checks FillIntn against the Intn loop from any stream
+// state, for any positive n and lengths up to 255; a non-positive n must
+// panic.
+func FuzzStreamFillIntn(f *testing.F) {
+	f.Add(uint64(0), int64(1), uint8(0))
+	f.Add(uint64(11), int64(3), uint8(13))
+	f.Add(uint64(1<<64-1), int64(1<<62+1), uint8(8))
+	f.Add(uint64(7), int64(0), uint8(1))
+	f.Fuzz(func(t *testing.T, origin uint64, n int64, length uint8) {
+		if n <= 0 {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("FillIntn(n=%d) did not panic", n)
+				}
+			}()
+			s := Stream{state: origin}
+			s.FillIntn(make([]int32, length), int(n))
+			return
+		}
+		fillIntnMatchesLoop(t, origin, int(n), int(length))
+	})
+}
